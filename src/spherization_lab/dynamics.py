@@ -261,10 +261,6 @@ class Trajectory:
     def state(self, i: int) -> CotangentPoint:
         return CotangentPoint(self.q[i], self.p[i])
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
 
 def _sample_grid(t0: float, t1: float, max_step: float) -> np.ndarray:
     n = max(2, int(math.ceil((t1 - t0) / max_step)) + 1)
@@ -293,14 +289,21 @@ def integrate(field: HamiltonianField, x0: CotangentPoint, T: float,
                                         t0, t0 + T, cfg)
     q, p = Q[0], P[0]
     energy = field.value(q, p)
-    h0 = float(energy[0])
-    drift = float(np.max(np.abs(energy - h0)) / max(1.0, abs(h0)))
-    if drift > cfg.drift_abort:
-        raise IntegrationDivergedError(
-            f"energy drift {drift:.3e} exceeds abort bound {cfg.drift_abort:.3e}")
+    drift = energy_drift(energy, cfg.drift_abort)
     stats = dict(stats)
     return Trajectory(times=times, q=q, p=p, energy=energy,
                       energy_drift=drift, stats=stats, manifold=field.manifold)
+
+
+def energy_drift(energy, abort: float = math.inf) -> float:
+    """Largest |H(t) - H(0)| relative to max(1, |H(0)|); raises
+    IntegrationDivergedError when it exceeds ``abort``."""
+    h0 = float(energy[0])
+    drift = float(np.max(np.abs(energy - h0)) / max(1.0, abs(h0)))
+    if drift > abort:
+        raise IntegrationDivergedError(
+            f"energy drift {drift:.3e} exceeds abort bound {abort:.3e}")
+    return drift
 
 
 def integrate_batch(field: HamiltonianField, Q0, P0, T: float,
@@ -322,25 +325,31 @@ def integrate_batch(field: HamiltonianField, Q0, P0, T: float,
 def _integrate_raw(field, Q0, P0, t0, t1, cfg, t_eval=None):
     n, d = Q0.shape
     y0 = np.concatenate([Q0.ravel(), P0.ravel()])
-    if t_eval is None:
-        t_eval = _sample_grid(t0, t1, cfg.max_step)
-    if cfg.scheme == "midpoint":
-        times, ys, stats = _implicit_midpoint(field, y0, n, d, t_eval, cfg)
-    else:
-        res = solve_ivp(_flat_rhs(field, d), (t0, t1), y0, method="DOP853",
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=t_eval)
-        if not res.success:
-            raise StiffnessError(f"integrator failed: {res.message}")
-        times, ys = res.t, res.y
-        stats = {"nfev": int(res.nfev), "samples": len(times)}
+    times, ys, stats = solve(_flat_rhs(field, d), y0, t0, t1, cfg, t_eval)
     S = len(times)
     Q = ys[: n * d].reshape(n, d, S).transpose(0, 2, 1)
     P = ys[n * d:].reshape(n, d, S).transpose(0, 2, 1)
     return times, Q, P, stats
 
 
-def _implicit_midpoint(field, y0, n, d, t_eval, cfg):
-    rhs = _flat_rhs(field, d)
+def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None):
+    """Integrate y' = rhs(t, y) over [t0, t1] with the configured scheme.
+
+    Returns (times, ys, stats) with ys of shape (len(y0), samples), sampled
+    on ``t_eval`` (default: the quadrature grid of ``cfg.max_step``).
+    """
+    if t_eval is None:
+        t_eval = _sample_grid(t0, t1, cfg.max_step)
+    if cfg.scheme == "midpoint":
+        return _implicit_midpoint(rhs, y0, t_eval, cfg)
+    res = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=t_eval)
+    if not res.success:
+        raise StiffnessError(f"integrator failed: {res.message}")
+    return res.t, res.y, {"nfev": int(res.nfev), "samples": len(res.t)}
+
+
+def _implicit_midpoint(rhs, y0, t_eval, cfg):
     h = cfg.max_step
     t0, t1 = float(t_eval[0]), float(t_eval[-1])
     steps = max(1, int(round((t1 - t0) / h)))
@@ -587,10 +596,9 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
     records = []
     for j, (_, deck_star) in enumerate(selected):
         energy = field.value(Q[j], Pt[j])
-        drift = float(np.max(np.abs(energy - energy[0]))
-                      / max(1.0, abs(float(energy[0]))))
         records.append((Trajectory(times=t_grid, q=Q[j], p=Pt[j],
-                                   energy=energy, energy_drift=drift,
+                                   energy=energy,
+                                   energy_drift=energy_drift(energy),
                                    stats={}, manifold=manifold), deck_star))
     return records
 

@@ -437,6 +437,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     # Newton polish against the fixed lift of each representative
     records = []
     failures = 0
+    misses = 0
     if reps:
         polisher = _LockstepPolisher(field, q0, surface_map, cfg, horizon,
                                      time_floor, newton_tol)
@@ -447,13 +448,17 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
         polished = polisher.polish(us0, ts0, lifts0)
         failures = len(reps) - len(polished)
         if polished:
-            # fresh re-integration of every accepted root, batched
+            # fresh re-integration of every accepted root, batched; a root
+            # counts only if it arrives within newton_tol again
             us = np.stack([u for u, _, _ in polished])
             tss = np.array([t for _, t, _ in polished])
             q_end, _ = polisher._endpoints(us, tss)
             p_start = surface_map(us)
             for j, (u, t_star, _) in enumerate(polished):
                 deck_star, dist_star, _ = manifold.nearest_lift(q_end[j], q1)
+                if dist_star > newton_tol:
+                    misses += 1
+                    continue
                 records.append(ChordRecord(
                     direction=tuple(float(v) for v in u),
                     arrival_time=float(t_star),
@@ -471,6 +476,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                        diagnostics={"candidates": len(raw),
                                     "representatives": len(reps),
                                     "newton_failures": failures,
+                                    "reverify_misses": misses,
                                     "sample_dt": sample_dt,
                                     "resolution": resolution})
 

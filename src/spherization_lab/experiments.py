@@ -6,6 +6,11 @@ manifest is written even when a run fails; the error category then rides
 along.  Worker counts only fan out independent single-trajectory tasks whose
 results merge in input order, so outputs are byte-identical for any worker
 count.
+
+The sol Lyapunov experiments (``sol-entropy``, ``sol-sweep``) integrate each
+ensemble member on the reduced Euler equations for its left-invariant
+momenta (see ``sol``), one member per task: a member's exponent never
+depends on which other members run.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from . import growth as growth_mod
 from . import sol as sol_mod
 from .config import ExperimentConfig
 from .dynamics import (IntegratorConfig, action_homogeneous,
-                       classify_chord_action, core_field, exclusion_level,
-                       flat_action_spectrum, gauge_field, geodesic_field,
-                       integrate, radial_chord_actions, scaled_field,
-                       shoot_fixed_time_chords, verify_scaling_law)
+                       classify_chord_action, core_field, energy_drift,
+                       exclusion_level, flat_action_spectrum, gauge_field,
+                       geodesic_field, integrate, radial_chord_actions,
+                       scaled_field, shoot_fixed_time_chords, solve,
+                       verify_scaling_law)
 from .entropy import (chord_census, fiber_circle_mesh, fiber_sphere_mesh,
                       fit_exponential_rate, mpp_estimate, torus_chord_count,
                       volume_growth)
@@ -86,16 +92,17 @@ def _pmap(fn, tasks, workers: int):
 
 
 def _sol_chi_task(args):
-    (mono, k, q0, p0, horizon, burn_in, int_params) = args
-    manifold = ModelManifold.sol(mono)
-    field = sol_mod.sol_field(manifold)
-    cfg = IntegratorConfig(**int_params)
-    traj = integrate(field, CotangentPoint(np.array(q0), np.array(p0)),
-                     horizon, cfg)
-    est = sol_mod.lyapunov_estimate(traj, burn_in)
-    integral = sol_mod.first_integral(traj.q, traj.p)
-    return (est.chi, traj.energy_drift,
-            float(np.max(np.abs(integral - integral[0]))))
+    """(chi, energy drift, first-integral drift) of one ensemble member,
+    integrated on the Euler equations from its momenta M0."""
+    (M0, horizon, burn_in, cfg) = args
+    times, ms, _ = solve(lambda t, m: sol_mod.euler_field(m), M0, 0.0,
+                         horizon, cfg)
+    drift = energy_drift(sol_mod.hamiltonian_from_momenta(ms.T),
+                         cfg.drift_abort)
+    mx, my, mz = ms
+    chi = sol_mod.lyapunov_from_momentum_series(times, mz, burn_in)
+    integral = mx * my
+    return chi, drift, float(np.max(np.abs(integral - integral[0])))
 
 
 # -- output helpers --------------------------------------------------------------
@@ -127,25 +134,15 @@ def _sol_tasks(cfg, manifold, rng, k, mode=None):
     mode = mode or cfg.get("sol", "mode")
     horizon = cfg.get("sol", "horizon")
     burn_in = cfg.get("sol", "burn_in")
-    int_params = dict(scheme=cfg.get("integrator", "scheme"),
-                      rel_tol=cfg.get("integrator", "rel_tol"),
-                      abs_tol=cfg.get("integrator", "abs_tol"),
-                      max_step=cfg.get("integrator", "max_step"),
-                      drift_abort=cfg.get("integrator", "drift_abort"))
-    mono = cfg.get("manifold", "monodromy")
-    tasks = []
+    int_cfg = integrator_from(cfg)
     if mode == "fixed-point":
         q0 = manifold.random_point(rng)
-        p0 = sol_mod.fixed_point_covector(k, q0)
-        tasks.append((mono, k, tuple(q0), tuple(p0), horizon, burn_in,
-                      int_params))
+        Q, P = q0[None, :], sol_mod.fixed_point_covector(k, q0)[None, :]
     else:
         Q, P = sol_mod.sample_level_states(manifold, k, cfg.get("sol", "count"),
                                            rng)
-        for i in range(Q.shape[0]):
-            tasks.append((mono, k, tuple(Q[i]), tuple(P[i]), horizon, burn_in,
-                          int_params))
-    return tasks
+    return [(M0, horizon, burn_in, int_cfg)
+            for M0 in sol_mod.momentum_map(Q, P)]
 
 
 def _run_sol_entropy(cfg, out: Path, rng):

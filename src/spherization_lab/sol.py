@@ -16,6 +16,11 @@ exactly when k > 1/2, and then the reduced field has fixed points at
 M = (0, 0, +-sqrt(2k-1)).  The positive Lyapunov exponent along an orbit is
 the absolute time average of M_z, which at the upper fixed point evaluates
 to the closed form sqrt(2k-1).
+
+The Lyapunov ensembles therefore integrate only the Euler equations, from
+M(0) = momentum_map(q0, p0): the exponent, the energy and the first
+integral all read off M(t).  The full field on the cotangent bundle serves
+the chord census, volume growth and the conservation checks.
 """
 
 from __future__ import annotations
@@ -78,9 +83,8 @@ def sol_hamiltonian(q, p):
 
 def euler_field(m):
     """Reduced momentum dynamics; vectorized over leading axes."""
-    m = np.asarray(m, dtype=float)
-    mx, my, mz = m[..., 0], m[..., 1], m[..., 2]
-    return np.stack([mx * mz, -my * mz, my * my - mx * (mx + 1.0)], axis=-1)
+    mx, my, mz = np.asarray(m, dtype=float).T
+    return np.array([mx * mz, -my * mz, my * my - mx * (mx + 1.0)]).T
 
 
 def sol_field(manifold: ModelManifold) -> HamiltonianField:
@@ -147,18 +151,24 @@ class LyapunovEstimate:
     partial_averages: np.ndarray
 
 
+def _window_average(times, mz, burn_in_fraction):
+    """(i0, chi): the first sample after the burn-in window and the absolute
+    Simpson average of M_z from there to the end."""
+    if times[-1] <= times[0] or len(times) < 8:
+        raise ValueError("trajectory too short for a Lyapunov average")
+    t_start = times[0] + burn_in_fraction * (times[-1] - times[0])
+    i0 = min(int(np.searchsorted(times, t_start)), len(times) - 4)
+    chi = abs(float(simpson(mz[i0:], x=times[i0:]))) / float(times[-1] - times[i0])
+    return i0, chi
+
+
 def lyapunov_estimate(traj: Trajectory, burn_in_fraction: float = 0.1) -> LyapunovEstimate:
     """Positive Lyapunov exponent along a sol orbit: the absolute time
     average of M_z after a burn-in window, with the sequence of partial
     averages for convergence diagnosis."""
-    if traj.duration <= 0 or len(traj.times) < 8:
-        raise ValueError("trajectory too short for a Lyapunov average")
     t = traj.times
     mz = traj.p[:, 2]
-    t_start = t[0] + burn_in_fraction * (t[-1] - t[0])
-    i0 = int(np.searchsorted(t, t_start))
-    i0 = min(i0, len(t) - 4)
-    chi = abs(float(simpson(mz[i0:], x=t[i0:]))) / float(t[-1] - t[i0])
+    i0, chi = _window_average(t, mz, burn_in_fraction)
     cum = cumulative_trapezoid(mz[i0:], t[i0:], initial=0.0)
     spans = t[i0:] - t[i0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,12 +178,10 @@ def lyapunov_estimate(traj: Trajectory, burn_in_fraction: float = 0.1) -> Lyapun
 
 
 def lyapunov_from_momentum_series(times, mz, burn_in_fraction: float = 0.1) -> float:
-    """Same average for a raw (t, M_z) series; synthetic-input hook."""
-    times = np.asarray(times, dtype=float)
-    mz = np.asarray(mz, dtype=float)
-    t_start = times[0] + burn_in_fraction * (times[-1] - times[0])
-    i0 = min(int(np.searchsorted(times, t_start)), len(times) - 4)
-    return abs(float(simpson(mz[i0:], x=times[i0:]))) / float(times[-1] - times[i0])
+    """The same average for a raw (t, M_z) series, such as a solution of the
+    reduced Euler equations."""
+    return _window_average(np.asarray(times, dtype=float),
+                           np.asarray(mz, dtype=float), burn_in_fraction)[1]
 
 
 def entropy_closed_form(k: float) -> float:

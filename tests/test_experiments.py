@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spherization_lab import dynamics as dyn
+from spherization_lab import sol as sol_mod
 from spherization_lab.config import load_config
 from spherization_lab.errors import InvariantFailureError
-from spherization_lab.experiments import run, write_csv
+from spherization_lab.experiments import _sol_chi_task, run, write_csv
+from spherization_lab.geometry import CotangentPoint
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -165,3 +168,70 @@ q1 = 0.15 0.25 0.35
     # target jittered by the recorded seeded offset
     assert np.allclose(np.array(pair["q1"]) - np.array(pair["jitter"]),
                        [0.15, 0.25, 0.35])
+
+
+@pytest.mark.parametrize("k", [0.3, 1.0])
+def test_momentum_path_matches_full_flow(sol, rng, k):
+    # the ensembles integrate the reduced Euler equations; the exponent must
+    # agree with the full cotangent flow from the same initial state
+    cfg = dyn.IntegratorConfig()
+    field = sol_mod.sol_field(sol)
+    Q, P = sol_mod.sample_level_states(sol, k, 2, rng)
+    for q0, p0 in zip(Q, P):
+        chi, drift, integral_drift = _sol_chi_task(
+            (sol_mod.momentum_map(q0, p0), 100.0, 0.1, cfg))
+        traj = dyn.integrate(field, CotangentPoint(q0, p0), 100.0, cfg)
+        ref = sol_mod.lyapunov_estimate(traj, 0.1).chi
+        assert abs(chi - ref) <= 1e-6 * abs(ref)
+        assert drift <= 1e-8 and integral_drift <= 1e-8
+
+
+def test_sol_entropy_midpoint_keeps_quadratic_invariants(tmp_path):
+    # implicit midpoint preserves quadratic invariants, and on the momenta
+    # both H and M_x M_y are quadratic; the same run on the full flow drifts
+    # by 2.65e-5 in energy and aborts
+    manifest, _ = _run(tmp_path, """
+[experiment]
+name = sol-entropy
+seed = 5
+
+[sol]
+k = 1.0
+mode = ensemble
+count = 2
+horizon = 20.0
+
+[integrator]
+scheme = midpoint
+max_step = 0.01
+""")
+    r = manifest["results"]
+    assert r["count"] == 2
+    assert r["energy_drift_max"] <= 1e-11
+    assert r["first_integral_drift_max"] <= 1e-11
+
+
+def test_census_counts_only_reverified_chords(tmp_path):
+    # at this seed the second pair polishes a root to newton_tol that its
+    # fresh re-integration puts just above it (1.00036e-8); it must not count
+    manifest, _ = _run(tmp_path, """
+[experiment]
+name = chord-census
+seed = 7072627512578973716
+
+[manifold]
+kind = sol
+
+[sol]
+k = 1.0
+
+[census]
+horizon = 3.0
+resolution = 192
+coarse_threshold = 0.35
+pairs = 2
+""")
+    pairs = manifest["results"]["pairs"]
+    assert all(p["max_residual"] <= 1e-8 for p in pairs)
+    assert all(p["records"] == p["nu"][-1] for p in pairs)
+    assert sum(p["diagnostics"]["reverify_misses"] for p in pairs) >= 1

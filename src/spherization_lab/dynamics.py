@@ -6,9 +6,9 @@ omega(X_H, .) = -dH, the equations of motion are
     dq/dt = dH/dp,      dp/dt = -dH/dq,
 
 so the flow of half the squared conorm is the geodesic flow (tested, not
-assumed).  Gradients are analytic for every shipped Hamiltonian; central
-finite differences are the fallback for ad-hoc fields and the cross-check
-in the tests.
+assumed).  Every Hamiltonian carries one analytic gradient kernel
+``grads(q, p) -> (dH/dq, dH/dp)``; the integrator calls it once per field
+evaluation.  The tests cross-check it against central finite differences.
 """
 
 from __future__ import annotations
@@ -27,73 +27,51 @@ from .starshape import SandwichedHamiltonians
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """A Hamiltonian with its fiber/base gradients.
+    """A Hamiltonian with its gradient kernel.
 
-    ``value``, ``grad_q`` and ``grad_p`` accept arrays of shape (..., d).
-    Missing gradients fall back to central finite differences on ``value``.
+    ``value(q, p)`` and ``grads(q, p) -> (dH/dq, dH/dp)`` accept arrays of
+    shape (..., d); one ``grads`` call yields both gradients, so shared
+    subexpressions are computed once per field evaluation.
     """
 
     name: str
     manifold: ModelManifold
     value: callable
-    grad_q: callable = None
-    grad_p: callable = None
-    fd_step: float = 1e-6
+    grads: callable
 
     def dq(self, q, p):
-        if self.grad_q is not None:
-            return self.grad_q(q, p)
-        return self._fd(q, p, wrt="q")
+        return self.grads(q, p)[0]
 
     def dp(self, q, p):
-        if self.grad_p is not None:
-            return self.grad_p(q, p)
-        return self._fd(q, p, wrt="p")
-
-    def _fd(self, q, p, wrt):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        base = q if wrt == "q" else p
-        out = np.zeros_like(base)
-        h = self.fd_step
-        for i in range(base.shape[-1]):
-            shift = np.zeros(base.shape[-1])
-            shift[i] = h
-            if wrt == "q":
-                hi = self.value(q + shift, p)
-                lo = self.value(q - shift, p)
-            else:
-                hi = self.value(q, p + shift)
-                lo = self.value(q, p - shift)
-            out[..., i] = (hi - lo) / (2.0 * h)
-        return out
+        return self.grads(q, p)[1]
 
     def velocity(self, q, p):
         """Base velocity dq/dt."""
-        return self.dp(q, p)
+        return self.grads(q, p)[1]
 
     def rhs(self, q, p):
         """(dq/dt, dp/dt) under the fixed sign convention."""
-        return self.dp(q, p), -self.dq(q, p)
+        gq, gp = self.grads(q, p)
+        return gp, -gq
 
 
 def scaled_field(field: HamiltonianField, c: float) -> HamiltonianField:
     c = float(c)
+
+    def grads(q, p):
+        gq, gp = field.grads(q, p)
+        return c * gq, c * gp
+
     return HamiltonianField(
         name=f"{c}*{field.name}", manifold=field.manifold,
-        value=lambda q, p: c * field.value(q, p),
-        grad_q=(None if field.grad_q is None else
-                lambda q, p: c * field.grad_q(q, p)),
-        grad_p=(None if field.grad_p is None else
-                lambda q, p: c * field.grad_p(q, p)),
-        fd_step=field.fd_step)
+        value=lambda q, p: c * field.value(q, p), grads=grads)
 
 
 def zero_field(manifold: ModelManifold) -> HamiltonianField:
-    zeros = lambda q, p: np.zeros_like(np.asarray(q, dtype=float))
+    zeros = lambda q: np.zeros_like(np.asarray(q, dtype=float))
     return HamiltonianField(name="zero", manifold=manifold,
                             value=lambda q, p: np.zeros(np.asarray(q).shape[:-1]),
-                            grad_q=zeros, grad_p=zeros)
+                            grads=lambda q, p: (zeros(q), zeros(q)))
 
 
 def geodesic_field(manifold: ModelManifold, scale: float = 1.0) -> HamiltonianField:
@@ -102,38 +80,29 @@ def geodesic_field(manifold: ModelManifold, scale: float = 1.0) -> HamiltonianFi
     def value(q, p):
         return 0.5 * scale * manifold.conorm_sq(q, p)
 
-    def grad_q(q, p):
+    def grads(q, p):
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        out = np.zeros_like(q)
-        if manifold.kind == "sol":
-            e2z = np.exp(2.0 * q[..., 2])
-            out[..., 2] = scale * (e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z)
-        return out
-
-    def grad_p(q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
+        gq = np.zeros_like(q)
         if manifold.kind == "torus":
-            return scale * p
+            return gq, scale * p
         e2z = np.exp(2.0 * q[..., 2])
-        out = np.empty_like(p)
-        out[..., 0] = scale * e2z * p[..., 0]
-        out[..., 1] = scale * p[..., 1] / e2z
-        out[..., 2] = scale * p[..., 2]
-        return out
+        gq[..., 2] = scale * (e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z)
+        gp = np.empty_like(p)
+        gp[..., 0] = scale * e2z * p[..., 0]
+        gp[..., 1] = scale * p[..., 1] / e2z
+        gp[..., 2] = scale * p[..., 2]
+        return gq, gp
 
     return HamiltonianField(name="geodesic", manifold=manifold, value=value,
-                            grad_q=grad_q, grad_p=grad_p)
+                            grads=grads)
 
 
 def gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
     """The degree-2 homogeneous gauge F as a Hamiltonian."""
     return HamiltonianField(
         name="gauge", manifold=sandwich.manifold,
-        value=lambda q, p: sandwich.gauge(q, p),
-        grad_q=lambda q, p: sandwich.gauge_grads(q, p)[0],
-        grad_p=lambda q, p: sandwich.gauge_grads(q, p)[1])
+        value=sandwich.gauge, grads=sandwich.gauge_grads)
 
 
 def cutoff_gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
@@ -148,10 +117,8 @@ def cutoff_gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         dq, dp = sandwich.gauge_grads(q, p)
         return slope[..., None] * dq, slope[..., None] * dp
 
-    return HamiltonianField(
-        name="cutoff-gauge", manifold=sandwich.manifold, value=value,
-        grad_q=lambda q, p: grads(q, p)[0],
-        grad_p=lambda q, p: grads(q, p)[1])
+    return HamiltonianField(name="cutoff-gauge", manifold=sandwich.manifold,
+                            value=value, grads=grads)
 
 
 def _far_mix_grads(sandwich, q, p, inner_val, inner_dq, inner_dp):
@@ -182,10 +149,8 @@ def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         return _far_mix_grads(sandwich, q, p, cut,
                               slope[..., None] * dq_f, slope[..., None] * dp_f)
 
-    return HamiltonianField(
-        name="core", manifold=sandwich.manifold, value=value,
-        grad_q=lambda q, p: grads(q, p)[0],
-        grad_p=lambda q, p: grads(q, p)[1])
+    return HamiltonianField(name="core", manifold=sandwich.manifold,
+                            value=value, grads=grads)
 
 
 def lower_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
@@ -199,10 +164,8 @@ def lower_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         return _far_mix_grads(sandwich, q, p, cut,
                               slope[..., None] * g_dq, slope[..., None] * g_dp)
 
-    return HamiltonianField(
-        name="lower", manifold=sandwich.manifold, value=value,
-        grad_q=lambda q, p: grads(q, p)[0],
-        grad_p=lambda q, p: grads(q, p)[1])
+    return HamiltonianField(name="lower", manifold=sandwich.manifold,
+                            value=value, grads=grads)
 
 
 def upper_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
@@ -213,10 +176,8 @@ def upper_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         g_dq, g_dp = sandwich.energy_grads(q, p)
         return sandwich.upper_scale * g_dq, sandwich.upper_scale * g_dp
 
-    return HamiltonianField(
-        name="upper", manifold=sandwich.manifold, value=value,
-        grad_q=lambda q, p: grads(q, p)[0],
-        grad_p=lambda q, p: grads(q, p)[1])
+    return HamiltonianField(name="upper", manifold=sandwich.manifold,
+                            value=value, grads=grads)
 
 
 def blend_field(sandwich: SandwichedHamiltonians, t: float) -> HamiltonianField:
@@ -224,11 +185,16 @@ def blend_field(sandwich: SandwichedHamiltonians, t: float) -> HamiltonianField:
     beta = float(sandwich.homotopy_step(t))
     lo = lower_field(sandwich)
     up = upper_field(sandwich)
+
+    def grads(q, p):
+        lo_q, lo_p = lo.grads(q, p)
+        up_q, up_p = up.grads(q, p)
+        return (1 - beta) * lo_q + beta * up_q, (1 - beta) * lo_p + beta * up_p
+
     return HamiltonianField(
         name=f"blend[{t}]", manifold=sandwich.manifold,
         value=lambda q, p: (1 - beta) * lo.value(q, p) + beta * up.value(q, p),
-        grad_q=lambda q, p: (1 - beta) * lo.grad_q(q, p) + beta * up.grad_q(q, p),
-        grad_p=lambda q, p: (1 - beta) * lo.grad_p(q, p) + beta * up.grad_p(q, p))
+        grads=grads)
 
 
 # -- integration ------------------------------------------------------------
@@ -274,8 +240,11 @@ def _flat_rhs(field: HamiltonianField, d: int):
         n = y.size // (2 * d)
         q = y[: n * d].reshape(n, d)
         p = y[n * d:].reshape(n, d)
-        dp, dq_dot = field.dp(q, p), -field.dq(q, p)
-        return np.concatenate([dp.ravel(), dq_dot.ravel()])
+        gq, gp = field.grads(q, p)
+        out = np.empty_like(y)
+        out[: n * d] = gp.ravel()
+        np.negative(gq.ravel(), out=out[n * d:])
+        return out
     return rhs
 
 
@@ -350,38 +319,37 @@ def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None):
 
 
 def _implicit_midpoint(rhs, y0, t_eval, cfg):
-    h = cfg.max_step
-    t0, t1 = float(t_eval[0]), float(t_eval[-1])
-    steps = max(1, int(round((t1 - t0) / h)))
-    h = (t1 - t0) / steps
-    ts = [t0]
-    ys = [y0]
-    y = y0.copy()
+    """Implicit midpoint across each interval of ``t_eval`` in equal steps of
+    at most ``cfg.max_step``, so every sample is a step endpoint."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    out = np.empty((len(y0), len(t_eval)))
+    out[:, 0] = y0
+    y = np.asarray(y0, dtype=float)
     nfev = 0
-    t = t0
-    for _ in range(steps):
-        mid = y + 0.5 * h * rhs(t, y)
-        for _ in range(60):
-            nfev += 1
-            f_mid = rhs(t + 0.5 * h, mid)
-            new_mid = y + 0.5 * h * f_mid
-            if np.max(np.abs(new_mid - mid)) < 1e-14 * (1 + np.max(np.abs(mid))):
-                mid = new_mid
-                break
-            mid = new_mid
-        else:
-            raise StiffnessError("implicit midpoint iteration stalled")
-        y = 2.0 * mid - y
-        t += h
-        ts.append(t)
-        ys.append(y.copy())
-    ts = np.array(ts)
-    ys = np.stack(ys, axis=1)
-    # resample onto the requested grid
-    out = np.empty((ys.shape[0], len(t_eval)))
-    for i in range(ys.shape[0]):
-        out[i] = np.interp(t_eval, ts, ys[i])
-    return np.asarray(t_eval), out, {"nfev": nfev, "samples": len(t_eval)}
+    for i in range(len(t_eval) - 1):
+        t, dt = t_eval[i], t_eval[i + 1] - t_eval[i]
+        # the tolerance keeps a spacing of max_step plus rounding at one step
+        steps = max(1, math.ceil(dt / cfg.max_step - 1e-9))
+        h = dt / steps
+        for _ in range(steps):
+            y, iterations = _midpoint_step(rhs, t, y, h)
+            nfev += iterations
+            t += h
+        out[:, i + 1] = y
+    return t_eval, out, {"nfev": nfev, "samples": len(t_eval)}
+
+
+def _midpoint_step(rhs, t, y, h):
+    """One implicit midpoint step by fixed-point iteration; returns the new
+    state and the number of iterations."""
+    mid = y + 0.5 * h * rhs(t, y)
+    for iteration in range(1, 61):
+        new_mid = y + 0.5 * h * rhs(t + 0.5 * h, mid)
+        done = np.max(np.abs(new_mid - mid)) < 1e-14 * (1 + np.max(np.abs(mid)))
+        mid = new_mid
+        if done:
+            return 2.0 * mid - y, iteration
+    raise StiffnessError("implicit midpoint iteration stalled")
 
 
 # -- action functional -------------------------------------------------------

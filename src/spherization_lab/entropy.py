@@ -120,9 +120,6 @@ class ChordCensus:
     nu_series: np.ndarray     # counts at integer times 1..floor(horizon)
     diagnostics: dict
 
-    def count_before(self, t: float) -> int:
-        return sum(1 for r in self.records if r.arrival_time <= t)
-
 
 def _nearest_lift_arrays(manifold: ModelManifold, Q, q1):
     """Vectorized nearest-lift search for sample arrays Q of shape (..., d).
@@ -178,10 +175,6 @@ def _nearest_lift_arrays(manifold: ModelManifold, Q, q1):
                 best_k[better, 1] = k1[better].astype(np.int64)
                 best_k[better, 2] = l[better].astype(np.int64)
     return best_d, best_k
-
-
-def _lift_point(manifold: ModelManifold, deck: Deck, q1):
-    return manifold.deck_apply(deck, q1)
 
 
 def _tangent_frame(u):
@@ -443,7 +436,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                                      time_floor, newton_tol)
         us0 = np.stack([dirs[i] for _, i, _, _ in reps])
         ts0 = np.array([t for _, _, t, _ in reps])
-        lifts0 = np.stack([_lift_point(manifold, deck_key, q1)
+        lifts0 = np.stack([manifold.deck_apply(deck_key, q1)
                            for deck_key, _, _, _ in reps])
         polished = polisher.polish(us0, ts0, lifts0)
         failures = len(reps) - len(polished)

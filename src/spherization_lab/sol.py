@@ -94,25 +94,25 @@ def sol_field(manifold: ModelManifold) -> HamiltonianField:
     def value(q, p):
         return sol_hamiltonian(q, p)
 
-    def grad_q(q, p):
+    def grads(q, p):
+        # e^z and the momenta M_x, M_y are shared by both gradients; of
+        # dH/dq only the z-derivative (at fixed p) survives
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        m = momentum_map(q, p)
-        out = np.zeros_like(q)
-        # only the z-derivative survives; d/dz at fixed p
-        out[..., 2] = (m[..., 0] + 1.0) * m[..., 0] - m[..., 1] ** 2
-        return out
-
-    def grad_p(q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        m = momentum_map(q, p)
         ez = np.exp(q[..., 2])
-        return np.stack([(m[..., 0] + 1.0) * ez, m[..., 1] / ez, m[..., 2]],
-                        axis=-1)
+        mx = ez * p[..., 0]
+        my = p[..., 1] / ez
+        mx1 = mx + 1.0
+        gq = np.zeros_like(q)
+        gq[..., 2] = mx1 * mx - my ** 2
+        gp = np.empty_like(p)
+        gp[..., 0] = mx1 * ez
+        gp[..., 1] = my / ez
+        gp[..., 2] = p[..., 2]
+        return gq, gp
 
     return HamiltonianField(name="sol-magnetic", manifold=manifold,
-                            value=value, grad_q=grad_q, grad_p=grad_p)
+                            value=value, grads=grads)
 
 
 def level_covector(k: float, q, u):

@@ -37,6 +37,22 @@ def test_core_field_vanishes_near_zero_section(round_sandwich):
     assert np.allclose(qdot, 0.0) and np.allclose(pdot, 0.0)
 
 
+def _central_difference(value, q, p, h=1e-6):
+    """(dH/dq, dH/dp) of ``value`` by central differences."""
+    grads = []
+    for wrt in range(2):
+        g = np.empty_like((q, p)[wrt])
+        for i in range(g.shape[-1]):
+            shift = np.zeros(g.shape[-1])
+            shift[i] = h
+            hi, lo = [q, p], [q, p]
+            hi[wrt] = hi[wrt] + shift
+            lo[wrt] = lo[wrt] - shift
+            g[..., i] = (value(*hi) - value(*lo)) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
 def test_gradient_analytic_vs_finite_difference(torus, sol, round_sandwich,
                                                 ellipse_sandwich, rng):
     from spherization_lab.starshape import RadialProfile, calibrate
@@ -48,16 +64,46 @@ def test_gradient_analytic_vs_finite_difference(torus, sol, round_sandwich,
               dyn.core_field(fourier),
               dyn.lower_field(round_sandwich),
               dyn.blend_field(round_sandwich, 0.37),
+              dyn.gauge_field(ellipse_sandwich),
+              dyn.cutoff_gauge_field(ellipse_sandwich),
+              dyn.upper_field(fourier),
+              dyn.scaled_field(sol_mod.sol_field(sol), 2.5),
               sol_mod.sol_field(sol)]
     for f in fields:
         d = f.manifold.dim
         q = rng.normal(size=(1000, d)) * 0.7
         p = rng.normal(size=(1000, d)) * 1.5
-        fd = dyn.HamiltonianField(name="fd", manifold=f.manifold,
-                                  value=f.value)
+        fd_q, fd_p = _central_difference(f.value, q, p)
         scale = np.maximum(1.0, np.abs(f.value(q, p)))[:, None]
-        assert np.max(np.abs(f.dq(q, p) - fd.dq(q, p)) / scale) <= 1e-5
-        assert np.max(np.abs(f.dp(q, p) - fd.dp(q, p)) / scale) <= 1e-5
+        assert np.max(np.abs(f.dq(q, p) - fd_q) / scale) <= 1e-5, f.name
+        assert np.max(np.abs(f.dp(q, p) - fd_p) / scale) <= 1e-5, f.name
+
+
+@pytest.mark.parametrize("rows", [1, 192, 2048])
+def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
+                                                sol_round_sandwich, rows):
+    # the integrator packs one grads call into (dH/dp, -dH/dq); it must give
+    # the same bits as the separate gradients, sign of zero included
+    fields = [dyn.geodesic_field(torus), dyn.geodesic_field(sol),
+              sol_mod.sol_field(sol),
+              dyn.scaled_field(sol_mod.sol_field(sol), 3.0)]
+    for sandwich in (round_sandwich, sol_round_sandwich):
+        fields += [dyn.gauge_field(sandwich),
+                   dyn.cutoff_gauge_field(sandwich),
+                   dyn.core_field(sandwich), dyn.lower_field(sandwich),
+                   dyn.upper_field(sandwich),
+                   dyn.blend_field(sandwich, 0.37)]
+    rng = np.random.default_rng(rows)
+    for f in fields:
+        d = f.manifold.dim
+        y = rng.normal(size=2 * rows * d)
+        y[::5] = 0.0
+        q = y[: rows * d].reshape(rows, d)
+        p = y[rows * d:].reshape(rows, d)
+        got = dyn._flat_rhs(f, d)(0.0, y)
+        want = np.concatenate([f.dp(q, p).ravel(), -f.dq(q, p).ravel()])
+        assert np.array_equal(got, want), f.name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), f.name
 
 
 def test_sol_fixed_point_momenta_constant(sol):

@@ -211,6 +211,52 @@ max_step = 0.01
     assert r["first_integral_drift_max"] <= 1e-11
 
 
+def test_sol_entropy_midpoint_samples_are_step_endpoints(tmp_path):
+    # at this horizon the sample spacing is not the step of a uniform grid
+    # over the whole run; each sample must still be a step endpoint rather
+    # than an interpolation between steps, which reads as energy drift
+    manifest, _ = _run(tmp_path, """
+[experiment]
+name = sol-entropy
+seed = 5
+
+[sol]
+k = 1.0
+mode = ensemble
+count = 2
+horizon = 20.01
+
+[integrator]
+scheme = midpoint
+max_step = 0.01
+""")
+    assert manifest["results"]["energy_drift_max"] <= 1e-12
+
+
+def test_sol_census_pinned_counts(tmp_path):
+    # the exact nu series of a small sol census at a fixed seed; the field
+    # kernels are bit-stable, so any change here is a change of behaviour
+    manifest, _ = _run(tmp_path, """
+[experiment]
+name = chord-census
+seed = 2
+
+[manifold]
+kind = sol
+
+[sol]
+k = 1.0
+
+[census]
+horizon = 3.0
+resolution = 192
+coarse_threshold = 0.35
+pairs = 2
+""")
+    assert [p["nu"] for p in manifest["results"]["pairs"]] == [
+        [13, 84, 166], [13, 91, 161]]
+
+
 def test_census_counts_only_reverified_chords(tmp_path):
     # at this seed the second pair polishes a root to newton_tol that its
     # fresh re-integration puts just above it (1.00036e-8); it must not count

@@ -121,10 +121,9 @@ def cutoff_gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
                             value=value, grads=grads)
 
 
-def _far_mix_grads(sandwich, q, p, inner_val, inner_dq, inner_dp):
-    """Gradients of (1-step)*inner + step*upper for the far-field switch."""
-    g = sandwich.energy(q, p)
-    g_dq, g_dp = sandwich.energy_grads(q, p)
+def _far_mix_grads(sandwich, g, g_dq, g_dp, inner_val, inner_dq, inner_dp):
+    """Gradients of (1-step)*inner + step*upper for the far-field switch,
+    given the energy G and its gradients at the same points."""
     rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
     tau = sandwich.far_step(rho)
     dtau = sandwich.far_step_slope(rho) / rho  # d tau / d g
@@ -146,26 +145,32 @@ def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         f_val = sandwich.gauge(q, p)
         cut, slope = sandwich.cutoff.eval(f_val)
         dq_f, dp_f = sandwich.gauge_grads(q, p)
-        return _far_mix_grads(sandwich, q, p, cut,
+        return _far_mix_grads(sandwich, sandwich.energy(q, p),
+                              *sandwich.energy_grads(q, p), cut,
                               slope[..., None] * dq_f, slope[..., None] * dp_f)
 
     return HamiltonianField(name="core", manifold=sandwich.manifold,
                             value=value, grads=grads)
 
 
+def _lower_grads(sandwich, q, p):
+    """Gradients of the lower Hamiltonian, followed by the energy gradients
+    they are built from (the upper Hamiltonian's, up to sigma)."""
+    g = sandwich.energy(q, p)
+    cut, slope = sandwich.cutoff.eval(g)
+    g_dq, g_dp = sandwich.energy_grads(q, p)
+    dq, dp = _far_mix_grads(sandwich, g, g_dq, g_dp, cut,
+                            slope[..., None] * g_dq, slope[..., None] * g_dp)
+    return dq, dp, g_dq, g_dp
+
+
 def lower_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
     def value(q, p):
         return sandwich.sandwich_eval(q, p)[0]
 
-    def grads(q, p):
-        g = sandwich.energy(q, p)
-        cut, slope = sandwich.cutoff.eval(g)
-        g_dq, g_dp = sandwich.energy_grads(q, p)
-        return _far_mix_grads(sandwich, q, p, cut,
-                              slope[..., None] * g_dq, slope[..., None] * g_dp)
-
     return HamiltonianField(name="lower", manifold=sandwich.manifold,
-                            value=value, grads=grads)
+                            value=value,
+                            grads=lambda q, p: _lower_grads(sandwich, q, p)[:2])
 
 
 def upper_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
@@ -185,11 +190,12 @@ def blend_field(sandwich: SandwichedHamiltonians, t: float) -> HamiltonianField:
     beta = float(sandwich.homotopy_step(t))
     lo = lower_field(sandwich)
     up = upper_field(sandwich)
+    sigma = sandwich.upper_scale
 
     def grads(q, p):
-        lo_q, lo_p = lo.grads(q, p)
-        up_q, up_p = up.grads(q, p)
-        return (1 - beta) * lo_q + beta * up_q, (1 - beta) * lo_p + beta * up_p
+        lo_q, lo_p, g_dq, g_dp = _lower_grads(sandwich, q, p)
+        return ((1 - beta) * lo_q + beta * (sigma * g_dq),
+                (1 - beta) * lo_p + beta * (sigma * g_dp))
 
     return HamiltonianField(
         name=f"blend[{t}]", manifold=sandwich.manifold,
@@ -223,9 +229,6 @@ class Trajectory:
     energy_drift: float
     stats: dict
     manifold: ModelManifold
-
-    def state(self, i: int) -> CotangentPoint:
-        return CotangentPoint(self.q[i], self.p[i])
 
 
 def _sample_grid(t0: float, t1: float, max_step: float) -> np.ndarray:
@@ -332,8 +335,8 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg):
         steps = max(1, math.ceil(dt / cfg.max_step - 1e-9))
         h = dt / steps
         for _ in range(steps):
-            y, iterations = _midpoint_step(rhs, t, y, h)
-            nfev += iterations
+            y, calls = _midpoint_step(rhs, t, y, h)
+            nfev += calls
             t += h
         out[:, i + 1] = y
     return t_eval, out, {"nfev": nfev, "samples": len(t_eval)}
@@ -341,14 +344,14 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg):
 
 def _midpoint_step(rhs, t, y, h):
     """One implicit midpoint step by fixed-point iteration; returns the new
-    state and the number of iterations."""
+    state and the number of RHS calls (the explicit predictor included)."""
     mid = y + 0.5 * h * rhs(t, y)
     for iteration in range(1, 61):
         new_mid = y + 0.5 * h * rhs(t + 0.5 * h, mid)
         done = np.max(np.abs(new_mid - mid)) < 1e-14 * (1 + np.max(np.abs(mid)))
         mid = new_mid
         if done:
-            return 2.0 * mid - y, iteration
+            return 2.0 * mid - y, 1 + iteration
     raise StiffnessError("implicit midpoint iteration stalled")
 
 
@@ -481,20 +484,16 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                                   t_eval=np.array([0.0, duration]))
         return Q[:, -1, :]
 
-    ends = endpoints(P0)
-    seeds = []
+    _, dist, lift = manifold.nearest_lift(endpoints(P0), q1)
+    near = np.nonzero(dist < coarse)[0]
     spacing = axis[1] - axis[0]
-    for i in range(P0.shape[0]):
-        deck, dist, lift = manifold.nearest_lift(ends[i], q1)
-        if dist < coarse:
-            seeds.append((dist, tuple(P0[i]), lift))
-    seeds.sort(key=lambda s: s[0])
     taken = []
-    for dist, pseed, lift in seeds:
+    for i in near[np.argsort(dist[near], kind="stable")]:
+        pseed = P0[i]
         if any(np.hypot(pseed[0] - t[0][0], pseed[1] - t[0][1]) < 0.6 * spacing
                for t in taken):
             continue
-        taken.append((pseed, lift))
+        taken.append((pseed, lift[i]))
     if not taken:
         return []
 
@@ -541,12 +540,12 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
     found = np.nonzero(done)[0]
     if len(found) == 0:
         return []
-    final_ends = endpoints(P[found])
+    decks, dists, _ = manifold.nearest_lift(endpoints(P[found]), q1)
     selected = []
     for pos, i in enumerate(found):
-        deck_star, dist_star, _ = manifold.nearest_lift(final_ends[pos], q1)
-        if dist_star > 10 * newton_tol:
+        if dists[pos] > 10 * newton_tol:
             continue
+        deck_star = tuple(int(v) for v in decks[pos])
         if any(d_old == deck_star and np.linalg.norm(p_old - P[i]) < 1e-6
                for p_old, d_old in selected):
             continue
@@ -580,24 +579,8 @@ def flat_action_spectrum(manifold: ModelManifold, q0, q1, n: int,
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     w_cap = math.sqrt(2.0 * n * bound)
-    vals = []
-    for w in _lattice_targets(manifold, q1 - q0, w_cap):
-        vals.append(np.dot(w, w) / (2.0 * n))
-    return sorted(vals)
-
-
-def _lattice_targets(manifold, delta, w_cap):
-    basis = manifold.lattice
-    # radius in integer coordinates that covers |w| <= w_cap
-    scale = np.linalg.norm(np.linalg.inv(basis), 2)
-    r = int(math.ceil((w_cap + np.linalg.norm(delta)) * scale)) + 1
-    out = []
-    for m in range(-r, r + 1):
-        for nn in range(-r, r + 1):
-            w = delta + basis @ np.array([float(m), float(nn)])
-            if np.linalg.norm(w) <= w_cap:
-                out.append(w)
-    return out
+    return sorted(np.dot(w, w) / (2.0 * n)
+                  for w in manifold.lattice_translates(q1 - q0, w_cap))
 
 
 def exclusion_level(n: int, spectrum) -> float:
@@ -657,7 +640,7 @@ def radial_chord_actions(sandwich: SandwichedHamiltonians, n: int, t: float,
     w_cap = float(np.max(speed)) * 1.0000001
     delta = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
     norms = sorted({round(float(np.linalg.norm(w)), 12)
-                    for w in _lattice_targets(sandwich.manifold, delta, w_cap)})
+                    for w in sandwich.manifold.lattice_translates(delta, w_cap)})
     actions = []
     for wn in norms:
         if wn == 0.0:

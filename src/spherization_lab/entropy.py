@@ -6,7 +6,9 @@ arrive on the fiber over q1 (any deck translate) before the horizon" by
 seeding a mesh on (surface parameter) x (time), detecting near-arrivals on
 dense trajectory samples, and polishing each candidate with damped Newton in
 (parameter, time).  Arrivals are tagged with the deck element of the lift
-they hit, which identifies the homotopy class of the projected path.
+they hit, which identifies the homotopy class of the projected path; one
+vectorized ``ModelManifold.nearest_lift`` call finds the lifts for each mesh
+batch, and one more for all re-verified endpoints.
 
 Volume growth evolves a meshed fiber sphere by time-1 maps and keeps edges
 below a refinement threshold by bisection; midpoints re-integrate from their
@@ -119,62 +121,6 @@ class ChordCensus:
     records: list
     nu_series: np.ndarray     # counts at integer times 1..floor(horizon)
     diagnostics: dict
-
-
-def _nearest_lift_arrays(manifold: ModelManifold, Q, q1):
-    """Vectorized nearest-lift search for sample arrays Q of shape (..., d).
-
-    Returns (dist, deck_int_array) with distances in the frame at the lift.
-    """
-    Q = np.asarray(Q, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    if manifold.kind == "torus":
-        t = (Q - q1) @ manifold.lattice_inv.T
-        kf = np.floor(t)
-        best_d = np.full(Q.shape[:-1], np.inf)
-        best_k = np.zeros(Q.shape[:-1] + (2,), dtype=np.int64)
-        for dm in (0.0, 1.0):
-            for dn in (0.0, 1.0):
-                k = kf + np.array([dm, dn])
-                lift = q1 + k @ manifold.lattice.T
-                dist = np.linalg.norm(Q - lift, axis=-1)
-                better = dist < best_d
-                best_d = np.where(better, dist, best_d)
-                best_k[better] = k[better].astype(np.int64)
-        return best_d, best_k
-    z1 = q1[2]
-    l0 = np.round((Q[..., 2] - z1) / manifold.period)
-    best_d = np.full(Q.shape[:-1], np.inf)
-    best_k = np.zeros(Q.shape[:-1] + (3,), dtype=np.int64)
-    Bm = manifold.basis_mat
-    Bi = manifold.basis_inv
-    for dl in (-1.0, 0.0, 1.0):
-        l = l0 + dl
-        zg = l * manifold.period
-        ez = np.exp(zg)
-        tx = Q[..., 0] - ez * q1[0]
-        ty = Q[..., 1] - q1[1] / ez
-        s0 = Bi[0, 0] * tx + Bi[0, 1] * ty
-        s1 = Bi[1, 0] * tx + Bi[1, 1] * ty
-        kf0 = np.floor(s0)
-        kf1 = np.floor(s1)
-        for dm in (0.0, 1.0):
-            for dn in (0.0, 1.0):
-                k0 = kf0 + dm
-                k1 = kf1 + dn
-                lift_x = Bm[0, 0] * k0 + Bm[0, 1] * k1 + ez * q1[0]
-                lift_y = Bm[1, 0] * k0 + Bm[1, 1] * k1 + q1[1] / ez
-                lift_z = zg + z1
-                fx = (Q[..., 0] - lift_x) * np.exp(-lift_z)
-                fy = (Q[..., 1] - lift_y) * np.exp(lift_z)
-                fz = Q[..., 2] - lift_z
-                dist = np.sqrt(fx * fx + fy * fy + fz * fz)
-                better = dist < best_d
-                best_d = np.where(better, dist, best_d)
-                best_k[better, 0] = k0[better].astype(np.int64)
-                best_k[better, 1] = k1[better].astype(np.int64)
-                best_k[better, 2] = l[better].astype(np.int64)
-    return best_d, best_k
 
 
 def _tangent_frame(u):
@@ -377,7 +323,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
         hi = min(lo + batch_size, resolution)
         _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
                                   horizon, cfg, t_eval=t_grid)
-        dist, deck = _nearest_lift_arrays(manifold, Q, q1)
+        deck, dist, _ = manifold.nearest_lift(Q, q1)
         near = dist < coarse_threshold
         interior = np.zeros_like(near)
         interior[:, 1:-1] = (near[:, 1:-1]
@@ -447,16 +393,16 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
             tss = np.array([t for _, t, _ in polished])
             q_end, _ = polisher._endpoints(us, tss)
             p_start = surface_map(us)
+            decks, dists, _ = manifold.nearest_lift(q_end, q1)
             for j, (u, t_star, _) in enumerate(polished):
-                deck_star, dist_star, _ = manifold.nearest_lift(q_end[j], q1)
-                if dist_star > newton_tol:
+                if dists[j] > newton_tol:
                     misses += 1
                     continue
                 records.append(ChordRecord(
                     direction=tuple(float(v) for v in u),
                     arrival_time=float(t_star),
-                    deck=tuple(int(v) for v in deck_star),
-                    residual=float(dist_star),
+                    deck=tuple(int(v) for v in decks[j]),
+                    residual=float(dists[j]),
                     start_covector=tuple(float(v) for v in p_start[j])))
 
     records = _dedup_records(records, d, horizon, dedup_radius)
@@ -500,20 +446,11 @@ def _dedup_records(records, d, horizon, radius):
     return out
 
 
-def torus_chord_count(manifold: ModelManifold, q0, q1, horizon: float,
-                      radius: int = None) -> int:
+def torus_chord_count(manifold: ModelManifold, q0, q1, horizon: float) -> int:
     """Brute-force oracle: unit-speed geodesic arrivals are lattice translates
     within the horizon distance."""
     delta = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
-    scale = np.linalg.norm(np.linalg.inv(manifold.lattice), 2)
-    r = radius or int(math.ceil((horizon + np.linalg.norm(delta)) * scale)) + 1
-    count = 0
-    for m in range(-r, r + 1):
-        for n in range(-r, r + 1):
-            w = delta + manifold.lattice @ np.array([float(m), float(n)])
-            if np.linalg.norm(w) <= horizon:
-                count += 1
-    return count
+    return len(manifold.lattice_translates(delta, horizon))
 
 
 # -- meshed submanifolds and volume growth --------------------------------------

@@ -359,22 +359,6 @@ def _run_volume_growth(cfg, out: Path, rng):
     return results, checks, ["volume-growth.csv"]
 
 
-def _nearest_targets(manifold, q0, q1, count):
-    delta = np.asarray(q1) - np.asarray(q0)
-    targets = []
-    r = 4
-    while True:
-        targets = []
-        for m in range(-r, r + 1):
-            for n in range(-r, r + 1):
-                w = delta + manifold.lattice @ np.array([float(m), float(n)])
-                targets.append(w)
-        targets.sort(key=lambda w: float(np.linalg.norm(w)))
-        if len(targets) >= count:
-            return targets[:count]
-        r += 2
-
-
 def _run_action_check(cfg, out: Path, rng):
     manifold = manifold_from(cfg)
     if manifold.kind != "torus":
@@ -389,8 +373,13 @@ def _run_action_check(cfg, out: Path, rng):
     scaling_rows = []
     max_scaling = 0.0
     geo = geodesic_field(manifold)
-    targets = _nearest_targets(manifold, q0, q1,
-                               cfg.get("action", "chord_count"))
+    # the chord_count translates of q1 - q0 nearest to the origin; ties keep
+    # the lattice order
+    count = cfg.get("action", "chord_count")
+    radius = 1.0
+    while len(translates := manifold.lattice_translates(q1 - q0, radius)) < count:
+        radius *= 2.0
+    targets = sorted(translates, key=np.linalg.norm)[:count]
     for i, w in enumerate(targets):
         chord = integrate(geo, CotangentPoint(q0, w), 1.0, int_cfg)
         for c in scales:

@@ -10,45 +10,24 @@ Two models are supported:
   P A P^{-1} = diag(lam, 1/lam): the element (m, n, l) acts on the cover by
   left multiplication with (P(m,n), l*log(lam)).
 
-Coordinates always live in the universal cover.  Reduction to the fundamental
-domain happens only when detecting arrivals or reporting, never inside an
-integrator, so trajectories stay smooth.
+Coordinates always live in the universal cover, so trajectories stay
+smooth.  Arrivals are found by one vectorized search, ``nearest_lift``,
+which tags each probe with the deck element of its closest lift; the torus
+lattice translates within a radius come from ``lattice_translates``.
 
 Deck elements are plain integer tuples: (m, n) for the torus, (m, n, l) for
-the sol quotient.  All operations here are pure functions of their inputs.
+the sol quotient.  Their group law (product, inverse) lives in ``growth``.
+All operations here are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError
-
 Deck = tuple[int, ...]
-
-
-def int_mat_pow(a: tuple[int, int, int, int], l: int) -> tuple[int, int, int, int]:
-    """Exact power of a determinant-1 integer 2x2 matrix (row-major tuple)."""
-    if l < 0:
-        p, q, r, s = a
-        return int_mat_pow((s, -q, -r, p), -l)
-    out = (1, 0, 0, 1)
-    for _ in range(l):
-        p, q, r, s = out
-        a11, a12, a21, a22 = a
-        out = (p * a11 + q * a21, p * a12 + q * a22,
-               r * a11 + s * a21, r * a12 + s * a22)
-    return out
-
-
-def int_mat_vec(m: tuple[int, int, int, int], v: tuple[int, int]) -> tuple[int, int]:
-    return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
-
-
-def float_mat_pow(a: tuple[int, int, int, int], l: int) -> np.ndarray:
-    return np.array(int_mat_pow(a, l), dtype=float).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -128,9 +107,6 @@ class ModelManifold:
 
     # -- deck transformations ---------------------------------------------
 
-    def identity_deck(self) -> Deck:
-        return (0, 0) if self.kind == "torus" else (0, 0, 0)
-
     def deck_apply(self, g: Deck, q) -> np.ndarray:
         """Left action of the lattice element ``g`` on a cover point."""
         q = np.asarray(q, dtype=float)
@@ -142,21 +118,6 @@ class ModelManifold:
         return np.array([shift[0] + np.exp(zg) * q[0],
                          shift[1] + np.exp(-zg) * q[1],
                          zg + q[2]])
-
-    def deck_compose(self, g: Deck, h: Deck) -> Deck:
-        """Composition with apply(g, apply(h, q)) == apply(compose(g, h), q)."""
-        if self.kind == "torus":
-            return (g[0] + h[0], g[1] + h[1])
-        al = int_mat_pow(self.monodromy, g[2])
-        w = int_mat_vec(al, (h[0], h[1]))
-        return (g[0] + w[0], g[1] + w[1], g[2] + h[2])
-
-    def deck_inverse(self, g: Deck) -> Deck:
-        if self.kind == "torus":
-            return (-g[0], -g[1])
-        al = int_mat_pow(self.monodromy, -g[2])
-        w = int_mat_vec(al, (g[0], g[1]))
-        return (-w[0], -w[1], -g[2])
 
     def deck_transport(self, g: Deck, x: CotangentPoint) -> CotangentPoint:
         """Lift of the deck action to the cotangent bundle.
@@ -172,29 +133,6 @@ class ModelManifold:
         p = np.array([x.p[0] * np.exp(-zg), x.p[1] * np.exp(zg), x.p[2]])
         return CotangentPoint(q, p)
 
-    # -- fundamental domain -------------------------------------------------
-
-    def reduce(self, q) -> tuple[np.ndarray, Deck]:
-        """Reduce a cover point into the fundamental domain.
-
-        Returns ``(q0, g)`` with ``deck_apply(g, q0) == q``.  The domain is
-        the lattice unit cell for the torus; for the sol quotient it is
-        z in [0, log lam) with the horizontal part in the P-adapted unit
-        square, which makes the reduction a shear followed by a floor.
-        """
-        q = np.asarray(q, dtype=float)
-        if self.kind == "torus":
-            t = self.lattice_inv @ q
-            k = np.floor(t)
-            return self.lattice @ (t - k), (int(k[0]), int(k[1]))
-        l = int(np.floor(q[2] / self.period))
-        z0 = q[2] - l * self.period
-        u = float_mat_pow(self.monodromy, -l) @ (self.basis_inv @ q[:2])
-        k = np.floor(u)
-        v = int_mat_vec(int_mat_pow(self.monodromy, l), (int(k[0]), int(k[1])))
-        xy0 = self.basis_mat @ (u - k)
-        return np.array([xy0[0], xy0[1], z0]), (v[0], v[1], l)
-
     def random_point(self, rng) -> np.ndarray:
         """Uniform sample of the fundamental domain."""
         if self.kind == "torus":
@@ -204,19 +142,6 @@ class ModelManifold:
         return np.array([xy[0], xy[1], frac[2] * self.period])
 
     # -- metric data ---------------------------------------------------------
-
-    def cometric(self, q) -> np.ndarray:
-        """Dual metric matrix acting on covectors at the base point."""
-        if self.kind == "torus":
-            return np.eye(2)
-        z = float(np.asarray(q, dtype=float)[2])
-        return np.diag([np.exp(2.0 * z), np.exp(-2.0 * z), 1.0])
-
-    def metric(self, q) -> np.ndarray:
-        if self.kind == "torus":
-            return np.eye(2)
-        z = float(np.asarray(q, dtype=float)[2])
-        return np.diag([np.exp(-2.0 * z), np.exp(2.0 * z), 1.0])
 
     def conorm_sq(self, q, p):
         """|p|^2 in the dual metric; vectorized over leading axes."""
@@ -262,71 +187,85 @@ class ModelManifold:
         return out
 
     def nearest_lift(self, q_probe, q_base):
-        """Deck element whose action on ``q_base`` lands closest to
-        ``q_probe``, with closeness measured in the frame at the lift.
+        """Deck element whose action on ``q_base`` lands closest to each
+        probe, with closeness measured in the frame at the lift.
 
-        Candidates come from the floor structure of the reduction plus the
-        neighbouring cells, which is exact for orthogonal adapted bases and
-        a tight heuristic otherwise.  Returns ``(deck, distance, lift)``.
+        Vectorized over probes of shape (..., d).  The candidates are the
+        corners of the lattice cell that holds the probe (on sol, in each of
+        the three nearest layers).  That is exact on an orthogonal lattice
+        and for probes close to a lift; farther from every lift on sol, where
+        the frame stretches the cell, it is a heuristic.  Returns
+        ``(deck, dist, lift)`` of shapes (..., k), (...) and (..., d), with
+        ``deck`` the int64 lattice coordinates of the winning lift.
         """
         q_probe = np.asarray(q_probe, dtype=float)
         q_base = np.asarray(q_base, dtype=float)
-        best = None
+        corners = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+        best_d = np.full(q_probe.shape[:-1], np.inf)
         if self.kind == "torus":
-            t = self.lattice_inv @ (q_probe - q_base)
-            k0 = np.floor(t)
-            for dm in (0, 1):
-                for dn in (0, 1):
-                    g = (int(k0[0]) + dm, int(k0[1]) + dn)
-                    lift = self.deck_apply(g, q_base)
-                    dist = float(np.linalg.norm(q_probe - lift))
-                    if best is None or dist < best[1]:
-                        best = (g, dist, lift)
-            return best
-        l0 = int(np.round((q_probe[2] - q_base[2]) / self.period))
-        for l in (l0 - 1, l0, l0 + 1):
+            kf = np.floor((q_probe - q_base) @ self.lattice_inv.T)
+            best_k = np.zeros_like(kf)
+            for corner in corners:
+                k = kf + np.array(corner)
+                w = q_probe - (q_base + k @ self.lattice.T)
+                # np.linalg.norm's dot product of one vector, per probe: the
+                # seed order of shoot_fixed_time_chords rests on these bits
+                dist = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
+                better = dist < best_d
+                best_d = np.where(better, dist, best_d)
+                best_k[better] = k[better]
+            lift = q_base + best_k @ self.lattice.T
+            return best_k.astype(np.int64), best_d, lift
+
+        bm, bi = self.basis_mat, self.basis_inv
+
+        def lift_xy(k0, k1, ez):
+            return (bm[0, 0] * k0 + bm[0, 1] * k1 + ez * q_base[0],
+                    bm[1, 0] * k0 + bm[1, 1] * k1 + q_base[1] / ez)
+
+        x, y, z = q_probe[..., 0], q_probe[..., 1], q_probe[..., 2]
+        l0 = np.round((z - q_base[2]) / self.period)
+        k0_best, k1_best, l_best = (np.zeros_like(best_d) for _ in range(3))
+        for dl in (-1.0, 0.0, 1.0):
+            l = l0 + dl
             zg = l * self.period
-            target = q_probe[:2] - np.array([np.exp(zg) * q_base[0],
-                                             np.exp(-zg) * q_base[1]])
-            k0 = np.floor(self.basis_inv @ target)
-            for dm in (0, 1):
-                for dn in (0, 1):
-                    g = (int(k0[0]) + dm, int(k0[1]) + dn, l)
-                    lift = self.deck_apply(g, q_base)
-                    dist = float(np.linalg.norm(
-                        self.frame_displacement(q_probe, lift)))
-                    if best is None or dist < best[1]:
-                        best = (g, dist, lift)
-        return best
+            ez = np.exp(zg)
+            tx = x - ez * q_base[0]
+            ty = y - q_base[1] / ez
+            kf0 = np.floor(bi[0, 0] * tx + bi[0, 1] * ty)
+            kf1 = np.floor(bi[1, 0] * tx + bi[1, 1] * ty)
+            lift_z = zg + q_base[2]
+            shrink, grow = np.exp(-lift_z), np.exp(lift_z)
+            fz = z - lift_z
+            for dm, dn in corners:
+                k0 = kf0 + dm
+                k1 = kf1 + dn
+                lift_x, lift_y = lift_xy(k0, k1, ez)
+                fx = (x - lift_x) * shrink
+                fy = (y - lift_y) * grow
+                dist = np.sqrt(fx * fx + fy * fy + fz * fz)
+                better = dist < best_d
+                best_d = np.where(better, dist, best_d)
+                k0_best[better] = k0[better]
+                k1_best[better] = k1[better]
+                l_best[better] = l[better]
+        zg = l_best * self.period
+        lift = np.stack([*lift_xy(k0_best, k1_best, np.exp(zg)),
+                         zg + q_base[2]], axis=-1)
+        deck = np.stack([k0_best, k1_best, l_best], axis=-1).astype(np.int64)
+        return deck, best_d, lift
 
-    def fiber_distance(self, q, q_target, deck_search_radius: int = 2,
-                       max_elements: int = 2_000_000) -> float:
-        """Minimum cover-coordinate distance to deck translates of the target.
+    def lattice_translates(self, delta, radius: float) -> np.ndarray:
+        """Torus translates ``w = delta + B k`` with ``|w| <= radius``.
 
-        Enumerates deck elements in the box |m|,|n|(,|l|) <= radius.  Exact
-        for the torus once the radius covers the separation; on sol it is an
-        upper bound for the true Riemannian distance.
+        Integer vectors k run over a box that covers the disk, in m-major
+        order (the order of nested loops over m, then n); returns (N, 2).
         """
-        r = int(deck_search_radius)
-        if r < 0:
-            raise ValueError("search radius must be >= 0")
-        count = (2 * r + 1) ** (2 if self.kind == "torus" else 3)
-        if count > max_elements:
-            raise BudgetExceededError(
-                f"deck enumeration of {count} elements exceeds cap {max_elements}")
-        q = np.asarray(q, dtype=float)
-        q_target = np.asarray(q_target, dtype=float)
-        rng = range(-r, r + 1)
-        best = np.inf
-        if self.kind == "torus":
-            for m in rng:
-                for n in rng:
-                    lift = self.deck_apply((m, n), q_target)
-                    best = min(best, float(np.linalg.norm(q - lift)))
-            return best
-        for m in rng:
-            for n in rng:
-                for l in rng:
-                    lift = self.deck_apply((m, n, l), q_target)
-                    best = min(best, float(np.linalg.norm(q - lift)))
-        return best
+        delta = np.asarray(delta, dtype=float)
+        scale = np.linalg.norm(self.lattice_inv, 2)
+        r = int(math.ceil((radius + np.linalg.norm(delta)) * scale)) + 1
+        m, n = np.meshgrid(np.arange(-r, r + 1.0), np.arange(-r, r + 1.0),
+                           indexing="ij")
+        k = np.stack([m.ravel(), n.ravel()], axis=-1)
+        w = delta + (self.lattice @ k[..., None])[..., 0]
+        return w[np.linalg.norm(w, axis=-1) <= radius]

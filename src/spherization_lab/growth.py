@@ -5,6 +5,8 @@ Elements of the semidirect product are integer triples (m, n, l) with
     (v, l) * (v', l') = (v + A^l v', l + l'),
 
 descended from the sol group law; exact integer arithmetic throughout.
+This is the deck group law of the sol quotient, whose element (m, n, l)
+acts on the cover by ``ModelManifold.deck_apply``.
 Ball counts come from breadth-first search over the standard six-element
 generating set {(+-e1, 0), (+-e2, 0), ((0,0), +-1)}; the abelian control
 drops the vertical generators and freezes l = 0.
@@ -15,13 +17,30 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceededError
-from .geometry import int_mat_pow, int_mat_vec
 
 Element = tuple[int, int, int]
 
 IDENTITY: Element = (0, 0, 0)
 
 _INT64_GUARD = 2 ** 62
+
+
+def int_mat_pow(a: tuple[int, int, int, int], l: int) -> tuple[int, int, int, int]:
+    """Exact power of a determinant-1 integer 2x2 matrix (row-major tuple)."""
+    if l < 0:
+        p, q, r, s = a
+        return int_mat_pow((s, -q, -r, p), -l)
+    out = (1, 0, 0, 1)
+    for _ in range(l):
+        p, q, r, s = out
+        a11, a12, a21, a22 = a
+        out = (p * a11 + q * a21, p * a12 + q * a22,
+               r * a11 + s * a21, r * a12 + s * a22)
+    return out
+
+
+def int_mat_vec(m: tuple[int, int, int, int], v: tuple[int, int]) -> tuple[int, int]:
+    return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
 
 
 def multiply(a: Element, b: Element, monodromy) -> Element:

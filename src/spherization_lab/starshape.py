@@ -104,15 +104,6 @@ class RadialProfile:
             r = r + c * k * np.cos(k * theta)
         return r
 
-    def min_radius(self, samples: int = 8192) -> float:
-        if self.kind == "round":
-            return 1.0
-        if self.kind == "ellipse":
-            return float(min(self.axes))
-        theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return float(np.min(self.radius(u)))
-
 
 @dataclass(frozen=True)
 class Cutoff:
@@ -128,10 +119,6 @@ class Cutoff:
     def __post_init__(self):
         if not 0.0 < self.eps < 0.25:
             raise ValueError("cutoff eps must lie in (0, 1/4)")
-
-    @property
-    def lower_knot(self) -> float:
-        return self.eps ** 2
 
     def eval(self, r):
         """Return (value, slope); vectorized."""
@@ -171,11 +158,6 @@ class SandwichedHamiltonians:
     step_hi: float = 4.0
 
     # -- building blocks -----------------------------------------------------
-
-    def conorm(self, q, p):
-        """|p| in the rescaled metric (the norm used by the far-field step)."""
-        base = self.manifold.conorm_sq(q, p)
-        return np.sqrt(base / self.metric_scale)
 
     def energy(self, q, p):
         """G = half the squared rescaled conorm."""

@@ -145,9 +145,14 @@ drift_abort = 1e-13
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path / "c.ini", GOOD)
     out = tmp_path / "out"
+    # the child imports the package from src/ even without an install
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "spherization_lab.cli", "run", path,
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass=true" in proc.stdout

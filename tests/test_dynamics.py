@@ -5,6 +5,7 @@ from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
 from spherization_lab.errors import IntegrationDivergedError
 from spherization_lab.geometry import CotangentPoint
+from spherization_lab.starshape import SandwichedHamiltonians
 
 
 def test_convention_lock_straight_geodesics(torus, rng):
@@ -106,6 +107,29 @@ def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
         assert np.array_equal(np.signbit(got), np.signbit(want)), f.name
 
 
+def test_sandwich_fields_evaluate_energy_once(round_sandwich,
+                                              sol_round_sandwich, monkeypatch):
+    # lower, blend and core evaluate G and its gradients once per grads call
+    calls = {"energy": 0, "energy_grads": 0}
+    for name in calls:
+        method = getattr(SandwichedHamiltonians, name)
+
+        def counted(self, q, p, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, q, p)
+
+        monkeypatch.setattr(SandwichedHamiltonians, name, counted)
+    for sandwich in (round_sandwich, sol_round_sandwich):
+        d = sandwich.manifold.dim
+        q, p = np.full((3, d), 0.2), np.full((3, d), 0.7)
+        for field in (dyn.lower_field(sandwich), dyn.core_field(sandwich),
+                      dyn.blend_field(sandwich, 0.37)):
+            for name in calls:
+                calls[name] = 0
+            field.grads(q, p)
+            assert calls == {"energy": 1, "energy_grads": 1}, field.name
+
+
 def test_sol_fixed_point_momenta_constant(sol):
     f = sol_mod.sol_field(sol)
     q0 = np.array([0.1, 0.2, 0.3])
@@ -145,6 +169,23 @@ def test_implicit_midpoint_matches_rk(torus, rng):
     mid = dyn.integrate(geo, x0, 1.0,
                         dyn.IntegratorConfig(scheme="midpoint", max_step=0.01))
     assert np.allclose(mid.q[-1], x0.q + x0.p, atol=1e-9)
+
+
+def test_implicit_midpoint_counts_every_rhs_call(torus, rng):
+    # nfev covers the explicit predictor of each step as well as the
+    # fixed-point iterations
+    rhs = dyn._flat_rhs(dyn.geodesic_field(torus), 2)
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return rhs(t, y)
+
+    y0 = np.concatenate([rng.uniform(size=2), rng.normal(size=2)])
+    cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.01)
+    _, _, stats = dyn.solve(counted, y0, 0.0, 1.0, cfg)
+    assert stats["nfev"] == calls > 0
 
 
 def test_action_constant_orbit_is_zero(torus):

@@ -68,7 +68,7 @@ def torus_census_ctx(round_sandwich):
 def test_census_zero_before_first_arrival(torus_census_ctx):
     torus, geo, q0, q1, smap = torus_census_ctx
     # horizon below the fiber distance: no chords can arrive
-    dist = torus.fiber_distance(q0, q1, 1)
+    dist = float(torus.nearest_lift(q1, q0)[1])
     census = chord_census(geo, q0, q1, smap, 0.5 * dist, 64)
     assert len(census.records) == 0
 

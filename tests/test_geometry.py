@@ -1,23 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from spherization_lab.errors import BudgetExceededError
 from spherization_lab.geometry import CotangentPoint, ModelManifold
-
-
-def test_torus_reduce_translation(torus):
-    q0, deck = torus.reduce(np.array([1.3, -0.2]))
-    assert np.allclose(q0, [0.3, 0.8])
-    assert deck == (1, -1)
-
-
-def test_reduce_identity_inside_domain(torus, sol):
-    q = np.array([0.25, 0.75])
-    q0, deck = torus.reduce(q)
-    assert deck == (0, 0) and np.allclose(q0, q)
-    qs = sol.deck_apply(sol.identity_deck(), sol.reduce(np.ones(3))[0])
-    q0, deck = sol.reduce(qs)
-    assert deck == (0, 0, 0) and np.allclose(q0, qs)
+from spherization_lab.growth import inverse, multiply
 
 
 def test_sol_vertical_deck_lift_action(sol):
@@ -28,58 +15,46 @@ def test_sol_vertical_deck_lift_action(sol):
     lam = sol.stretch
     assert np.allclose(lifted, [lam * 0.2, 0.5 / lam, 0.1 + sol.period],
                        atol=1e-14)
-    # reduction undoes the deck action: same reduced point, composed deck
-    q0, d0 = sol.reduce(q)
-    q1, d1 = sol.reduce(lifted)
-    assert np.allclose(q0, q1, atol=1e-12)
-    assert d1 == sol.deck_compose((0, 0, 1), d0)
-    assert np.allclose(sol.deck_apply(d1, q1), lifted, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", ["torus", "sol"])
-def test_reduce_roundtrip_deck_composition(kind, torus, sol, rng):
-    man = torus if kind == "torus" else sol
-    decks = ([(1, -2), (0, 3), (-2, -2)] if kind == "torus"
-             else [(1, -2, 1), (0, 3, -2), (-2, 0, 2), (4, 1, 0)])
-    for _ in range(50):
-        q = man.random_point(rng) + (0.0 if kind == "torus"
-                                     else np.zeros(man.dim))
-        base, base_deck = man.reduce(q)
-        for g in decks:
-            moved = man.deck_apply(g, q)
-            red, deck = man.reduce(moved)
-            assert np.allclose(red, base, atol=1e-10)
-            assert deck == man.deck_compose(g, base_deck)
 
 
 def test_deck_group_laws(sol, rng):
+    # the group law in growth is the one the deck elements act by
+    A = sol.monodromy
     for _ in range(100):
         g = tuple(int(v) for v in rng.integers(-3, 4, size=3))
         h = tuple(int(v) for v in rng.integers(-3, 4, size=3))
         k = tuple(int(v) for v in rng.integers(-3, 4, size=3))
-        assert sol.deck_compose(sol.deck_compose(g, h), k) == \
-            sol.deck_compose(g, sol.deck_compose(h, k))
-        assert sol.deck_compose(g, sol.deck_inverse(g)) == (0, 0, 0)
-    q = sol.random_point(rng)
-    g = (2, -1, 1)
-    assert np.allclose(sol.deck_apply(sol.deck_compose(g, (0, 1, -2)), q),
-                       sol.deck_apply(g, sol.deck_apply((0, 1, -2), q)),
-                       atol=1e-12)
+        assert multiply(multiply(g, h, A), k, A) == \
+            multiply(g, multiply(h, k, A), A)
+        assert multiply(g, inverse(g, A), A) == (0, 0, 0)
+        q = sol.random_point(rng)
+        assert np.allclose(sol.deck_apply(multiply(g, h, A), q),
+                           sol.deck_apply(g, sol.deck_apply(h, q)),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_cometric_values(torus, sol):
-    assert np.allclose(torus.cometric(np.zeros(2)), np.eye(2))
-    assert np.allclose(sol.cometric(np.zeros(3)), np.eye(3))
-    got = sol.cometric(np.array([0.0, 0.0, np.log(2.0)]))
-    assert np.allclose(got, np.diag([4.0, 0.25, 1.0]))
+    # the cometric as the quadratic form conorm_sq on unit covectors
+    eye2, eye3 = np.eye(2), np.eye(3)
+    assert np.allclose(torus.conorm_sq(np.zeros((2, 2)), eye2), 1.0)
+    assert np.allclose(sol.conorm_sq(np.zeros((3, 3)), eye3), 1.0)
+    q = np.tile([0.0, 0.0, np.log(2.0)], (3, 1))
+    assert np.allclose(sol.conorm_sq(q, eye3), [4.0, 0.25, 1.0])
 
 
 def test_cometric_positive_definite(torus, sol, rng):
+    # conorm_sq is positive and dual to the metric norm_sq: the covector
+    # p = g(v, .) has |p|^2 = |v|^2
     for man in (torus, sol):
-        for _ in range(1000):
-            q = man.random_point(rng) + rng.normal(scale=2.0, size=man.dim)
-            eigs = np.linalg.eigvalsh(man.cometric(q))
-            assert eigs.min() > 0.0
+        q = man.random_point(rng) + rng.normal(scale=2.0, size=(1000, man.dim))
+        v = rng.normal(size=(1000, man.dim))
+        assert np.all(man.norm_sq(q, v) > 0.0)
+        p = v.copy()
+        if man.kind == "sol":
+            e2z = np.exp(2.0 * q[:, 2])
+            p[:, 0] = v[:, 0] / e2z
+            p[:, 1] = v[:, 1] * e2z
+        assert np.allclose(man.conorm_sq(q, p), man.norm_sq(q, v), rtol=1e-12)
 
 
 def test_sol_conorm_equals_momentum_norm(sol, rng):
@@ -101,50 +76,60 @@ def test_deck_transport_preserves_conorm(sol, rng):
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
-def test_fiber_distance_trivial_and_wraparound(torus):
-    q = np.array([0.3, 0.4])
-    assert torus.fiber_distance(q, q, 1) == 0.0
-    d = torus.fiber_distance(np.array([0.9, 0.0]), np.array([0.1, 0.0]), 1)
-    assert abs(d - 0.2) < 1e-14
+def _deck_box_oracle(man, probe, base, center, r=3):
+    """Brute force over the deck box of radius r around ``center``: the lift
+    of ``base`` closest to ``probe`` in the frame at the lift."""
+    best = None
+    for g in itertools.product(*[range(c - r, c + r + 1) for c in center]):
+        lift = man.deck_apply(g, base)
+        dist = float(np.linalg.norm(man.frame_displacement(probe, lift)))
+        if best is None or dist < best[1]:
+            best = (g, dist)
+    return best
 
 
-def test_fiber_distance_sol_matches_bruteforce(sol, rng):
-    # oracle: enumerate the deck box directly
-    def oracle(q, qt, r):
-        best = np.inf
-        for m in range(-r, r + 1):
-            for n in range(-r, r + 1):
-                for l in range(-r, r + 1):
-                    lift = sol.deck_apply((m, n, l), qt)
-                    best = min(best, float(np.linalg.norm(q - lift)))
-        return best
-
-    for _ in range(20):
-        q = sol.random_point(rng)
-        qt = sol.random_point(rng)
-        got = sol.fiber_distance(q, qt, 2)
-        assert np.isclose(got, oracle(q, qt, 2), rtol=1e-12)
-        assert got <= float(np.linalg.norm(q - qt)) + 1e-12
-    # nearby same-domain points: the direct distance wins over every translate
-    q = sol.random_point(rng)
-    qt = q + 1e-2 * rng.standard_normal(3)
-    assert sol.fiber_distance(q, qt, 2) == float(np.linalg.norm(q - qt))
-
-
-def test_fiber_distance_budget(sol):
-    with pytest.raises(BudgetExceededError):
-        sol.fiber_distance(np.zeros(3), np.ones(3), 60, max_elements=1000)
-
-
-def test_nearest_lift_agrees_with_enumeration(sol, torus, rng):
-    for man in (torus, sol):
-        for _ in range(25):
-            base = man.random_point(rng)
-            g = tuple(int(v) for v in rng.integers(-2, 3, size=man.dim))
-            probe = man.deck_apply(g, base) + 0.01 * rng.normal(size=man.dim)
-            deck, dist, lift = man.nearest_lift(probe, base)
-            assert deck == g
-            assert dist < 0.2
+def test_nearest_lift_agrees_with_enumeration(torus, sol, rng):
+    skewed = ModelManifold.torus([[1.0, 0.6], [0.0, 0.8]])
+    for kind, man in (("unit-torus", torus), ("skewed-torus", skewed),
+                      ("sol", sol)):
+        n, S, d = 4, 5, man.dim
+        base = man.random_point(rng)
+        decks = rng.integers(-2, 3, size=(n, S, d))
+        noise = rng.normal(size=(n, S, d))
+        probes = np.empty((n, S, d))
+        for i, j in np.ndindex(n, S):
+            lift = man.deck_apply(tuple(decks[i, j]), base)
+            if kind == "unit-torus":
+                # the corner search is exact anywhere on an orthogonal lattice
+                probes[i, j] = lift + 0.5 * noise[i, j]
+            elif kind == "skewed-torus":
+                probes[i, j] = lift + 0.05 * noise[i, j]
+            else:
+                # close to the lift in its frame, where the search is exact
+                scale = np.exp([lift[2], -lift[2], 0.0])
+                probes[i, j] = lift + 0.01 * scale * noise[i, j]
+        deck, dist, lift = man.nearest_lift(probes, base)
+        assert deck.shape == (n, S, d) and deck.dtype == np.int64, kind
+        assert dist.shape == (n, S) and lift.shape == (n, S, d), kind
+        for i, j in np.ndindex(n, S):
+            g, want = _deck_box_oracle(man, probes[i, j], base, decks[i, j])
+            assert tuple(deck[i, j]) == g, kind
+            assert abs(dist[i, j] - want) <= 1e-12 * want, kind
+            assert np.allclose(lift[i, j], man.deck_apply(g, base),
+                               rtol=1e-12, atol=1e-12), kind
+            # a single probe gets the same answer as inside the array
+            one = man.nearest_lift(probes[i, j], base)
+            assert np.array_equal(one[0], deck[i, j]), kind
+            assert one[1] == dist[i, j] and np.array_equal(one[2], lift[i, j])
+    # more than half a layer above or below a lift, the search still reaches
+    # the layer of that lift, so it finds one at least as close
+    base = sol.random_point(rng)
+    lifts = np.stack([sol.deck_apply(g, base)
+                      for g in ((0, 0, 0), (1, -1, 1), (-2, 1, -1), (2, 2, 2))])
+    for side in (-1.0, 1.0):
+        offset = side * 0.55 * sol.period
+        _, dist, _ = sol.nearest_lift(lifts + [0.0, 0.0, offset], base)
+        assert np.all(dist <= abs(offset) * (1.0 + 1e-12))
 
 
 def test_monodromy_validation():

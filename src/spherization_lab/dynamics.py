@@ -9,6 +9,11 @@ so the flow of half the squared conorm is the geodesic flow (tested, not
 assumed).  Every Hamiltonian carries one analytic gradient kernel
 ``grads(q, p) -> (dH/dq, dH/dp)``; the integrator calls it once per field
 evaluation.  The tests cross-check it against central finite differences.
+
+The geodesic field's kernel is ``ModelManifold.conorm_grads``.  The lower,
+upper and blended sandwich Hamiltonians are one field, ``blend_field``:
+h_t(G) for the sandwich's ``blend_profile(t)``, with gradients h_t'(G)
+times those of G.
 """
 
 from __future__ import annotations
@@ -67,35 +72,12 @@ def scaled_field(field: HamiltonianField, c: float) -> HamiltonianField:
         value=lambda q, p: c * field.value(q, p), grads=grads)
 
 
-def zero_field(manifold: ModelManifold) -> HamiltonianField:
-    zeros = lambda q: np.zeros_like(np.asarray(q, dtype=float))
-    return HamiltonianField(name="zero", manifold=manifold,
-                            value=lambda q, p: np.zeros(np.asarray(q).shape[:-1]),
-                            grads=lambda q, p: (zeros(q), zeros(q)))
-
-
-def geodesic_field(manifold: ModelManifold, scale: float = 1.0) -> HamiltonianField:
-    """H = scale * |p|^2 / 2 in the base metric."""
-
-    def value(q, p):
-        return 0.5 * scale * manifold.conorm_sq(q, p)
-
-    def grads(q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        gq = np.zeros_like(q)
-        if manifold.kind == "torus":
-            return gq, scale * p
-        e2z = np.exp(2.0 * q[..., 2])
-        gq[..., 2] = scale * (e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z)
-        gp = np.empty_like(p)
-        gp[..., 0] = scale * e2z * p[..., 0]
-        gp[..., 1] = scale * p[..., 1] / e2z
-        gp[..., 2] = scale * p[..., 2]
-        return gq, gp
-
-    return HamiltonianField(name="geodesic", manifold=manifold, value=value,
-                            grads=grads)
+def geodesic_field(manifold: ModelManifold) -> HamiltonianField:
+    """H = |p|^2 / 2 in the base metric."""
+    return HamiltonianField(
+        name="geodesic", manifold=manifold,
+        value=lambda q, p: 0.5 * manifold.conorm_sq(q, p),
+        grads=manifold.conorm_grads)
 
 
 def gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
@@ -121,20 +103,6 @@ def cutoff_gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
                             value=value, grads=grads)
 
 
-def _far_mix_grads(sandwich, g, g_dq, g_dp, inner_val, inner_dq, inner_dp):
-    """Gradients of (1-step)*inner + step*upper for the far-field switch,
-    given the energy G and its gradients at the same points."""
-    rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
-    tau = sandwich.far_step(rho)
-    dtau = sandwich.far_step_slope(rho) / rho  # d tau / d g
-    sigma = sandwich.upper_scale
-    upper = sigma * g
-    mix = dtau * (upper - inner_val)
-    dq = (1.0 - tau)[..., None] * inner_dq + (tau * sigma + mix)[..., None] * g_dq
-    dp = (1.0 - tau)[..., None] * inner_dp + (tau * sigma + mix)[..., None] * g_dp
-    return dq, dp
-
-
 def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
     """The smoothed starshape Hamiltonian (middle of the sandwich)."""
 
@@ -142,65 +110,37 @@ def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         return sandwich.sandwich_eval(q, p)[1]
 
     def grads(q, p):
-        f_val = sandwich.gauge(q, p)
-        cut, slope = sandwich.cutoff.eval(f_val)
+        # (1 - tau) f(F) + tau sigma G, with tau the far-field step of G
+        cut, slope = sandwich.cutoff.eval(sandwich.gauge(q, p))
         dq_f, dp_f = sandwich.gauge_grads(q, p)
-        return _far_mix_grads(sandwich, sandwich.energy(q, p),
-                              *sandwich.energy_grads(q, p), cut,
-                              slope[..., None] * dq_f, slope[..., None] * dp_f)
+        g = sandwich.energy(q, p)
+        g_dq, g_dp = sandwich.energy_grads(q, p)
+        rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
+        tau = sandwich.far_step(rho)
+        dtau = sandwich.far_step_slope(rho) / rho  # d tau / d g
+        sigma = sandwich.upper_scale
+        inner = (1.0 - tau)[..., None]
+        outer = (tau * sigma + dtau * (sigma * g - cut))[..., None]
+        return (inner * (slope[..., None] * dq_f) + outer * g_dq,
+                inner * (slope[..., None] * dp_f) + outer * g_dp)
 
     return HamiltonianField(name="core", manifold=sandwich.manifold,
                             value=value, grads=grads)
 
 
-def _lower_grads(sandwich, q, p):
-    """Gradients of the lower Hamiltonian, followed by the energy gradients
-    they are built from (the upper Hamiltonian's, up to sigma)."""
-    g = sandwich.energy(q, p)
-    cut, slope = sandwich.cutoff.eval(g)
-    g_dq, g_dp = sandwich.energy_grads(q, p)
-    dq, dp = _far_mix_grads(sandwich, g, g_dq, g_dp, cut,
-                            slope[..., None] * g_dq, slope[..., None] * g_dp)
-    return dq, dp, g_dq, g_dp
-
-
-def lower_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
-    def value(q, p):
-        return sandwich.sandwich_eval(q, p)[0]
-
-    return HamiltonianField(name="lower", manifold=sandwich.manifold,
-                            value=value,
-                            grads=lambda q, p: _lower_grads(sandwich, q, p)[:2])
-
-
-def upper_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
-    def value(q, p):
-        return sandwich.upper_scale * sandwich.energy(q, p)
-
-    def grads(q, p):
-        g_dq, g_dp = sandwich.energy_grads(q, p)
-        return sandwich.upper_scale * g_dq, sandwich.upper_scale * g_dp
-
-    return HamiltonianField(name="upper", manifold=sandwich.manifold,
-                            value=value, grads=grads)
-
-
 def blend_field(sandwich: SandwichedHamiltonians, t: float) -> HamiltonianField:
-    """Convex blend (1-beta(t)) lower + beta(t) upper of the sandwich."""
-    beta = float(sandwich.homotopy_step(t))
-    lo = lower_field(sandwich)
-    up = upper_field(sandwich)
-    sigma = sandwich.upper_scale
+    """h_t(G) for the sandwich's ``blend_profile(t)``: the convex blend
+    (1-beta(t)) lower + beta(t) upper, so t = 0 is lower and t = 1 upper."""
+    h, h_prime = sandwich.blend_profile(t)
 
     def grads(q, p):
-        lo_q, lo_p, g_dq, g_dp = _lower_grads(sandwich, q, p)
-        return ((1 - beta) * lo_q + beta * (sigma * g_dq),
-                (1 - beta) * lo_p + beta * (sigma * g_dp))
+        slope = h_prime(sandwich.energy(q, p))[..., None]
+        g_dq, g_dp = sandwich.energy_grads(q, p)
+        return slope * g_dq, slope * g_dp
 
     return HamiltonianField(
         name=f"blend[{t}]", manifold=sandwich.manifold,
-        value=lambda q, p: (1 - beta) * lo.value(q, p) + beta * up.value(q, p),
-        grads=grads)
+        value=lambda q, p: h(sandwich.energy(q, p)), grads=grads)
 
 
 # -- integration ------------------------------------------------------------
@@ -368,15 +308,6 @@ def action_of_trajectory(traj: Trajectory, field: HamiltonianField) -> float:
     qdot = field.velocity(traj.q, traj.p)
     integrand = np.sum(traj.p * qdot, axis=-1) - field.value(traj.q, traj.p)
     return float(simpson(integrand, x=traj.times))
-
-
-def action_convergence_gap(traj: Trajectory, field: HamiltonianField) -> float:
-    """Difference between the action on the full and the halved sample grid."""
-    full = action_of_trajectory(traj, field)
-    half = Trajectory(times=traj.times[::2], q=traj.q[::2], p=traj.p[::2],
-                      energy=traj.energy[::2], energy_drift=traj.energy_drift,
-                      stats=traj.stats, manifold=traj.manifold)
-    return abs(full - action_of_trajectory(half, field))
 
 
 def action_homogeneous(h_prime: float, h_val: float, H_val: float) -> float:
@@ -593,48 +524,24 @@ def exclusion_level(n: int, spectrum) -> float:
     return 0.5 * (pts[i] + pts[i + 1])
 
 
-def radial_blend_profile(sandwich: SandwichedHamiltonians, t: float):
-    """Scalar profile h with blend(t)(q, p) = h(G) for round profiles on the
-    flat torus, returned as vectorized (h, h') callables."""
-    beta = float(sandwich.homotopy_step(t))
-    sigma = sandwich.upper_scale
-
-    def h(g):
-        g = np.asarray(g, dtype=float)
-        rho = np.sqrt(2.0 * g)
-        tau = sandwich.far_step(rho)
-        f_val, _ = sandwich.cutoff.eval(g)
-        lower = (1.0 - tau) * f_val + tau * sigma * g
-        return (1.0 - beta) * lower + beta * sigma * g
-
-    def h_prime(g):
-        g = np.asarray(g, dtype=float)
-        rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
-        tau = sandwich.far_step(rho)
-        dtau = sandwich.far_step_slope(rho) / rho
-        f_val, f_slope = sandwich.cutoff.eval(g)
-        lower_p = (1.0 - tau) * f_slope + tau * sigma + dtau * (sigma * g - f_val)
-        return (1.0 - beta) * lower_p + beta * sigma
-
-    return h, h_prime
+_RHO_MAX = 4.6        # largest radial speed scanned for chords
+_RHO_SAMPLES = 6000
 
 
 def radial_chord_actions(sandwich: SandwichedHamiltonians, n: int, t: float,
-                         q0, q1, *, rho_max: float = 4.6,
-                         rho_samples: int = 6000, action_cap: float = None):
-    """All chord actions of n * blend(t) between two fibers of the flat torus
-    with a round profile, by scalar shooting over the radial speed profile.
+                         q0, q1):
+    """All chord actions up to n + 2 of n * blend(t) between two fibers of
+    the flat torus with a round profile, by scalar shooting over the radial
+    speed profile.
 
-    The blend is radial there, so a chord to the shifted target w exists for
-    each speed rho solving n h'(rho^2/2) rho = |w|; its action follows from
-    the homogeneous action formula applied to h.
+    The blend is h(G) with G radial there, so a chord to the shifted target
+    w exists for each speed rho solving n h'(rho^2/2) rho = |w|; its action
+    follows from the homogeneous action formula applied to h.
     """
     if sandwich.manifold.kind != "torus" or sandwich.profile.kind != "round":
         raise ValueError("radial chord enumeration needs a round torus profile")
-    if action_cap is None:
-        action_cap = n + 2.0
-    h, h_prime = radial_blend_profile(sandwich, t)
-    rho = np.linspace(1e-9, rho_max, rho_samples)
+    h, h_prime = sandwich.blend_profile(t)
+    rho = np.linspace(1e-9, _RHO_MAX, _RHO_SAMPLES)
     g = 0.5 * rho ** 2
     speed = n * h_prime(g) * rho
     w_cap = float(np.max(speed)) * 1.0000001
@@ -652,6 +559,6 @@ def radial_chord_actions(sandwich: SandwichedHamiltonians, n: int, t: float,
                           rho[i], rho[i + 1], xtol=1e-14)
             gr = 0.5 * root ** 2
             a = n * (2.0 * float(h_prime(gr)) * gr - float(h(gr)))
-            if a <= action_cap:
+            if a <= n + 2.0:
                 actions.append(a)
     return sorted(actions)

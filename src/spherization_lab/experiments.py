@@ -211,18 +211,20 @@ def _run_sol_sweep(cfg, out: Path, rng):
     return {"levels": per_k}, checks, ["sol-sweep.csv"]
 
 
-def _census_setup(cfg, manifold, rng):
+def _field_and_surface(cfg, manifold):
+    """The flow of the census and volume experiments, and the map from a
+    base point q to its fiber's surface parametrization u -> covector."""
     if manifold.kind == "torus":
         sandwich = sandwich_from(cfg, manifold)
         field = geodesic_field(manifold)
         def surface_at(q):
             return lambda u: sandwich.surface_covector(q, u)
-        return field, surface_at, sandwich
+        return field, surface_at
     k = cfg.get("sol", "k")
     field = sol_mod.sol_field(manifold)
     def surface_at(q):
         return lambda u: sol_mod.level_covector(k, q, u)
-    return field, surface_at, None
+    return field, surface_at
 
 
 def _census_kwargs(cfg):
@@ -239,7 +241,7 @@ def _census_kwargs(cfg):
 
 def _run_chord_census(cfg, out: Path, rng):
     manifold = manifold_from(cfg)
-    field, surface_at, _ = _census_setup(cfg, manifold, rng)
+    field, surface_at = _field_and_surface(cfg, manifold)
     horizon = cfg.get("census", "horizon")
     resolution = cfg.get("census", "resolution")
     jitter = cfg.get("census", "jitter")
@@ -316,21 +318,13 @@ def _run_chord_census(cfg, out: Path, rng):
 def _run_volume_growth(cfg, out: Path, rng):
     manifold = manifold_from(cfg)
     n_max = cfg.get("volume", "n_max")
-    if manifold.kind == "torus":
-        sandwich = sandwich_from(cfg, manifold)
-        field = geodesic_field(manifold)
-        q0 = manifold.random_point(rng)
-        mesh = fiber_circle_mesh(manifold, q0,
-                                 lambda u: sandwich.surface_covector(q0, u),
-                                 cfg.get("volume", "resolution"))
-        surface_map = lambda u: sandwich.surface_covector(q0, u)
-    else:
-        k = cfg.get("sol", "k")
-        field = sol_mod.sol_field(manifold)
-        q0 = manifold.random_point(rng)
-        surface_map = lambda u: sol_mod.level_covector(k, q0, u)
-        mesh = fiber_sphere_mesh(manifold, q0, surface_map,
-                                 cfg.get("volume", "resolution"))
+    field, surface_at = _field_and_surface(cfg, manifold)
+    q0 = manifold.random_point(rng)
+    surface_map = surface_at(q0)
+    fiber_mesh = (fiber_circle_mesh if manifold.kind == "torus"
+                  else fiber_sphere_mesh)
+    mesh = fiber_mesh(manifold, q0, surface_map,
+                      cfg.get("volume", "resolution"))
     result = volume_growth(
         field, mesh, n_max, cfg.get("volume", "refine_threshold"),
         cfg.get("volume", "vertex_budget"), surface_map=surface_map,
@@ -465,8 +459,7 @@ def _run_noncrossing(cfg, out: Path, rng):
         a = exclusion_level(n, spectrum)
         for s in s_grid:
             a_s = float(sandwich.action_window(s, a))
-            actions = radial_chord_actions(sandwich, n, float(s), q0, q1,
-                                           action_cap=n + 2.0)
+            actions = radial_chord_actions(sandwich, n, float(s), q0, q1)
             if actions:
                 nearest = min(actions, key=lambda v: abs(v - a_s))
                 sep = abs(nearest - a_s)
@@ -519,7 +512,7 @@ def _run_group_growth(cfg, out: Path, rng):
 
 def _run_mpp(cfg, out: Path, rng):
     manifold = manifold_from(cfg)
-    field, surface_at, _ = _census_setup(cfg, manifold, rng)
+    field, surface_at = _field_and_surface(cfg, manifold)
     result = mpp_estimate(field, surface_at, cfg.get("census", "grid"),
                           cfg.get("census", "horizon"),
                           cfg.get("census", "resolution"), rng,

@@ -10,13 +10,17 @@ Two models are supported:
   P A P^{-1} = diag(lam, 1/lam): the element (m, n, l) acts on the cover by
   left multiplication with (P(m,n), l*log(lam)).
 
+The metric enters through ``conorm_sq`` and its one gradient kernel,
+``conorm_grads`` (the gradients of |p|^2 / 2), which the geodesic field, the
+sandwich energy G and the round gauge all scale.
+
 Coordinates always live in the universal cover, so trajectories stay
 smooth.  Arrivals are found by one vectorized search, ``nearest_lift``,
 which tags each probe with the deck element of its closest lift; the torus
 lattice translates within a radius come from ``lattice_translates``.
 
 Deck elements are plain integer tuples: (m, n) for the torus, (m, n, l) for
-the sol quotient.  Their group law (product, inverse) lives in ``growth``.
+the sol quotient.  Their group law, ``multiply``, lives in ``growth``.
 All operations here are pure functions of their inputs.
 """
 
@@ -151,6 +155,21 @@ class ModelManifold:
             return np.sum(p * p, axis=-1)
         e2z = np.exp(2.0 * q[..., 2])
         return e2z * p[..., 0] ** 2 + p[..., 1] ** 2 / e2z + p[..., 2] ** 2
+
+    def conorm_grads(self, q, p):
+        """(d/dq, d/dp) of |p|^2 / 2; vectorized over leading axes."""
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
+        gq = np.zeros_like(q)
+        if self.kind == "torus":
+            return gq, p.copy()
+        e2z = np.exp(2.0 * q[..., 2])
+        gq[..., 2] = e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z
+        gp = np.empty_like(p)
+        gp[..., 0] = e2z * p[..., 0]
+        gp[..., 1] = p[..., 1] / e2z
+        gp[..., 2] = p[..., 2]
+        return gq, gp
 
     def norm_sq(self, q, v):
         """|v|^2 of a tangent vector in the base metric."""

@@ -53,12 +53,6 @@ def multiply(a: Element, b: Element, monodromy) -> Element:
     return out
 
 
-def inverse(a: Element, monodromy) -> Element:
-    al = int_mat_pow(tuple(int(v) for v in np.asarray(monodromy).ravel()), -a[2])
-    w = int_mat_vec(al, (a[0], a[1]))
-    return (-w[0], -w[1], -a[2])
-
-
 def generators(include_vertical: bool = True) -> list[Element]:
     gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
     if include_vertical:

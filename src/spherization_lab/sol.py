@@ -34,28 +34,6 @@ from .dynamics import HamiltonianField, Trajectory
 from .geometry import ModelManifold
 
 
-@dataclass(frozen=True)
-class SolLevel:
-    """An energy level of the magnetic Hamiltonian on the sol quotient."""
-
-    k: float
-    manifold: ModelManifold
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("energy level must be positive")
-        if self.manifold.kind != "sol":
-            raise ValueError("sol level needs a sol manifold")
-
-    @property
-    def starshaped(self) -> bool:
-        return self.k > 0.5
-
-    @property
-    def momentum_radius(self) -> float:
-        return float(np.sqrt(2.0 * self.k))
-
-
 def momentum_map(q, p):
     """(M_x, M_y, M_z) from cover coordinates; vectorized."""
     q = np.asarray(q, dtype=float)

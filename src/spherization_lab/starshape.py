@@ -15,7 +15,9 @@ Around it we build the smoothed Hamiltonian and its metric bounds:
 where G is half the squared conorm of a once-rescaled metric chosen so that
 G <= F <= sigma * G, f is a cutoff vanishing near the zero section, and the
 step function switches everything to the quadratic upper bound far out.
-The convex blend between lower and upper drives the homotopy experiments.
+Lower, upper and their convex blend, which drives the homotopy experiments,
+depend on (q, p) only through G: each is h_t(G) for one scalar profile,
+``blend_profile(t)``, with lower at t = 0 and upper at t = 1.
 
 All evaluation functions are vectorized over a leading sample axis and are
 pure; a calibrated :class:`SandwichedHamiltonians` is immutable.
@@ -164,21 +166,8 @@ class SandwichedHamiltonians:
         return 0.5 * self.manifold.conorm_sq(q, p) / self.metric_scale
 
     def energy_grads(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        c = self.metric_scale
-        if self.manifold.kind == "torus":
-            dq = np.zeros_like(q)
-            dp = p / c
-            return dq, dp
-        e2z = np.exp(2.0 * q[..., 2])
-        dq = np.zeros_like(q)
-        dq[..., 2] = (e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z) / c
-        dp = np.empty_like(p)
-        dp[..., 0] = e2z * p[..., 0] / c
-        dp[..., 1] = p[..., 1] / e2z / c
-        dp[..., 2] = p[..., 2] / c
-        return dq, dp
+        gq, gp = self.manifold.conorm_grads(q, p)
+        return gq / self.metric_scale, gp / self.metric_scale
 
     def gauge(self, q, p):
         """Degree-2 homogeneous gauge F; equals 1 exactly on the surface."""
@@ -201,16 +190,8 @@ class SandwichedHamiltonians:
             axes = np.asarray(self.profile.axes, dtype=float)
             return np.zeros_like(q), 2.0 * p / axes ** 2
         if self.profile.kind == "round":
-            if self.manifold.kind == "torus":
-                return np.zeros_like(q), 2.0 * p
-            e2z = np.exp(2.0 * q[..., 2])
-            dq = np.zeros_like(q)
-            dq[..., 2] = 2.0 * (e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z)
-            dp = np.empty_like(p)
-            dp[..., 0] = 2.0 * e2z * p[..., 0]
-            dp[..., 1] = 2.0 * p[..., 1] / e2z
-            dp[..., 2] = 2.0 * p[..., 2]
-            return dq, dp
+            gq, gp = self.manifold.conorm_grads(q, p)
+            return 2.0 * gq, 2.0 * gp
         # fourier profile lives on the flat torus fiber
         theta = np.arctan2(p[..., 1], p[..., 0])
         r = self.profile.radius(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
@@ -254,19 +235,37 @@ class SandwichedHamiltonians:
         lower = (1.0 - tau) * f_of_g + tau * upper
         return lower, core, upper
 
-    def blend_eval(self, t, q, p):
-        """Convex blend between lower and upper at homotopy time t."""
-        beta = self.homotopy_step(t)
-        lower, _, upper = self.sandwich_eval(q, p)
-        return (1.0 - beta) * lower + beta * upper
+    def blend_profile(self, t: float):
+        """Scalar profile h with blend(t)(q, p) = h(G), the convex blend
+        (1 - beta(t)) lower + beta(t) upper; returned as vectorized (h, h')
+        callables.  Lower is t = 0, upper is t = 1."""
+        beta = float(self.homotopy_step(t))
+        sigma = self.upper_scale
+
+        def h(g):
+            g = np.asarray(g, dtype=float)
+            rho = np.sqrt(2.0 * g)
+            tau = self.far_step(rho)
+            f_val, _ = self.cutoff.eval(g)
+            lower = (1.0 - tau) * f_val + tau * sigma * g
+            return (1.0 - beta) * lower + beta * sigma * g
+
+        def h_prime(g):
+            g = np.asarray(g, dtype=float)
+            rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
+            tau = self.far_step(rho)
+            dtau = self.far_step_slope(rho) / rho
+            f_val, f_slope = self.cutoff.eval(g)
+            lower_p = ((1.0 - tau) * f_slope + tau * sigma
+                       + dtau * (sigma * g - f_val))
+            return (1.0 - beta) * lower_p + beta * sigma
+
+        return h, h_prime
 
     def action_window(self, t, a):
         """Level a(t) = a / (1 + beta(t) (sigma - 1)); nonincreasing in t."""
         beta = self.homotopy_step(t)
         return a / (1.0 + beta * (self.upper_scale - 1.0))
-
-    def homotopy_eval(self, t, q, p, a):
-        return self.blend_eval(t, q, p), self.action_window(t, a)
 
 
 def calibrate(profile: RadialProfile, manifold: ModelManifold, *,

@@ -35,6 +35,12 @@ def ellipse_sandwich(torus):
 
 
 @pytest.fixture(scope="session")
+def fourier_sandwich(torus):
+    return calibrate(RadialProfile.fourier(1.0, cos_coeffs=(0.08,),
+                                           sin_coeffs=(0.0, 0.04)), torus)
+
+
+@pytest.fixture(scope="session")
 def sol_round_sandwich(sol):
     return calibrate(RadialProfile.round(), sol)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,19 +57,17 @@ def _central_difference(value, q, p, h=1e-6):
 
 
 def test_gradient_analytic_vs_finite_difference(torus, sol, round_sandwich,
-                                                ellipse_sandwich, rng):
-    from spherization_lab.starshape import RadialProfile, calibrate
-    fourier = calibrate(RadialProfile.fourier(1.0, cos_coeffs=(0.08,),
-                                              sin_coeffs=(0.0, 0.04)), torus)
+                                                ellipse_sandwich,
+                                                fourier_sandwich, rng):
     fields = [dyn.geodesic_field(torus), dyn.geodesic_field(sol),
               dyn.core_field(round_sandwich),
               dyn.core_field(ellipse_sandwich),
-              dyn.core_field(fourier),
-              dyn.lower_field(round_sandwich),
+              dyn.core_field(fourier_sandwich),
+              dyn.blend_field(round_sandwich, 0.0),
               dyn.blend_field(round_sandwich, 0.37),
               dyn.gauge_field(ellipse_sandwich),
               dyn.cutoff_gauge_field(ellipse_sandwich),
-              dyn.upper_field(fourier),
+              dyn.blend_field(fourier_sandwich, 1.0),
               dyn.scaled_field(sol_mod.sol_field(sol), 2.5),
               sol_mod.sol_field(sol)]
     for f in fields:
@@ -91,8 +91,8 @@ def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
     for sandwich in (round_sandwich, sol_round_sandwich):
         fields += [dyn.gauge_field(sandwich),
                    dyn.cutoff_gauge_field(sandwich),
-                   dyn.core_field(sandwich), dyn.lower_field(sandwich),
-                   dyn.upper_field(sandwich),
+                   dyn.core_field(sandwich), dyn.blend_field(sandwich, 0.0),
+                   dyn.blend_field(sandwich, 1.0),
                    dyn.blend_field(sandwich, 0.37)]
     rng = np.random.default_rng(rows)
     for f in fields:
@@ -109,7 +109,8 @@ def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
 
 def test_sandwich_fields_evaluate_energy_once(round_sandwich,
                                               sol_round_sandwich, monkeypatch):
-    # lower, blend and core evaluate G and its gradients once per grads call
+    # the blends (lower at t = 0, upper at t = 1) and core evaluate G and its
+    # gradients once per grads call
     calls = {"energy": 0, "energy_grads": 0}
     for name in calls:
         method = getattr(SandwichedHamiltonians, name)
@@ -122,8 +123,9 @@ def test_sandwich_fields_evaluate_energy_once(round_sandwich,
     for sandwich in (round_sandwich, sol_round_sandwich):
         d = sandwich.manifold.dim
         q, p = np.full((3, d), 0.2), np.full((3, d), 0.7)
-        for field in (dyn.lower_field(sandwich), dyn.core_field(sandwich),
-                      dyn.blend_field(sandwich, 0.37)):
+        for field in (dyn.blend_field(sandwich, 0.0), dyn.core_field(sandwich),
+                      dyn.blend_field(sandwich, 0.37),
+                      dyn.blend_field(sandwich, 1.0)):
             for name in calls:
                 calls[name] = 0
             field.grads(q, p)
@@ -189,7 +191,7 @@ def test_implicit_midpoint_counts_every_rhs_call(torus, rng):
 
 
 def test_action_constant_orbit_is_zero(torus):
-    f = dyn.zero_field(torus)
+    f = dyn.scaled_field(dyn.geodesic_field(torus), 0.0)
     traj = dyn.integrate(f, CotangentPoint(np.zeros(2), np.zeros(2)), 1.0)
     assert dyn.action_of_trajectory(traj, f) == 0.0
 
@@ -201,7 +203,10 @@ def test_action_geodesic_equals_energy(torus, rng):
     energy = 0.5 * float(p0 @ p0)
     action = dyn.action_of_trajectory(traj, geo)
     assert abs(action - energy) < 1e-10
-    assert dyn.action_convergence_gap(traj, geo) < 1e-10
+    # the action on the halved sample grid agrees
+    half = dataclasses.replace(traj, times=traj.times[::2], q=traj.q[::2],
+                               p=traj.p[::2], energy=traj.energy[::2])
+    assert abs(action - dyn.action_of_trajectory(half, geo)) < 1e-10
 
 
 def test_action_vanishing_inside_cutoff(round_sandwich):
@@ -319,7 +324,7 @@ def test_radial_chord_actions_against_direct_shooting(round_sandwich):
     assert all(acts[i] <= acts[i + 1] for i in range(len(acts) - 1))
     # every enumerated action is a genuine chord action: check one by
     # integrating the blend field from the implied covector
-    h, hp = dyn.radial_blend_profile(round_sandwich, 0.0)
+    h, hp = round_sandwich.blend_profile(0.0)
     blend = dyn.blend_field(round_sandwich, 0.0)
     w = np.array([0.5, 0.5])
     # solve for the speed profile root on the first target

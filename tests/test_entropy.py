@@ -128,7 +128,8 @@ def test_volume_static_field_constant(torus, round_sandwich):
     q0 = np.zeros(2)
     smap = lambda u: round_sandwich.surface_covector(q0, u)
     mesh = fiber_circle_mesh(torus, q0, smap, 64)
-    res = volume_growth(dyn.zero_field(torus), mesh, 8, 0.5, 10000,
+    res = volume_growth(dyn.scaled_field(dyn.geodesic_field(torus), 0.0),
+                        mesh, 8, 0.5, 10000,
                         surface_map=smap, fit_window=6)
     assert np.allclose(res.volumes, res.volumes[0])
     assert abs(res.fit.rate) <= 1e-12

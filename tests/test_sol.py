@@ -4,7 +4,6 @@ import pytest
 from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
 from spherization_lab.geometry import CotangentPoint
-from spherization_lab.sol import SolLevel
 
 
 def test_momentum_map_values(rng):
@@ -117,13 +116,13 @@ def test_level_sampling_lies_on_level(sol, rng):
         assert np.max(np.abs(sphere - 2 * k)) <= 1e-8
 
 
-def test_starshaped_switch(sol):
+def test_starshaped_switch():
     # the momentum sphere has center distance 1 from the origin and radius
-    # sqrt(2k): it encloses the origin exactly above k = 1/2
+    # sqrt(2k): it encloses the origin, where H = 1/2, exactly above k = 1/2,
+    # and the level has positive entropy exactly then
     for k, expect in ((0.3, False), (0.5, False), (0.5 + 1e-9, True),
                       (1.0, True)):
-        assert SolLevel(k, sol).starshaped == expect
-        radius = SolLevel(k, sol).momentum_radius
-        assert (radius > 1.0) == expect
+        assert (sol_mod.hamiltonian_from_momenta(np.zeros(3)) < k) == expect
+        assert (sol_mod.entropy_closed_form(k) > 0) == expect
     with pytest.raises(ValueError):
         sol_mod.fixed_point_covector(0.4, np.zeros(3))

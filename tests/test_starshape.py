@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spherization_lab.dynamics import blend_field
 from spherization_lab.starshape import (Cutoff, RadialProfile,
                                         SandwichedHamiltonians, calibrate)
 
@@ -130,20 +131,31 @@ def test_core_equals_cutoff_gauge_inside(round_sandwich, rng):
     assert np.isclose(core, 0.9)
 
 
-def test_homotopy_endpoints_and_window(round_sandwich, rng):
-    q = rng.uniform(size=2)
-    p = rng.normal(size=2)
-    lo, _, up = round_sandwich.sandwich_eval(q, p)
-    a = 1.4
-    v0, a0 = round_sandwich.homotopy_eval(0.0, q, p, a)
-    v1, a1 = round_sandwich.homotopy_eval(1.0, q, p, a)
-    assert np.isclose(v0, lo) and np.isclose(a0, a)
-    assert np.isclose(v1, up) and np.isclose(a1, a / round_sandwich.upper_scale)
-    # halfway value against an independently coded quintic blend
-    vh, ah = round_sandwich.homotopy_eval(0.5, q, p, a)
+def test_homotopy_endpoints_and_window(round_sandwich, ellipse_sandwich,
+                                       fourier_sandwich, sol_round_sandwich,
+                                       rng):
+    # blend_field is h_t(G): lower at t = 0, upper at t = 1, on every sandwich
     beta = quintic(0.5)
-    assert np.isclose(vh, (1 - beta) * lo + beta * up)
-    assert np.isclose(ah, a / (1 + beta * (round_sandwich.upper_scale - 1)))
+    for sw in (round_sandwich, ellipse_sandwich, fourier_sandwich,
+               sol_round_sandwich):
+        d = sw.manifold.dim
+        q = rng.uniform(size=(200, d))
+        p = rng.normal(size=(200, d)) * 1.5
+        lo, _, up = sw.sandwich_eval(q, p)
+        v0 = blend_field(sw, 0.0).value(q, p)
+        v1 = blend_field(sw, 1.0).value(q, p)
+        assert np.all(np.abs(v0 - lo) <= 1e-13 * np.abs(lo))
+        assert np.all(np.abs(v1 - up) <= 1e-13 * np.abs(up))
+        # halfway value against an independently coded quintic blend
+        vh = blend_field(sw, 0.5).value(q, p)
+        want = (1 - beta) * lo + beta * up
+        assert np.all(np.abs(vh - want) <= 1e-13 * np.abs(want))
+    a = 1.4
+    sigma = round_sandwich.upper_scale
+    assert np.isclose(round_sandwich.action_window(0.0, a), a)
+    assert np.isclose(round_sandwich.action_window(1.0, a), a / sigma)
+    assert np.isclose(round_sandwich.action_window(0.5, a),
+                      a / (1 + beta * (sigma - 1)))
     # window is monotone nonincreasing
     ts = np.linspace(0, 1, 33)
     ws = [round_sandwich.action_window(t, a) for t in ts]

@@ -387,6 +387,23 @@ def time_change_residual(sandwich: SandwichedHamiltonians,
 
 # -- fixed-time fiber-to-fiber chords (flat base) -----------------------------
 
+def solve_stacked(jac, rhs):
+    """``(step, singular)`` of a (k, d, d) Jacobian stack against rhs (k, d):
+    one stacked solve, or row by row with the singular rows flagged if any
+    matrix is singular; each step equals a per-row ``np.linalg.solve``."""
+    singular = np.zeros(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(rhs)
+        for r in range(len(rhs)):
+            try:
+                step[r] = np.linalg.solve(jac[r], rhs[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        return step, singular
+
+
 def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                             duration: float = 1.0, p_max: float = 3.2,
                             grid: int = 48, coarse: float = 0.35,
@@ -456,17 +473,13 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
         rprev[idx] = rn
         done[idx[rn <= newton_tol]] = True
         live[idx[(alpha[idx] < 2 ** -9) & (rn > newton_tol)]] = False
-        for pos, i in enumerate(idx):
-            if done[i] or not live[i]:
-                continue
-            jac = np.stack([(ends[k + pos] - ends[pos]) / h,
-                            (ends[2 * k + pos] - ends[pos]) / h], axis=-1)
-            try:
-                step = np.linalg.solve(jac, -res[pos])
-            except np.linalg.LinAlgError:
-                live[i] = False
-                continue
-            P[i] = P[i] + alpha[i] * step
+        rows = np.nonzero(live[idx] & ~done[idx])[0]
+        jac = np.stack([(ends[k + rows] - ends[rows]) / h,
+                        (ends[2 * k + rows] - ends[rows]) / h], axis=-1)
+        step, singular = solve_stacked(jac, -res[rows])
+        live[idx[rows[singular]]] = False
+        i = idx[rows[~singular]]
+        P[i] = P[i] + alpha[i, None] * step[~singular]
 
     found = np.nonzero(done)[0]
     if len(found) == 0:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianField, IntegratorConfig, integrate_batch
+from .dynamics import (HamiltonianField, IntegratorConfig, integrate_batch,
+                       solve_stacked)
 from .errors import BudgetExceededError
 from .geometry import Deck, ModelManifold
 
@@ -123,17 +124,29 @@ class ChordCensus:
     diagnostics: dict
 
 
-def _tangent_frame(u):
-    u = np.asarray(u, dtype=float)
-    a = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+def _tangent_frames(u):
+    """Orthonormal tangent frames (k, d - 1, d) at unit directions u (k, d):
+    the rotated direction on the circle, two cross products on the sphere."""
+    if u.shape[1] == 2:
+        return np.stack([-u[:, 1], u[:, 0]], axis=-1)[:, None, :]
+    a = np.where((np.abs(u[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0],
+                 [0.0, 1.0, 0.0])
     e1 = np.cross(u, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return e1, e2
+    e1 /= _row_norms(e1)[:, None]
+    return np.stack([e1, np.cross(u, e1)], axis=1)
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
+def _row_norms(v):
+    # per row, the dot product np.linalg.norm takes of a single vector
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+# Newton outcomes of a census candidate.  When several hold in one sweep the
+# first listed wins; "outside_window" marks a root that converged to a time
+# outside [time_floor, horizon], "sweep_cap" one still live at the last sweep.
+NEWTON_OUTCOMES = ("converged", "blowup", "damping_floor", "singular",
+                   "outside_window", "sweep_cap")
+_CONVERGED, _BLOWUP, _FLOOR, _SINGULAR, _OUTSIDE, _LIVE = range(6)
 
 
 class _LockstepPolisher:
@@ -143,7 +156,8 @@ class _LockstepPolisher:
     One sweep advances every live candidate by a single proposed step; all
     endpoint evaluations of a sweep (current point plus finite-difference
     perturbations) ride in shared batch integrations, which amortizes the
-    solver overhead that would dominate a per-candidate polish.
+    solver overhead that would dominate a per-candidate polish, and the
+    steps of all candidates come from one stacked solve.
     """
 
     def __init__(self, field, q0, surface_map, cfg, horizon, time_floor, tol,
@@ -186,30 +200,26 @@ class _LockstepPolisher:
         return q_out, p_out
 
     def polish(self, us, ts, lifts):
+        """Polish every candidate; returns the final directions and times,
+        and each candidate's index into NEWTON_OUTCOMES."""
         n = us.shape[0]
         d = self.manifold.dim
         us = np.array(us, dtype=float)
         ts = np.array(ts, dtype=float)
         lifts = np.array(lifts, dtype=float)
         alpha = np.ones(n)
-        live = np.ones(n, dtype=bool)
-        done = np.zeros(n, dtype=bool)
+        outcome = np.full(n, _LIVE)
         rnorm = np.full(n, np.inf)
         seed_norm = np.full(n, np.inf)
         n_dirs = d - 1
 
         for sweep in range(self.max_sweeps):
-            idx = np.nonzero(live & ~done)[0]
+            idx = np.nonzero(outcome == _LIVE)[0]
             if len(idx) == 0:
                 break
             k = len(idx)
             # assemble current + FD-perturbed starts in one evaluation set
-            dirs = np.empty((k, n_dirs, d))
-            for row, i in enumerate(idx):
-                if d == 2:
-                    dirs[row, 0] = (-us[i][1], us[i][0])
-                else:
-                    dirs[row, 0], dirs[row, 1] = _tangent_frame(us[i])
+            dirs = _tangent_frames(us[idx])
             eval_us = [us[idx]]
             for j in range(n_dirs):
                 pert = us[idx] + self.fd * dirs[:, j]
@@ -230,53 +240,96 @@ class _LockstepPolisher:
             alpha[idx[~increased & ~first]] = np.minimum(
                 1.0, alpha[idx[~increased & ~first]] * 2.0)
             rnorm[idx] = rn
-            newly_done = rn <= self.tol
-            done[idx[newly_done]] = True
-            # divergence guards
-            give_up = (rn > 6.0 * seed_norm[idx] + 1e-9) | (alpha[idx] < 2 ** -9)
-            live[idx[give_up & ~newly_done]] = False
+            # convergence, then the divergence guards
+            outcome[idx] = np.select(
+                [rn <= self.tol, rn > 6.0 * seed_norm[idx] + 1e-9,
+                 alpha[idx] < 2 ** -9],
+                [_CONVERGED, _BLOWUP, _FLOOR], _LIVE)
 
-            act = ~newly_done & ~give_up
-            rows = np.nonzero(act)[0]
+            rows = np.nonzero(outcome[idx] == _LIVE)[0]
             if len(rows) == 0:
                 continue
+            i = idx[rows]
             vel = self.field.velocity(q_cur[rows], p_cur[rows])
-            for pos, row in enumerate(rows):
-                i = idx[row]
-                cols = []
-                for j in range(n_dirs):
-                    rp = self.manifold.frame_displacement(
-                        q_end[(1 + j) * k + row], lifts[i])
-                    cols.append((rp - res[row]) / self.fd)
-                cols.append(_frame_velocity(self.manifold, q_cur[row],
-                                            lifts[i], vel[pos]))
-                jac = np.stack(cols, axis=-1)
-                try:
-                    step = np.linalg.solve(jac, -res[row])
-                except np.linalg.LinAlgError:
-                    live[i] = False
-                    continue
-                a = alpha[i]
-                if d == 2:
-                    ang = a * step[0]
-                    c, s = math.cos(ang), math.sin(ang)
-                    us[i] = (c * us[i][0] - s * us[i][1],
-                             s * us[i][0] + c * us[i][1])
-                else:
-                    us[i] = _unit(us[i] + a * (step[0] * dirs[row, 0]
-                                               + step[1] * dirs[row, 1]))
-                ts[i] = min(max(ts[i] + a * step[-1], self.time_floor),
-                            self.horizon * 1.05)
-        good = np.nonzero(done)[0]
-        return [(us[i], float(ts[i]), float(rnorm[i])) for i in good
-                if self.time_floor <= ts[i] <= self.horizon]
+            cols = [(self.manifold.frame_displacement(
+                        q_end[(1 + j) * k + rows], lifts[i]) - res[rows])
+                    / self.fd for j in range(n_dirs)]
+            cols.append(_frame_velocity(self.manifold, lifts[i], vel))
+            step, singular = solve_stacked(np.stack(cols, axis=-1),
+                                           -res[rows])
+            outcome[i[singular]] = _SINGULAR
+            i, step, dirs = i[~singular], step[~singular], dirs[rows[~singular]]
+            a = alpha[i]
+            if d == 2:
+                ang = a * step[:, 0]
+                c, s = np.cos(ang), np.sin(ang)
+                u0, u1 = us[i, 0], us[i, 1]
+                us[i] = np.stack([c * u0 - s * u1, s * u0 + c * u1], axis=-1)
+            else:
+                v = us[i] + a[:, None] * (step[:, :1] * dirs[:, 0]
+                                          + step[:, 1:2] * dirs[:, 1])
+                us[i] = v / _row_norms(v)[:, None]
+            ts[i] = np.minimum(np.maximum(ts[i] + a * step[:, -1],
+                                          self.time_floor), self.horizon * 1.05)
+        outside = (ts < self.time_floor) | (ts > self.horizon)
+        outcome[(outcome == _CONVERGED) & outside] = _OUTSIDE
+        return us, ts, outcome
 
 
-def _frame_velocity(manifold, q_end, lift, vel):
+def _frame_velocity(manifold, lifts, vel):
     if manifold.kind == "torus":
         return vel
-    z = lift[2]
-    return np.array([vel[0] * np.exp(-z), vel[1] * np.exp(z), vel[2]])
+    z = lifts[:, 2]
+    return np.stack([vel[:, 0] * np.exp(-z), vel[:, 1] * np.exp(z),
+                     vel[:, 2]], axis=-1)
+
+
+def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
+    """Non-max suppression per deck: one representative per (parameter,
+    time) blob.
+
+    Within a deck, candidates go in order of (distance, time, seed); one is
+    kept unless a kept one lies within ``t_tol`` in time and ``angle`` in
+    direction.  Returns the kept indices, by deck and then in that order.
+    """
+    deck_keys = tuple(decks.T[::-1])     # lexsort's last key is primary
+    order = np.lexsort((seeds, times, dists) + deck_keys)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # every pair on one deck within t_tol: in deck-then-time order, a row
+    # whose partner `gap` places on does not qualify has none further on
+    by_time = np.lexsort((times,) + deck_keys)
+    d_sorted, t_sorted = decks[by_time], times[by_time]
+    g_sorted = np.cumsum(np.any(d_sorted != np.roll(d_sorted, 1, axis=0),
+                                axis=1))
+    pos = np.arange(len(by_time))
+    pairs = [(pos[:0], pos[:0])]
+    for gap in range(1, len(by_time)):
+        pos = pos[pos + gap < len(by_time)]
+        pos = pos[(g_sorted[pos] == g_sorted[pos + gap])
+                  & (t_sorted[pos + gap] - t_sorted[pos] <= t_tol)]
+        if len(pos) == 0:
+            break
+        pairs.append((by_time[pos], by_time[pos + gap]))
+    a, b = (np.concatenate(x) for x in zip(*pairs))
+    if dirs.shape[1] == 2:
+        theta = np.array([math.atan2(u[1], u[0]) for u in dirs])
+        dtheta = np.abs(theta[seeds[a]] - theta[seeds[b]])
+        close = np.minimum(dtheta, 2 * math.pi - dtheta) <= angle
+    else:
+        ua, ub = dirs[seeds[a]], dirs[seeds[b]]
+        close = (ua[:, None, :] @ ub[:, :, None])[:, 0, 0] > math.cos(angle)
+    a, b = a[close], b[close]
+    swap = rank[a] > rank[b]
+    later, earlier = np.where(swap, a, b), np.where(swap, b, a)
+    by_later = np.argsort(rank[later], kind="stable")
+    # greedy in suppression order: a pair's earlier member is final by the
+    # time its later member is decided
+    keep = [True] * len(order)
+    for x, y in zip(later[by_later].tolist(), earlier[by_later].tolist()):
+        if keep[y]:
+            keep[x] = False
+    return order[np.array(keep, dtype=bool)[order]]
 
 
 def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
@@ -318,7 +371,9 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     mesh_spacing = (2.0 * np.pi / resolution if d == 2
                     else math.sqrt(4.0 * np.pi / resolution))
 
-    raw = []  # (deck, start_idx, time, dist)
+    # candidates: deck, seed index, time and distance of each near-arrival
+    raw = ([], [], [], [])
+    n_raw = 0
     for lo in range(0, resolution, batch_size):
         hi = min(lo + batch_size, resolution)
         _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
@@ -331,119 +386,94 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                              & (dist[:, 1:-1] <= dist[:, 2:]))
         interior[:, -1] = near[:, -1] & (dist[:, -1] <= dist[:, -2])
         interior[:, 0] = False
+        interior[:, t_grid < time_floor] = False
         idx_i, idx_j = np.nonzero(interior)
-        for i, j in zip(idx_i.tolist(), idx_j.tolist()):
-            t = float(t_grid[j])
-            if t < time_floor:
-                continue
-            raw.append((tuple(int(v) for v in deck[i, j]), lo + i, t,
-                        float(dist[i, j])))
-        if len(raw) > max_candidates:
+        for part, value in zip(raw, (deck[idx_i, idx_j], lo + idx_i,
+                                     t_grid[idx_j], dist[idx_i, idx_j])):
+            part.append(value)
+        n_raw += len(idx_i)
+        if n_raw > max_candidates:
             raise BudgetExceededError(
                 f"census mesh produced more than {max_candidates} candidates")
-
-    # non-max suppression per deck: one representative per (parameter, time) blob
-    by_deck = {}
-    for item in raw:
-        by_deck.setdefault(item[0], []).append(item)
-    reps = []
-    t_tol = 2.5 * sample_dt
-    for deck_key in sorted(by_deck):
-        group = sorted(by_deck[deck_key], key=lambda it: (it[3], it[2], it[1]))
-        kept = []
-        for item in group:
-            _, i, t, _ = item
-            ui = dirs[i]
-            close = False
-            for other in kept:
-                _, i2, t2, _ = other
-                if abs(t - t2) > t_tol:
-                    continue
-                if d == 2:
-                    dtheta = abs(math.atan2(*ui[::-1]) - math.atan2(*dirs[i2][::-1]))
-                    dtheta = min(dtheta, 2 * math.pi - dtheta)
-                    if dtheta <= 2.2 * mesh_spacing:
-                        close = True
-                        break
-                else:
-                    if np.dot(ui, dirs[i2]) > math.cos(2.2 * mesh_spacing):
-                        close = True
-                        break
-            if not close:
-                kept.append(item)
-        reps.extend(kept)
+    decks, seeds, times, dists = (np.concatenate(part) for part in raw)
+    reps = _suppress(decks, seeds, times, dists, dirs, 2.5 * sample_dt,
+                     2.2 * mesh_spacing)
 
     # Newton polish against the fixed lift of each representative
     records = []
-    failures = 0
+    outcome = np.empty(0, dtype=np.intp)
     misses = 0
-    if reps:
+    if len(reps):
         polisher = _LockstepPolisher(field, q0, surface_map, cfg, horizon,
                                      time_floor, newton_tol)
-        us0 = np.stack([dirs[i] for _, i, _, _ in reps])
-        ts0 = np.array([t for _, _, t, _ in reps])
-        lifts0 = np.stack([manifold.deck_apply(deck_key, q1)
-                           for deck_key, _, _, _ in reps])
-        polished = polisher.polish(us0, ts0, lifts0)
-        failures = len(reps) - len(polished)
-        if polished:
+        lifts0 = np.stack([manifold.deck_apply(g, q1) for g in decks[reps]])
+        us, ts, outcome = polisher.polish(dirs[seeds[reps]], times[reps],
+                                          lifts0)
+        good = np.nonzero(outcome == _CONVERGED)[0]
+        if len(good):
             # fresh re-integration of every accepted root, batched; a root
             # counts only if it arrives within newton_tol again
-            us = np.stack([u for u, _, _ in polished])
-            tss = np.array([t for _, t, _ in polished])
-            q_end, _ = polisher._endpoints(us, tss)
+            us, ts = us[good], ts[good]
+            q_end, _ = polisher._endpoints(us, ts)
             p_start = surface_map(us)
-            decks, dists, _ = manifold.nearest_lift(q_end, q1)
-            for j, (u, t_star, _) in enumerate(polished):
-                if dists[j] > newton_tol:
+            decks_end, dists_end, _ = manifold.nearest_lift(q_end, q1)
+            for j in range(len(good)):
+                if dists_end[j] > newton_tol:
                     misses += 1
                     continue
                 records.append(ChordRecord(
-                    direction=tuple(float(v) for v in u),
-                    arrival_time=float(t_star),
-                    deck=tuple(int(v) for v in decks[j]),
-                    residual=float(dists[j]),
+                    direction=tuple(float(v) for v in us[j]),
+                    arrival_time=float(ts[j]),
+                    deck=tuple(int(v) for v in decks_end[j]),
+                    residual=float(dists_end[j]),
                     start_covector=tuple(float(v) for v in p_start[j])))
 
     records = _dedup_records(records, d, horizon, dedup_radius)
     records.sort(key=lambda r: (r.arrival_time, r.deck))
     n_int = int(math.floor(horizon + 1e-12))
-    nu = np.array([sum(1 for r in records if r.arrival_time <= t)
-                   for t in range(1, n_int + 1)], dtype=np.int64)
+    nu = np.searchsorted([r.arrival_time for r in records],
+                         np.arange(1, n_int + 1), side="right").astype(np.int64)
+    outcomes = dict(zip(NEWTON_OUTCOMES, np.bincount(
+        outcome, minlength=len(NEWTON_OUTCOMES)).tolist()))
     return ChordCensus(q0=q0, q1=q1, horizon=horizon, records=records,
                        nu_series=nu,
-                       diagnostics={"candidates": len(raw),
+                       diagnostics={"candidates": n_raw,
                                     "representatives": len(reps),
-                                    "newton_failures": failures,
+                                    "newton_failures":
+                                        len(reps) - outcomes["converged"],
                                     "reverify_misses": misses,
                                     "sample_dt": sample_dt,
-                                    "resolution": resolution})
+                                    "resolution": resolution,
+                                    "newton_outcomes": outcomes})
 
 
 def _dedup_records(records, d, horizon, radius):
+    """Drop records within ``radius`` (relative, in time and direction) of a
+    kept record of the same deck, lowest residual first."""
+    kept = {}    # deck -> its kept records
     out = []
     for rec in sorted(records, key=lambda r: r.residual):
-        dup = False
-        for kept in out:
-            if kept.deck != rec.deck:
-                continue
-            if abs(kept.arrival_time - rec.arrival_time) / max(horizon, 1.0) > radius:
-                continue
-            if d == 2:
-                a1 = math.atan2(rec.direction[1], rec.direction[0])
-                a2 = math.atan2(kept.direction[1], kept.direction[0])
-                sep = abs(a1 - a2)
-                sep = min(sep, 2 * math.pi - sep) / (2 * math.pi)
-            else:
-                dot = min(1.0, max(-1.0, sum(a * b for a, b in
-                                             zip(rec.direction, kept.direction))))
-                sep = math.acos(dot) / math.pi
-            if sep <= radius:
-                dup = True
-                break
-        if not dup:
+        same_deck = kept.setdefault(rec.deck, [])
+        if not any(_near_record(rec, other, d, horizon, radius)
+                   for other in same_deck):
+            same_deck.append(rec)
             out.append(rec)
     return out
+
+
+def _near_record(rec, kept, d, horizon, radius):
+    if abs(kept.arrival_time - rec.arrival_time) / max(horizon, 1.0) > radius:
+        return False
+    if d == 2:
+        a1 = math.atan2(rec.direction[1], rec.direction[0])
+        a2 = math.atan2(kept.direction[1], kept.direction[0])
+        sep = abs(a1 - a2)
+        sep = min(sep, 2 * math.pi - sep) / (2 * math.pi)
+    else:
+        dot = min(1.0, max(-1.0, sum(a * b for a, b in
+                                     zip(rec.direction, kept.direction))))
+        sep = math.acos(dot) / math.pi
+    return sep <= radius
 
 
 def torus_chord_count(manifold: ModelManifold, q0, q1, horizon: float) -> int:

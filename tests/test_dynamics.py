@@ -308,6 +308,23 @@ def test_time_change_identity(round_sandwich, ellipse_sandwich,
         assert dyn.time_change_residual(sw, x, s) <= 1e-9
 
 
+def test_solve_stacked_retires_only_the_singular_row(rng):
+    jac = rng.standard_normal((7, 3, 3))
+    jac[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]   # rank 2
+    rhs = rng.standard_normal((7, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, rhs[..., None])
+    step, singular = dyn.solve_stacked(jac, rhs)
+    assert singular.tolist() == [r == 4 for r in range(7)]
+    for r in (0, 1, 2, 3, 5, 6):
+        assert np.array_equal(step[r], np.linalg.solve(jac[r], rhs[r]))
+    # a regular stack takes the single stacked solve, to the same bits
+    regular = np.delete(np.arange(7), 4)
+    step_all, singular = dyn.solve_stacked(jac[regular], rhs[regular])
+    assert not singular.any()
+    assert np.array_equal(step_all, step[regular])
+
+
 def test_exclusion_level_picks_gap_midpoint(torus):
     spectrum = [1.25]
     a = dyn.exclusion_level(1, spectrum)

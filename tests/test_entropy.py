@@ -6,7 +6,9 @@ import pytest
 from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
 from spherization_lab.geometry import CotangentPoint
-from spherization_lab.entropy import (chord_census, fiber_circle_mesh,
+from spherization_lab.entropy import (ChordRecord, _dedup_records, _suppress,
+                                      _tangent_frames, chord_census,
+                                      circle_directions, fiber_circle_mesh,
                                       fiber_sphere_mesh, fibonacci_sphere,
                                       fit_exponential_rate, mpp_estimate,
                                       torus_chord_count, volume_growth)
@@ -120,6 +122,126 @@ def test_sol_census_finds_verified_chords(sol):
     lift = sol.deck_apply(rec.deck, q1)
     miss = np.linalg.norm(sol.frame_displacement(traj.q[-1], lift))
     assert miss <= 1e-6
+
+
+def _tangent_frame_loop(u):
+    a = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(u, a)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(u, e1)
+
+
+def test_tangent_frames_match_per_direction_frames():
+    u = fibonacci_sphere(300)
+    frames = _tangent_frames(u)
+    for row, ui in zip(frames, u):
+        e1, e2 = _tangent_frame_loop(ui)
+        assert np.array_equal(row[0], e1) and np.array_equal(row[1], e2)
+    circle = circle_directions(64)
+    assert np.array_equal(_tangent_frames(circle)[:, 0],
+                          np.stack([-circle[:, 1], circle[:, 0]], axis=-1))
+
+
+def _suppress_loop(decks, seeds, times, dists, dirs, t_tol, angle):
+    # the per-candidate scan that _suppress replaces, kept as its reference
+    by_deck = {}
+    for c in range(len(seeds)):
+        by_deck.setdefault(tuple(decks[c]), []).append(c)
+    out = []
+    for key in sorted(by_deck):
+        kept = []
+        for c in sorted(by_deck[key], key=lambda c: (dists[c], times[c], seeds[c])):
+            ui = dirs[seeds[c]]
+            close = False
+            for k in kept:
+                if abs(times[c] - times[k]) > t_tol:
+                    continue
+                uk = dirs[seeds[k]]
+                if dirs.shape[1] == 2:
+                    dth = abs(math.atan2(ui[1], ui[0]) - math.atan2(uk[1], uk[0]))
+                    close = min(dth, 2 * math.pi - dth) <= angle
+                else:
+                    close = np.dot(ui, uk) > math.cos(angle)
+                if close:
+                    break
+            if not close:
+                kept.append(c)
+        out.extend(kept)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_suppress_matches_per_candidate_scan(d):
+    rng = np.random.default_rng(40 + d)
+    n_dirs, m = 256, 3000
+    dirs = circle_directions(n_dirs) if d == 2 else fibonacci_sphere(n_dirs)
+    spacing = (2 * math.pi / n_dirs if d == 2
+               else math.sqrt(4 * math.pi / n_dirs))
+    decks = rng.integers(-1, 2, size=(m, d))
+    seeds = rng.integers(0, n_dirs, size=m)
+    # binary-exact sample times, so pairs exactly t_tol apart occur
+    times = 0.0625 * rng.integers(1, 61, size=m)
+    dists = np.round(rng.uniform(0.0, 0.3, size=m), 2)   # ties on purpose
+    args = (decks, seeds, times, dists, dirs, 2 * 0.0625, 2.2 * spacing)
+    kept = _suppress(*args).tolist()
+    assert kept == _suppress_loop(*args)
+    assert 0 < len(kept) < m
+
+
+def _record(direction, time, deck, residual):
+    return ChordRecord(direction=tuple(direction), arrival_time=time,
+                       deck=deck, residual=residual, start_covector=(0.0,))
+
+
+def _dedup_loop(records, d, horizon, radius):
+    # the scan over every kept record that _dedup_records replaces
+    out = []
+    for rec in sorted(records, key=lambda r: r.residual):
+        dup = False
+        for kept in out:
+            if kept.deck != rec.deck:
+                continue
+            if abs(kept.arrival_time - rec.arrival_time) / max(horizon, 1.0) > radius:
+                continue
+            if d == 2:
+                sep = abs(math.atan2(rec.direction[1], rec.direction[0])
+                          - math.atan2(kept.direction[1], kept.direction[0]))
+                sep = min(sep, 2 * math.pi - sep) / (2 * math.pi)
+            else:
+                dot = sum(a * b for a, b in zip(rec.direction, kept.direction))
+                sep = math.acos(min(1.0, max(-1.0, dot))) / math.pi
+            if sep <= radius:
+                dup = True
+                break
+        if not dup:
+            out.append(rec)
+    return out
+
+
+def test_dedup_keeps_one_arrival_on_two_decks():
+    u = (0.6, 0.8)
+    recs = [_record(u, 2.0, (0, 1), 3e-9), _record(u, 2.0, (0, 2), 1e-9)]
+    out = _dedup_records(recs, 2, 4.0, 1e-4)
+    assert [r.deck for r in out] == [(0, 2), (0, 1)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dedup_collapses_within_deck_to_lowest_residual(d):
+    rng = np.random.default_rng(50 + d)
+    base = circle_directions(40) if d == 2 else fibonacci_sphere(40)
+    recs = []
+    for j, u in enumerate(base):
+        for _ in range(3):    # near copies well inside the radius
+            v = u + 1e-7 * rng.standard_normal(d)
+            recs.append(_record(v / np.linalg.norm(v),
+                                1.0 + j / 40 + 1e-7 * rng.standard_normal(),
+                                (0,) * (d - 1) + (j % 3,),
+                                float(rng.uniform(0, 1e-8))))
+    out = _dedup_records(recs, d, 3.0, 1e-4)
+    assert out == _dedup_loop(recs, d, 3.0, 1e-4)
+    assert len(out) == len(base)
+    for j, kept in enumerate(sorted(out, key=lambda r: r.arrival_time)):
+        assert kept.residual == min(r.residual for r in recs[3 * j:3 * j + 3])
 
 
 # -- volume growth ------------------------------------------------------------------

@@ -255,6 +255,20 @@ pairs = 2
 """)
     assert [p["nu"] for p in manifest["results"]["pairs"]] == [
         [13, 84, 166], [13, 91, 161]]
+    # every representative ends in exactly one Newton outcome, and the
+    # failures are the outcomes other than a root inside the window
+    causes = ("converged", "blowup", "damping_floor", "singular",
+              "outside_window", "sweep_cap")
+    assert [p["diagnostics"]["newton_outcomes"]
+            for p in manifest["results"]["pairs"]] == [
+        dict(zip(causes, (192, 2, 3, 0, 7, 0))),
+        dict(zip(causes, (181, 1, 3, 0, 14, 0)))]
+    for pair in manifest["results"]["pairs"]:
+        diag = pair["diagnostics"]
+        outcomes = diag["newton_outcomes"]
+        failed = sum(n for cause, n in outcomes.items() if cause != "converged")
+        assert failed + outcomes["converged"] == diag["representatives"]
+        assert failed == diag["newton_failures"] > 0
 
 
 def test_census_counts_only_reverified_chords(tmp_path):

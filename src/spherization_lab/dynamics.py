@@ -14,6 +14,10 @@ The geodesic field's kernel is ``ModelManifold.conorm_grads``.  The lower,
 upper and blended sandwich Hamiltonians are one field, ``blend_field``:
 h_t(G) for the sandwich's ``blend_profile(t)``, with gradients h_t'(G)
 times those of G.
+
+Both chord finders, the census polisher in ``entropy`` and the fixed-time
+shooting here, polish with one damped Newton driver, ``lockstep_newton``
+(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).
 """
 
 from __future__ import annotations
@@ -385,7 +389,15 @@ def time_change_residual(sandwich: SandwichedHamiltonians,
     return float(np.sqrt(np.sum(res_q ** 2) + np.sum(res_p ** 2)))
 
 
-# -- fixed-time fiber-to-fiber chords (flat base) -----------------------------
+# -- lockstep damped Newton ----------------------------------------------------
+
+# Newton outcomes of a candidate.  When several hold in one sweep the first
+# listed wins; "outside_window" is the census's mark for a root it converged
+# to outside its time window, "sweep_cap" one still live at the last sweep.
+NEWTON_OUTCOMES = ("converged", "blowup", "damping_floor", "singular",
+                   "outside_window", "sweep_cap")
+CONVERGED, BLOWUP, DAMPING_FLOOR, SINGULAR, OUTSIDE_WINDOW, SWEEP_CAP = range(6)
+
 
 def solve_stacked(jac, rhs):
     """``(step, singular)`` of a (k, d, d) Jacobian stack against rhs (k, d):
@@ -404,15 +416,68 @@ def solve_stacked(jac, rhs):
         return step, singular
 
 
+def lockstep_newton(n, linearize, move, *, tol, max_sweeps, blowup=None):
+    """Damped Newton on ``n`` independent candidates at once; returns each
+    candidate's index into ``NEWTON_OUTCOMES``.
+
+    Per sweep, ``linearize(idx)`` evaluates the live candidates ``idx`` and
+    returns their residuals (k, m) and ``jacobian(rows)``, the (r, m, m)
+    Jacobians of the rows of ``idx`` still live after the outcome checks.
+    One stacked solve gives the steps; ``move(i, step, alpha)`` moves the
+    unknowns of ``i`` by ``alpha * step``.  ``alpha`` halves when the
+    residual norm did not drop and doubles (up to 1) when it did.  A
+    candidate converges at a residual norm of at most ``tol``, blows up
+    above ``blowup`` times its first one (never, when None) and gives up
+    once ``alpha < 2^-9``.
+    """
+    alpha = np.ones(n)
+    outcome = np.full(n, SWEEP_CAP)
+    rnorm = np.full(n, np.inf)
+    seed_norm = np.full(n, np.inf)
+    for _ in range(max_sweeps):
+        idx = np.nonzero(outcome == SWEEP_CAP)[0]
+        if len(idx) == 0:
+            break
+        res, jacobian = linearize(idx)
+        rn = np.linalg.norm(res, axis=1)
+        increased = rn > rnorm[idx] * (1.0 - 1e-4 * alpha[idx])
+        first = ~np.isfinite(rnorm[idx])
+        seed_norm[idx[first]] = rn[first]
+        alpha[idx[increased & ~first]] *= 0.5
+        alpha[idx[~increased & ~first]] = np.minimum(
+            1.0, alpha[idx[~increased & ~first]] * 2.0)
+        rnorm[idx] = rn
+        # convergence, then the divergence guards
+        blown = (rn > blowup * seed_norm[idx] + 1e-9 if blowup is not None
+                 else np.zeros(len(idx), dtype=bool))
+        outcome[idx] = np.select([rn <= tol, blown, alpha[idx] < 2 ** -9],
+                                 [CONVERGED, BLOWUP, DAMPING_FLOOR], SWEEP_CAP)
+
+        rows = np.nonzero(outcome[idx] == SWEEP_CAP)[0]
+        if len(rows) == 0:
+            continue
+        step, singular = solve_stacked(jacobian(rows), -res[rows])
+        outcome[idx[rows[singular]]] = SINGULAR
+        i = idx[rows[~singular]]
+        move(i, step[~singular], alpha[i])
+    return outcome
+
+
+# -- fixed-time fiber-to-fiber chords (flat base) -----------------------------
+
+_SHOOT_DURATION = 1.0      # the fixed arrival time of a shot chord
+_SHOOT_COARSE = 0.35       # arrival distance that makes a grid covector a seed
+_SHOOT_TOL = 1e-10         # Newton residual of an accepted chord
+_SHOOT_SWEEPS, _SHOOT_FD_STEP, _SHOOT_MAX_RECORDS = 40, 1e-7, 4000
+
+
 def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
-                            duration: float = 1.0, p_max: float = 3.2,
-                            grid: int = 48, coarse: float = 0.35,
-                            newton_tol: float = 1e-10, max_records: int = 4000,
-                            cfg: IntegratorConfig = IntegratorConfig(max_step=0.02)):
-    """Find solutions x(0) in the fiber over q0 with base(x(duration)) on a
-    lift of q1, by shooting over a covector grid and polishing with damped
-    Newton in the starting covector (lockstep across all seeds, since the
-    arrival time is fixed).
+                            p_max: float = 3.2, grid: int = 48,
+                            cfg: IntegratorConfig):
+    """Find solutions x(0) in the fiber over q0 with base(x(1)) on a lift of
+    q1, by shooting over a covector grid and polishing with damped Newton
+    in the starting covector (lockstep across all seeds, since the arrival
+    time is fixed).
 
     Torus-only helper used by the action experiments.  Returns a list of
     (trajectory, deck) pairs deduplicated in (covector, deck).
@@ -428,12 +493,12 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
 
     def endpoints(P):
         Q0 = np.broadcast_to(q0, P.shape).copy()
-        _, Q, _ = integrate_batch(field, Q0, P, duration, cfg,
-                                  t_eval=np.array([0.0, duration]))
+        _, Q, _ = integrate_batch(field, Q0, P, _SHOOT_DURATION, cfg,
+                                  t_eval=np.array([0.0, _SHOOT_DURATION]))
         return Q[:, -1, :]
 
     _, dist, lift = manifold.nearest_lift(endpoints(P0), q1)
-    near = np.nonzero(dist < coarse)[0]
+    near = np.nonzero(dist < _SHOOT_COARSE)[0]
     spacing = axis[1] - axis[0]
     taken = []
     for i in near[np.argsort(dist[near], kind="stable")]:
@@ -442,67 +507,51 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                for t in taken):
             continue
         taken.append((pseed, lift[i]))
-    if not taken:
-        return []
 
     # lockstep damped Newton in the covector against each seed's fixed lift
-    n = len(taken)
     P = np.array([t[0] for t in taken])
     lifts = np.array([t[1] for t in taken])
-    alpha = np.ones(n)
-    live = np.ones(n, dtype=bool)
-    done = np.zeros(n, dtype=bool)
-    rprev = np.full(n, np.inf)
-    h = 1e-7
-    for _ in range(40):
-        idx = np.nonzero(live & ~done)[0]
-        if len(idx) == 0:
-            break
-        k = len(idx)
-        stack = np.concatenate([P[idx],
-                                P[idx] + np.array([h, 0.0]),
-                                P[idx] + np.array([0.0, h])])
-        ends = endpoints(stack)
-        res = ends[:k] - lifts[idx]
-        rn = np.linalg.norm(res, axis=1)
-        worse = rn > rprev[idx] * (1 - 1e-4 * alpha[idx])
-        first = ~np.isfinite(rprev[idx])
-        alpha[idx[worse & ~first]] *= 0.5
-        alpha[idx[~worse & ~first]] = np.minimum(
-            1.0, 2.0 * alpha[idx[~worse & ~first]])
-        rprev[idx] = rn
-        done[idx[rn <= newton_tol]] = True
-        live[idx[(alpha[idx] < 2 ** -9) & (rn > newton_tol)]] = False
-        rows = np.nonzero(live[idx] & ~done[idx])[0]
-        jac = np.stack([(ends[k + rows] - ends[rows]) / h,
-                        (ends[2 * k + rows] - ends[rows]) / h], axis=-1)
-        step, singular = solve_stacked(jac, -res[rows])
-        live[idx[rows[singular]]] = False
-        i = idx[rows[~singular]]
-        P[i] = P[i] + alpha[i, None] * step[~singular]
+    h = _SHOOT_FD_STEP
 
-    found = np.nonzero(done)[0]
+    def linearize(idx):
+        k = len(idx)
+        ends = endpoints(np.concatenate([P[idx],
+                                         P[idx] + np.array([h, 0.0]),
+                                         P[idx] + np.array([0.0, h])]))
+
+        def jacobian(rows):
+            return np.stack([(ends[k + rows] - ends[rows]) / h,
+                             (ends[2 * k + rows] - ends[rows]) / h], axis=-1)
+
+        return ends[:k] - lifts[idx], jacobian
+
+    def move(i, step, alpha):
+        P[i] = P[i] + alpha[:, None] * step
+
+    outcome = lockstep_newton(len(P), linearize, move, tol=_SHOOT_TOL,
+                              max_sweeps=_SHOOT_SWEEPS)
+    found = np.nonzero(outcome == CONVERGED)[0]
     if len(found) == 0:
         return []
     decks, dists, _ = manifold.nearest_lift(endpoints(P[found]), q1)
     selected = []
     for pos, i in enumerate(found):
-        if dists[pos] > 10 * newton_tol:
+        if dists[pos] > 10 * _SHOOT_TOL:
             continue
         deck_star = tuple(int(v) for v in decks[pos])
         if any(d_old == deck_star and np.linalg.norm(p_old - P[i]) < 1e-6
                for p_old, d_old in selected):
             continue
         selected.append((P[i].copy(), deck_star))
-        if len(selected) >= max_records:
+        if len(selected) >= _SHOOT_MAX_RECORDS:
             break
     if not selected:
         return []
     # dense trajectories for all accepted chords in one batch
     P_sel = np.stack([p for p, _ in selected])
     Q_sel = np.broadcast_to(q0, P_sel.shape).copy()
-    t_grid = _sample_grid(0.0, duration, cfg.max_step)
-    _, Q, Pt = integrate_batch(field, Q_sel, P_sel, duration, cfg,
+    t_grid = _sample_grid(0.0, _SHOOT_DURATION, cfg.max_step)
+    _, Q, Pt = integrate_batch(field, Q_sel, P_sel, _SHOOT_DURATION, cfg,
                                t_eval=t_grid)
     records = []
     for j, (_, deck_star) in enumerate(selected):

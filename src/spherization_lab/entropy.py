@@ -5,10 +5,12 @@ The census solves the shooting problem "start on the fiber surface over q0,
 arrive on the fiber over q1 (any deck translate) before the horizon" by
 seeding a mesh on (surface parameter) x (time), detecting near-arrivals on
 dense trajectory samples, and polishing each candidate with damped Newton in
-(parameter, time).  Arrivals are tagged with the deck element of the lift
-they hit, which identifies the homotopy class of the projected path; one
-vectorized ``ModelManifold.nearest_lift`` call finds the lifts for each mesh
-batch, and one more for all re-verified endpoints.
+(parameter, time) on ``dynamics.lockstep_newton``.  Arrivals are tagged with
+the deck element of the lift they hit, which identifies the homotopy class
+of the projected path; one vectorized ``ModelManifold.nearest_lift`` call
+finds the lifts for each mesh batch, and one more for all re-verified
+endpoints.  One per-deck suppression, ``_suppress``, keeps one mesh
+candidate per blob before the polish and one root per chord after it.
 
 Volume growth evolves a meshed fiber sphere by time-1 maps and keeps edges
 below a refinement threshold by bisection; midpoints re-integrate from their
@@ -24,10 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (HamiltonianField, IntegratorConfig, integrate_batch,
-                       solve_stacked)
+from .dynamics import (CONVERGED, NEWTON_OUTCOMES, OUTSIDE_WINDOW,
+                       HamiltonianField, IntegratorConfig, integrate_batch,
+                       lockstep_newton)
 from .errors import BudgetExceededError
 from .geometry import Deck, ModelManifold
+from .sol import momentum_map
 
 # -- rate fitting -------------------------------------------------------------
 
@@ -104,6 +108,9 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 # -- chord census ---------------------------------------------------------------
 
+_MESH_BATCH = 2048     # seeds integrated together in the mesh pass
+_DEDUP_RADIUS = 1e-4   # relative window within which two roots are one chord
+
 
 @dataclass(frozen=True)
 class ChordRecord:
@@ -141,27 +148,24 @@ def _row_norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-# Newton outcomes of a census candidate.  When several hold in one sweep the
-# first listed wins; "outside_window" marks a root that converged to a time
-# outside [time_floor, horizon], "sweep_cap" one still live at the last sweep.
-NEWTON_OUTCOMES = ("converged", "blowup", "damping_floor", "singular",
-                   "outside_window", "sweep_cap")
-_CONVERGED, _BLOWUP, _FLOOR, _SINGULAR, _OUTSIDE, _LIVE = range(6)
+# endpoint rows per batch integration, the finite-difference step in
+# direction, the sweep cap and the blow-up guard (times the seed residual)
+_POLISH_CHUNK, _POLISH_FD_STEP = 192, 1e-6
+_POLISH_SWEEPS, _POLISH_BLOWUP = 36, 6.0
 
 
 class _LockstepPolisher:
     """Damped Newton on (surface parameter, time) for many candidates at
     once, each against its own fixed lift.
 
-    One sweep advances every live candidate by a single proposed step; all
-    endpoint evaluations of a sweep (current point plus finite-difference
-    perturbations) ride in shared batch integrations, which amortizes the
-    solver overhead that would dominate a per-candidate polish, and the
-    steps of all candidates come from one stacked solve.
+    One sweep of ``lockstep_newton`` advances every live candidate by a
+    single proposed step; all endpoint evaluations of a sweep (current point
+    plus finite-difference perturbations) ride in shared batch integrations,
+    which amortizes the solver overhead that would dominate a per-candidate
+    polish.
     """
 
-    def __init__(self, field, q0, surface_map, cfg, horizon, time_floor, tol,
-                 chunk=192, max_sweeps=36, fd_step=1e-6):
+    def __init__(self, field, q0, surface_map, cfg, horizon, time_floor, tol):
         self.field = field
         self.manifold = field.manifold
         self.q0 = np.asarray(q0, dtype=float)
@@ -170,9 +174,6 @@ class _LockstepPolisher:
         self.horizon = horizon
         self.time_floor = time_floor
         self.tol = tol
-        self.chunk = chunk
-        self.max_sweeps = max_sweeps
-        self.fd = fd_step
 
     def _endpoints(self, us, ts):
         """Endpoints of trajectories from surface points us at times ts.
@@ -184,8 +185,8 @@ class _LockstepPolisher:
         q_out = np.empty((n, self.manifold.dim))
         p_out = np.empty((n, self.manifold.dim))
         order = np.argsort(ts, kind="stable")
-        for lo in range(0, n, self.chunk):
-            sel = order[lo:lo + self.chunk]
+        for lo in range(0, n, _POLISH_CHUNK):
+            sel = order[lo:lo + _POLISH_CHUNK]
             t_sel = ts[sel]
             grid = np.unique(np.concatenate([[0.0], t_sel]))
             if len(grid) < 2:
@@ -202,86 +203,56 @@ class _LockstepPolisher:
     def polish(self, us, ts, lifts):
         """Polish every candidate; returns the final directions and times,
         and each candidate's index into NEWTON_OUTCOMES."""
-        n = us.shape[0]
         d = self.manifold.dim
         us = np.array(us, dtype=float)
         ts = np.array(ts, dtype=float)
         lifts = np.array(lifts, dtype=float)
-        alpha = np.ones(n)
-        outcome = np.full(n, _LIVE)
-        rnorm = np.full(n, np.inf)
-        seed_norm = np.full(n, np.inf)
-        n_dirs = d - 1
+        frames = np.empty((len(us), d - 1, d))
 
-        for sweep in range(self.max_sweeps):
-            idx = np.nonzero(outcome == _LIVE)[0]
-            if len(idx) == 0:
-                break
+        def linearize(idx):
+            # the current and the finite-difference starts in one evaluation
             k = len(idx)
-            # assemble current + FD-perturbed starts in one evaluation set
-            dirs = _tangent_frames(us[idx])
+            frames[idx] = dirs = _tangent_frames(us[idx])
             eval_us = [us[idx]]
-            for j in range(n_dirs):
-                pert = us[idx] + self.fd * dirs[:, j]
+            for j in range(d - 1):
+                pert = us[idx] + _POLISH_FD_STEP * dirs[:, j]
                 eval_us.append(pert / np.linalg.norm(pert, axis=1,
                                                      keepdims=True))
-            eval_us = np.concatenate(eval_us, axis=0)
-            eval_ts = np.tile(ts[idx], 1 + n_dirs)
-            q_end, p_end = self._endpoints(eval_us, eval_ts)
+            q_end, p_end = self._endpoints(np.concatenate(eval_us, axis=0),
+                                           np.tile(ts[idx], d))
+            res = self.manifold.frame_displacement(q_end[:k], lifts[idx])
 
-            q_cur = q_end[:k]
-            p_cur = p_end[:k]
-            res = self.manifold.frame_displacement(q_cur, lifts[idx])
-            rn = np.linalg.norm(res, axis=1)
-            increased = rn > rnorm[idx] * (1.0 - 1e-4 * alpha[idx])
-            first = ~np.isfinite(rnorm[idx])
-            seed_norm[idx[first]] = rn[first]
-            alpha[idx[increased & ~first]] *= 0.5
-            alpha[idx[~increased & ~first]] = np.minimum(
-                1.0, alpha[idx[~increased & ~first]] * 2.0)
-            rnorm[idx] = rn
-            # convergence, then the divergence guards
-            outcome[idx] = np.select(
-                [rn <= self.tol, rn > 6.0 * seed_norm[idx] + 1e-9,
-                 alpha[idx] < 2 ** -9],
-                [_CONVERGED, _BLOWUP, _FLOOR], _LIVE)
+            def jacobian(rows):
+                i = idx[rows]
+                cols = [(self.manifold.frame_displacement(
+                            q_end[(1 + j) * k + rows], lifts[i]) - res[rows])
+                        / _POLISH_FD_STEP for j in range(d - 1)]
+                vel = self.field.velocity(q_end[rows], p_end[rows])
+                cols.append(self.manifold.frame_components(lifts[i], vel))
+                return np.stack(cols, axis=-1)
 
-            rows = np.nonzero(outcome[idx] == _LIVE)[0]
-            if len(rows) == 0:
-                continue
-            i = idx[rows]
-            vel = self.field.velocity(q_cur[rows], p_cur[rows])
-            cols = [(self.manifold.frame_displacement(
-                        q_end[(1 + j) * k + rows], lifts[i]) - res[rows])
-                    / self.fd for j in range(n_dirs)]
-            cols.append(_frame_velocity(self.manifold, lifts[i], vel))
-            step, singular = solve_stacked(np.stack(cols, axis=-1),
-                                           -res[rows])
-            outcome[i[singular]] = _SINGULAR
-            i, step, dirs = i[~singular], step[~singular], dirs[rows[~singular]]
-            a = alpha[i]
+            return res, jacobian
+
+        def move(i, step, a):
             if d == 2:
                 ang = a * step[:, 0]
                 c, s = np.cos(ang), np.sin(ang)
                 u0, u1 = us[i, 0], us[i, 1]
                 us[i] = np.stack([c * u0 - s * u1, s * u0 + c * u1], axis=-1)
             else:
+                dirs = frames[i]
                 v = us[i] + a[:, None] * (step[:, :1] * dirs[:, 0]
                                           + step[:, 1:2] * dirs[:, 1])
                 us[i] = v / _row_norms(v)[:, None]
             ts[i] = np.minimum(np.maximum(ts[i] + a * step[:, -1],
                                           self.time_floor), self.horizon * 1.05)
+
+        outcome = lockstep_newton(len(us), linearize, move, tol=self.tol,
+                                  max_sweeps=_POLISH_SWEEPS,
+                                  blowup=_POLISH_BLOWUP)
         outside = (ts < self.time_floor) | (ts > self.horizon)
-        outcome[(outcome == _CONVERGED) & outside] = _OUTSIDE
+        outcome[(outcome == CONVERGED) & outside] = OUTSIDE_WINDOW
         return us, ts, outcome
-
-
-def _frame_velocity(manifold, lifts, vel):
-    if manifold.kind == "torus":
-        return vel
-    z = lifts[:, 2]
-    return np.stack([vel[:, 0] * np.exp(-z), vel[:, 1] * np.exp(z),
-                     vel[:, 2]], axis=-1)
 
 
 def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
@@ -338,10 +309,8 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                  sample_dt: float = None,
                  coarse_threshold: float = 0.25,
                  newton_tol: float = 1e-8,
-                 dedup_radius: float = 1e-4,
                  time_floor: float = 1e-6,
-                 max_candidates: int = 500_000,
-                 batch_size: int = 2048) -> ChordCensus:
+                 max_candidates: int = 500_000) -> ChordCensus:
     """Count flow lines from the fiber surface over q0 to lifts of q1.
 
     ``surface_map`` sends unit coordinate directions (N, d) to starting
@@ -374,8 +343,8 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     # candidates: deck, seed index, time and distance of each near-arrival
     raw = ([], [], [], [])
     n_raw = 0
-    for lo in range(0, resolution, batch_size):
-        hi = min(lo + batch_size, resolution)
+    for lo in range(0, resolution, _MESH_BATCH):
+        hi = min(lo + _MESH_BATCH, resolution)
         _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
                                   horizon, cfg, t_eval=t_grid)
         deck, dist, _ = manifold.nearest_lift(Q, q1)
@@ -400,35 +369,28 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                      2.2 * mesh_spacing)
 
     # Newton polish against the fixed lift of each representative
-    records = []
-    outcome = np.empty(0, dtype=np.intp)
-    misses = 0
-    if len(reps):
-        polisher = _LockstepPolisher(field, q0, surface_map, cfg, horizon,
-                                     time_floor, newton_tol)
-        lifts0 = np.stack([manifold.deck_apply(g, q1) for g in decks[reps]])
-        us, ts, outcome = polisher.polish(dirs[seeds[reps]], times[reps],
-                                          lifts0)
-        good = np.nonzero(outcome == _CONVERGED)[0]
-        if len(good):
-            # fresh re-integration of every accepted root, batched; a root
-            # counts only if it arrives within newton_tol again
-            us, ts = us[good], ts[good]
-            q_end, _ = polisher._endpoints(us, ts)
-            p_start = surface_map(us)
-            decks_end, dists_end, _ = manifold.nearest_lift(q_end, q1)
-            for j in range(len(good)):
-                if dists_end[j] > newton_tol:
-                    misses += 1
-                    continue
-                records.append(ChordRecord(
-                    direction=tuple(float(v) for v in us[j]),
-                    arrival_time=float(ts[j]),
-                    deck=tuple(int(v) for v in decks_end[j]),
-                    residual=float(dists_end[j]),
-                    start_covector=tuple(float(v) for v in p_start[j])))
-
-    records = _dedup_records(records, d, horizon, dedup_radius)
+    polisher = _LockstepPolisher(field, q0, surface_map, cfg, horizon,
+                                 time_floor, newton_tol)
+    lifts0 = np.array([manifold.deck_apply(g, q1)
+                       for g in decks[reps]]).reshape(len(reps), d)
+    us, ts, outcome = polisher.polish(dirs[seeds[reps]], times[reps], lifts0)
+    # fresh re-integration of every accepted root, batched; a root counts
+    # only if it arrives within newton_tol again
+    good = np.nonzero(outcome == CONVERGED)[0]
+    us, ts = us[good], ts[good]
+    q_end, _ = polisher._endpoints(us, ts)
+    decks_end, dists_end, _ = manifold.nearest_lift(q_end, q1)
+    hit = np.nonzero(dists_end <= newton_tol)[0]
+    misses = len(good) - len(hit)
+    hit = hit[_dedup_roots(decks_end[hit], ts[hit], dists_end[hit], us[hit],
+                           horizon)]
+    p_start = surface_map(us[hit])
+    records = [ChordRecord(direction=tuple(float(v) for v in us[j]),
+                           arrival_time=float(ts[j]),
+                           deck=tuple(int(v) for v in decks_end[j]),
+                           residual=float(dists_end[j]),
+                           start_covector=tuple(float(v) for v in p_row))
+               for j, p_row in zip(hit.tolist(), p_start)]
     records.sort(key=lambda r: (r.arrival_time, r.deck))
     n_int = int(math.floor(horizon + 1e-12))
     nu = np.searchsorted([r.arrival_time for r in records],
@@ -447,33 +409,17 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                                     "newton_outcomes": outcomes})
 
 
-def _dedup_records(records, d, horizon, radius):
-    """Drop records within ``radius`` (relative, in time and direction) of a
-    kept record of the same deck, lowest residual first."""
-    kept = {}    # deck -> its kept records
-    out = []
-    for rec in sorted(records, key=lambda r: r.residual):
-        same_deck = kept.setdefault(rec.deck, [])
-        if not any(_near_record(rec, other, d, horizon, radius)
-                   for other in same_deck):
-            same_deck.append(rec)
-            out.append(rec)
-    return out
-
-
-def _near_record(rec, kept, d, horizon, radius):
-    if abs(kept.arrival_time - rec.arrival_time) / max(horizon, 1.0) > radius:
-        return False
-    if d == 2:
-        a1 = math.atan2(rec.direction[1], rec.direction[0])
-        a2 = math.atan2(kept.direction[1], kept.direction[0])
-        sep = abs(a1 - a2)
-        sep = min(sep, 2 * math.pi - sep) / (2 * math.pi)
-    else:
-        dot = min(1.0, max(-1.0, sum(a * b for a, b in
-                                     zip(rec.direction, kept.direction))))
-        sep = math.acos(dot) / math.pi
-    return sep <= radius
+def _dedup_roots(decks, times, residuals, dirs, horizon):
+    """Indices of the re-verified roots to keep, one per chord, lowest
+    residual first: windows of ``_DEDUP_RADIUS`` times the horizon in time
+    and the full turn (circle) or half-turn (sphere) in direction."""
+    # the torus's linear flow ties residuals; the earlier root wins a tie
+    by_res = np.argsort(residuals, kind="stable")
+    rank = np.arange(len(by_res))     # stands in for the residual
+    angle = _DEDUP_RADIUS * (2.0 * math.pi if dirs.shape[1] == 2 else math.pi)
+    return by_res[_suppress(decks[by_res], rank, times[by_res], rank,
+                            dirs[by_res], _DEDUP_RADIUS * max(horizon, 1.0),
+                            angle)]
 
 
 def torus_chord_count(manifold: ModelManifold, q0, q1, horizon: float) -> int:
@@ -538,11 +484,8 @@ class MeshedSubmanifold:
         cx = np.where(ux <= 2.0, ux, 2.0 + 2.0 * np.log(np.maximum(ux, 2.0) / 2.0))
         cy = np.where(uy <= 2.0, uy, 2.0 + 2.0 * np.log(np.maximum(uy, 2.0) / 2.0))
         base = np.minimum(chord, cx + cy + dz)
-        ma = np.stack([np.exp(za) * pa[:, 0], pa[:, 1] / np.exp(za),
-                       pa[:, 2]], axis=-1)
-        mb = np.stack([np.exp(zb) * pb[:, 0], pb[:, 1] / np.exp(zb),
-                       pb[:, 2]], axis=-1)
-        fiber = np.linalg.norm(ma - mb, axis=-1)
+        fiber = np.linalg.norm(momentum_map(qa, pa) - momentum_map(qb, pb),
+                               axis=-1)
         return np.sqrt(base ** 2 + fiber ** 2)
 
     def edge_lengths(self, edges=None) -> np.ndarray:
@@ -619,6 +562,11 @@ def fiber_sphere_mesh(manifold, q0, surface_map, resolution: int) -> MeshedSubma
                              simplices=faces, manifold=manifold)
 
 
+_VOLUME_BATCH = 4096     # vertices integrated together
+_REFINE_PASSES = 100     # bisection passes per level before giving up
+_PARAM_FLOOR = 2e-5      # parameter gap below which an edge is irreducible
+
+
 @dataclass
 class VolumeGrowthResult:
     volumes: np.ndarray
@@ -631,15 +579,13 @@ class VolumeGrowthResult:
 def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
                   n_max: int, refine_threshold: float, vertex_budget: int, *,
                   surface_map, cfg: IntegratorConfig = None,
-                  fit_window: int = 6, max_passes: int = 100,
-                  param_floor: float = 2e-5,
-                  batch_size: int = 4096) -> VolumeGrowthResult:
+                  fit_window: int = 6) -> VolumeGrowthResult:
     """Volumes of the evolved mesh at integer times 0..n_max with refinement.
 
     Existing vertices advance by time-1 maps; midpoints created during
     refinement are integrated from time 0 (their parameters seed the initial
     surface through ``surface_map``), so refinement never compounds stepping
-    error.  Edges whose endpoint parameters are closer than ``param_floor``
+    error.  Edges whose endpoint parameters are closer than ``_PARAM_FLOOR``
     are treated as irreducible (near hyperbolic separatrices the image of a
     parameter interval stops shrinking in floating point) and are excluded
     from further splitting.  Exhausting the vertex budget stops the run and
@@ -659,8 +605,8 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
         if upto == 0:
             return q_new, p_new
         qs, ps = [], []
-        for lo in range(0, params.shape[0], batch_size):
-            hi = min(lo + batch_size, params.shape[0])
+        for lo in range(0, params.shape[0], _VOLUME_BATCH):
+            hi = min(lo + _VOLUME_BATCH, params.shape[0])
             _, Q, P = integrate_batch(field, q_new[lo:hi], p_new[lo:hi],
                                       float(upto), cfg,
                                       t_eval=np.array([0.0, float(upto)]))
@@ -671,11 +617,11 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
     def splittable(edges, lengths):
         sep = np.linalg.norm(mesh.params[edges[:, 0]] - mesh.params[edges[:, 1]],
                              axis=-1)
-        return edges[(lengths > refine_threshold) & (sep > param_floor)]
+        return edges[(lengths > refine_threshold) & (sep > _PARAM_FLOOR)]
 
     def refine(level):
         nonlocal mesh, exhausted
-        for _ in range(max_passes):
+        for _ in range(_REFINE_PASSES):
             edges = mesh.edges()
             lengths = mesh.edge_lengths(edges)
             split = splittable(edges, lengths)
@@ -711,8 +657,8 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
 
     for level in range(1, n_max + 1):
         qs, ps = [], []
-        for lo in range(0, mesh.vertex_count(), batch_size):
-            hi = min(lo + batch_size, mesh.vertex_count())
+        for lo in range(0, mesh.vertex_count(), _VOLUME_BATCH):
+            hi = min(lo + _VOLUME_BATCH, mesh.vertex_count())
             _, Q, P = integrate_batch(field, mesh.q[lo:hi], mesh.p[lo:hi],
                                       1.0, cfg, t0=float(level - 1),
                                       t_eval=np.array([float(level - 1),
@@ -787,16 +733,15 @@ def _resplit(simplices, lookup, dimension):
 class MppResult:
     fit: GrowthFit
     averaged_counts: np.ndarray
-    pair_counts: list
     pairs: list
 
 
 def mpp_estimate(field: HamiltonianField, surface_map_at, grid: int,
                  horizon: float, resolution: int, rng, *,
-                 jitter: float = 1e-3, fit_window: int = None,
-                 **census_kwargs) -> MppResult:
+                 jitter: float = 1e-3, **census_kwargs) -> MppResult:
     """Average chord counts over a grid x grid sample of base-point pairs,
-    weighted by the Riemannian volume density, and fit the growth rate.
+    weighted by the Riemannian volume density, and fit the growth rate on
+    every time from the first positive average on.
 
     ``surface_map_at(q)`` builds the fiber surface sampler over q.
     """
@@ -808,7 +753,6 @@ def mpp_estimate(field: HamiltonianField, surface_map_at, grid: int,
     n_int = int(math.floor(horizon + 1e-12))
     acc = np.zeros(n_int)
     wsum = 0.0
-    pair_counts = []
     pairs = []
     for qa in starts:
         for qb in targets:
@@ -818,18 +762,15 @@ def mpp_estimate(field: HamiltonianField, surface_map_at, grid: int,
             w = float(manifold.volume_density(qa) * manifold.volume_density(q1))
             acc += w * census.nu_series
             wsum += w
-            pair_counts.append(census.nu_series.copy())
             pairs.append((qa.copy(), q1.copy()))
     avg = acc / wsum
     positive = np.nonzero(avg > 0)[0]
     if len(positive) >= 3:
         first = int(positive[0])
         series = avg[first:]
-        window = min(fit_window or len(series), len(series))
-        fit = fit_exponential_rate(series, window=max(window, 3),
+        fit = fit_exponential_rate(series, window=len(series),
                                    start_index=first + 1)
     else:
         fit = GrowthFit(rate=float("nan"), window=(0, 0),
                         residual=float("nan"), verdict="inconclusive")
-    return MppResult(fit=fit, averaged_counts=avg, pair_counts=pair_counts,
-                     pairs=pairs)
+    return MppResult(fit=fit, averaged_counts=avg, pairs=pairs)

@@ -410,7 +410,7 @@ def _run_action_check(cfg, out: Path, rng):
         for n in n_values:
             field_n = scaled_field(core_field(sandwich), n)
             found = shoot_fixed_time_chords(
-                field_n, q0, q1, duration=1.0,
+                field_n, q0, q1,
                 p_max=cfg.get("action", "p_max"),
                 grid=cfg.get("action", "grid"),
                 cfg=int_cfg)

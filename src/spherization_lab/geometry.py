@@ -187,23 +187,28 @@ class ModelManifold:
 
     # -- distances on the quotient -------------------------------------------
 
+    def frame_components(self, q_ref, v):
+        """Tangent vectors ``v`` at ``q_ref`` in the orthonormal frame there
+        (on sol the left-invariant frame e^z d/dx, e^-z d/dy, d/dz)."""
+        v = np.asarray(v, dtype=float)
+        if self.kind == "torus":
+            return v
+        z = np.asarray(q_ref, dtype=float)[..., 2]
+        out = np.empty_like(v)
+        out[..., 0] = v[..., 0] * np.exp(-z)
+        out[..., 1] = v[..., 1] * np.exp(z)
+        out[..., 2] = v[..., 2]
+        return out
+
     def frame_displacement(self, q_probe, q_ref):
         """Displacement of ``q_probe`` from ``q_ref`` in an orthonormal frame
         at ``q_ref``.  For the torus this is the plain difference; on sol the
         left-invariant frame absorbs the exponential shear, so the norm of
         the result approximates the Riemannian distance for nearby points.
         """
-        q_probe = np.asarray(q_probe, dtype=float)
         q_ref = np.asarray(q_ref, dtype=float)
-        d = q_probe - q_ref
-        if self.kind == "torus":
-            return d
-        z = q_ref[..., 2]
-        out = np.empty_like(d)
-        out[..., 0] = d[..., 0] * np.exp(-z)
-        out[..., 1] = d[..., 1] * np.exp(z)
-        out[..., 2] = d[..., 2]
-        return out
+        return self.frame_components(
+            q_ref, np.asarray(q_probe, dtype=float) - q_ref)
 
     def nearest_lift(self, q_probe, q_base):
         """Deck element whose action on ``q_base`` lands closest to each

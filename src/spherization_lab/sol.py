@@ -101,11 +101,11 @@ def level_covector(k: float, q, u):
                                                    u.shape))
 
 
-def fixed_point_covector(k: float, q, sign: int = +1):
-    """Covector at the reduced fixed point M = (0, 0, +-sqrt(2k-1))."""
+def fixed_point_covector(k: float, q):
+    """Covector at the upper reduced fixed point M = (0, 0, sqrt(2k-1))."""
     if k <= 0.5:
         raise ValueError("the reduced fixed points exist only for k > 1/2")
-    m = np.array([0.0, 0.0, float(sign) * np.sqrt(2.0 * k - 1.0)])
+    m = np.array([0.0, 0.0, np.sqrt(2.0 * k - 1.0)])
     return inverse_momentum_map(m, np.asarray(q, dtype=float))
 
 

@@ -33,6 +33,9 @@ from .errors import CalibrationError
 from .geometry import ModelManifold
 
 _SLOPE_GRID = 10_000
+_STEP_LO, _STEP_HI = 2.0, 4.0   # |p| over which the far-field step switches on
+_CALIBRATION_DIRECTIONS = 4096
+_CALIBRATION_BASE_POINTS = 64   # sampled base points on a curved base
 
 
 def smoothstep(x):
@@ -156,8 +159,6 @@ class SandwichedHamiltonians:
     metric_scale: float      # constant multiplying the metric so G <= F
     upper_scale: float       # sigma with sigma * G >= F
     cutoff: Cutoff
-    step_lo: float = 2.0     # switch-on radius of the far-field step
-    step_hi: float = 4.0
 
     # -- building blocks -----------------------------------------------------
 
@@ -211,11 +212,11 @@ class SandwichedHamiltonians:
         return unit * r[..., None]
 
     def far_step(self, rho):
-        lo, hi = self.step_lo, self.step_hi
+        lo, hi = _STEP_LO, _STEP_HI
         return smoothstep((np.asarray(rho, dtype=float) - lo) / (hi - lo))
 
     def far_step_slope(self, rho):
-        lo, hi = self.step_lo, self.step_hi
+        lo, hi = _STEP_LO, _STEP_HI
         return smoothstep_slope((np.asarray(rho, dtype=float) - lo) / (hi - lo)) / (hi - lo)
 
     def homotopy_step(self, s):
@@ -270,7 +271,6 @@ class SandwichedHamiltonians:
 
 def calibrate(profile: RadialProfile, manifold: ModelManifold, *,
               safety: float = 1.1, eps: float = 0.2,
-              directions: int = 4096, base_samples: int = 64,
               rng=None) -> SandwichedHamiltonians:
     """Build a calibrated sandwich for the profile on the manifold.
 
@@ -285,16 +285,17 @@ def calibrate(profile: RadialProfile, manifold: ModelManifold, *,
     d = manifold.dim
 
     if d == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, directions, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, _CALIBRATION_DIRECTIONS,
+                            endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     else:
-        dirs = rng.normal(size=(directions, 3))
+        dirs = rng.normal(size=(_CALIBRATION_DIRECTIONS, 3))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     if profile.kind == "fourier" and d != 2:
         raise CalibrationError("fourier profiles support 2d fibers only")
 
     ratios = []
-    for _ in range(base_samples):
+    for _ in range(_CALIBRATION_BASE_POINTS):
         q = manifold.random_point(rng)
         norm = np.sqrt(manifold.conorm_sq(q, dirs))
         unit = dirs / norm[..., None]

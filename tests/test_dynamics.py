@@ -325,6 +325,43 @@ def test_solve_stacked_retires_only_the_singular_row(rng):
     assert np.array_equal(step_all, step[regular])
 
 
+def _claimed_slope_system(slopes, tol):
+    # residual r(x) = x with its Jacobian claimed to be `slope`, from x = 1:
+    # a damped step moves x to x (1 - alpha / slope), so slope 1 solves in
+    # one step, 100 creeps toward the root, negative slopes push away from
+    # it and 0 is singular
+    x = np.ones(len(slopes))
+
+    def linearize(idx):
+        def jacobian(rows):
+            # asked only for rows no outcome has retired yet
+            assert np.all(np.abs(x[idx[rows]]) > tol)
+            return slopes[idx[rows]][:, None, None]
+        return x[idx][:, None], jacobian
+
+    def move(i, step, alpha):
+        x[i] += alpha * step[:, 0]
+
+    return linearize, move
+
+
+def test_lockstep_newton_reaches_every_outcome():
+    slopes = np.array([1.0, -0.1, -1.0, 0.0, 100.0])
+    outcome = dyn.lockstep_newton(len(slopes),
+                                  *_claimed_slope_system(slopes, 1e-12),
+                                  tol=1e-12, max_sweeps=30, blowup=6.0)
+    assert [dyn.NEWTON_OUTCOMES[o] for o in outcome] == [
+        "converged", "blowup", "damping_floor", "singular", "sweep_cap"]
+    # without the guard the residual that grows tenfold is let run until
+    # its damping gives out; no row is ever marked as a blow-up
+    outcome = dyn.lockstep_newton(len(slopes),
+                                  *_claimed_slope_system(slopes, 1e-12),
+                                  tol=1e-12, max_sweeps=30)
+    assert [dyn.NEWTON_OUTCOMES[o] for o in outcome] == [
+        "converged", "damping_floor", "damping_floor", "singular",
+        "sweep_cap"]
+
+
 def test_exclusion_level_picks_gap_midpoint(torus):
     spectrum = [1.25]
     a = dyn.exclusion_level(1, spectrum)

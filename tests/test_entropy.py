@@ -6,7 +6,7 @@ import pytest
 from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
 from spherization_lab.geometry import CotangentPoint
-from spherization_lab.entropy import (ChordRecord, _dedup_records, _suppress,
+from spherization_lab.entropy import (ChordRecord, _dedup_roots, _suppress,
                                       _tangent_frames, chord_census,
                                       circle_directions, fiber_circle_mesh,
                                       fiber_sphere_mesh, fibonacci_sphere,
@@ -194,7 +194,8 @@ def _record(direction, time, deck, residual):
 
 
 def _dedup_loop(records, d, horizon, radius):
-    # the scan over every kept record that _dedup_records replaces
+    # a scan of every kept record per root, the reference for the census's
+    # suppression of its re-verified roots
     out = []
     for rec in sorted(records, key=lambda r: r.residual):
         dup = False
@@ -218,11 +219,23 @@ def _dedup_loop(records, d, horizon, radius):
     return out
 
 
+def _dedup(records, horizon):
+    kept = _dedup_roots(np.array([r.deck for r in records]),
+                        np.array([r.arrival_time for r in records]),
+                        np.array([r.residual for r in records]),
+                        np.array([r.direction for r in records]), horizon)
+    return [records[j] for j in kept]
+
+
+def _census_order(records):
+    return sorted(records, key=lambda r: (r.arrival_time, r.deck))
+
+
 def test_dedup_keeps_one_arrival_on_two_decks():
     u = (0.6, 0.8)
     recs = [_record(u, 2.0, (0, 1), 3e-9), _record(u, 2.0, (0, 2), 1e-9)]
-    out = _dedup_records(recs, 2, 4.0, 1e-4)
-    assert [r.deck for r in out] == [(0, 2), (0, 1)]
+    out = _dedup(recs, 4.0)
+    assert [r.deck for r in _census_order(out)] == [(0, 1), (0, 2)]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -236,9 +249,10 @@ def test_dedup_collapses_within_deck_to_lowest_residual(d):
             recs.append(_record(v / np.linalg.norm(v),
                                 1.0 + j / 40 + 1e-7 * rng.standard_normal(),
                                 (0,) * (d - 1) + (j % 3,),
-                                float(rng.uniform(0, 1e-8))))
-    out = _dedup_records(recs, d, 3.0, 1e-4)
-    assert out == _dedup_loop(recs, d, 3.0, 1e-4)
+                                # ties on purpose: the earlier record wins
+                                float(rng.integers(1, 3)) * 1e-9))
+    out = _dedup(recs, 3.0)
+    assert _census_order(out) == _census_order(_dedup_loop(recs, d, 3.0, 1e-4))
     assert len(out) == len(base)
     for j, kept in enumerate(sorted(out, key=lambda r: r.arrival_time)):
         assert kept.residual == min(r.residual for r in recs[3 * j:3 * j + 3])

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,12 +7,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _traced(script):
+    # run `script` with perfbench's tracer importable and the lab on the path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_benchmark_tracer_installs():
     # perfbench's tracer wraps lab functions and methods by name; installing
     # it fails once a cleanup deletes or renames one of them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "perfbench"), str(ROOT / "src")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import layers; layers.install(layers.Tracer())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    done = _traced("import layers; layers.install(layers.Tracer())")
     assert done.returncode == 0, done.stderr
+
+
+TINY_TORUS_CENSUS = """
+[experiment]
+name = chord-census
+seed = 1
+
+[census]
+horizon = 3.0
+resolution = 64
+"""
+
+
+def test_benchmark_sees_census_stages(tmp_path):
+    # the tracer files integrate_batch rows under a census stage by the name
+    # of the function that calls it; a refactor that moves those calls
+    # elsewhere would hide mesh or polish time from the benchmark
+    config = tmp_path / "census.ini"
+    config.write_text(TINY_TORUS_CENSUS)
+    done = _traced(f"""
+import json, layers
+tracer = layers.Tracer()
+layers.install(tracer)
+from spherization_lab import experiments
+from spherization_lab.config import load_config
+experiments.run(load_config({str(config)!r}), out_dir={str(tmp_path / "out")!r})
+print(json.dumps({{k: v.rows for k, v in tracer.stages.items()}}))
+""")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout.splitlines()[-1])
+    assert rows.get("census.mesh", 0) > 0 and rows.get("census.polish", 0) > 0

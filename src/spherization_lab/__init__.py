@@ -4,8 +4,7 @@ from .config import ExperimentConfig, load_config
 from .dynamics import (HamiltonianField, IntegratorConfig, Trajectory,
                        action_homogeneous, action_of_trajectory,
                        classify_chord_action, core_field, geodesic_field,
-                       integrate, integrate_batch, time_change_residual,
-                       verify_scaling_law)
+                       integrate, integrate_batch, verify_scaling_law)
 from .entropy import (ChordCensus, ChordRecord, GrowthFit, MeshedSubmanifold,
                       chord_census, fit_exponential_rate, mpp_estimate,
                       volume_growth)

@@ -11,9 +11,9 @@ assumed).  Every Hamiltonian carries one analytic gradient kernel
 evaluation.  The tests cross-check it against central finite differences.
 
 The geodesic field's kernel is ``ModelManifold.conorm_grads``.  The lower,
-upper and blended sandwich Hamiltonians are one field, ``blend_field``:
-h_t(G) for the sandwich's ``blend_profile(t)``, with gradients h_t'(G)
-times those of G.
+upper and blended sandwich Hamiltonians are one scalar profile of G, the
+sandwich's ``blend_profile(t)``, whose slope h_t'(G) scales the gradients
+of G.
 
 Both chord finders, the census polisher in ``entropy`` and the fixed-time
 shooting here, polish with one damped Newton driver, ``lockstep_newton``
@@ -91,22 +91,6 @@ def gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         value=sandwich.gauge, grads=sandwich.gauge_grads)
 
 
-def cutoff_gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
-    """f(F): the smoothed gauge without the far-field switch."""
-
-    def value(q, p):
-        return sandwich.cutoff.eval(sandwich.gauge(q, p))[0]
-
-    def grads(q, p):
-        f_val = sandwich.gauge(q, p)
-        _, slope = sandwich.cutoff.eval(f_val)
-        dq, dp = sandwich.gauge_grads(q, p)
-        return slope[..., None] * dq, slope[..., None] * dp
-
-    return HamiltonianField(name="cutoff-gauge", manifold=sandwich.manifold,
-                            value=value, grads=grads)
-
-
 def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
     """The smoothed starshape Hamiltonian (middle of the sandwich)."""
 
@@ -130,21 +114,6 @@ def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
 
     return HamiltonianField(name="core", manifold=sandwich.manifold,
                             value=value, grads=grads)
-
-
-def blend_field(sandwich: SandwichedHamiltonians, t: float) -> HamiltonianField:
-    """h_t(G) for the sandwich's ``blend_profile(t)``: the convex blend
-    (1-beta(t)) lower + beta(t) upper, so t = 0 is lower and t = 1 upper."""
-    h, h_prime = sandwich.blend_profile(t)
-
-    def grads(q, p):
-        slope = h_prime(sandwich.energy(q, p))[..., None]
-        g_dq, g_dp = sandwich.energy_grads(q, p)
-        return slope * g_dq, slope * g_dp
-
-    return HamiltonianField(
-        name=f"blend[{t}]", manifold=sandwich.manifold,
-        value=lambda q, p: h(sandwich.energy(q, p)), grads=grads)
 
 
 # -- integration ------------------------------------------------------------
@@ -368,25 +337,6 @@ def classify_chord_action(chord: Trajectory, sandwich: SandwichedHamiltonians,
     else:
         label = "boundary-ambiguous"
     return label, action
-
-
-def time_change_residual(sandwich: SandwichedHamiltonians,
-                         x_on_surface: CotangentPoint, s: float) -> float:
-    """Residual of the fiber-scaling conjugacy of the smoothed gauge flow.
-
-    For a point with gauge 1 and s in (0, 1], the field of f(F) at the
-    scaled covector s*p equals f'(s^2)*s times the pushforward of the field
-    at p under (q, p) -> (q, s p).  Returns the norm of the difference.
-    """
-    fld = cutoff_gauge_field(sandwich)
-    q, p = x_on_surface.q, x_on_surface.p
-    qdot, pdot = fld.rhs(q, p)
-    lhs_q, lhs_p = fld.rhs(q, s * p)
-    _, fprime = sandwich.cutoff.eval(np.asarray(s * s))
-    sigma_s = float(fprime) * s
-    res_q = lhs_q - sigma_s * qdot
-    res_p = lhs_p - sigma_s * (s * pdot)
-    return float(np.sqrt(np.sum(res_q ** 2) + np.sum(res_p ** 2)))
 
 
 # -- lockstep damped Newton ----------------------------------------------------

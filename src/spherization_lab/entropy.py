@@ -12,17 +12,21 @@ finds the lifts for each mesh batch, and one more for all re-verified
 endpoints.  One per-deck suppression, ``_suppress``, keeps one mesh
 candidate per blob before the polish and one root per chord after it.
 
-Volume growth evolves a meshed fiber sphere by time-1 maps and keeps edges
-below a refinement threshold by bisection; midpoints re-integrate from their
-stored initial parameters so the mesh never accumulates stepping error.
-A positive fitted rate is reported as a lower-bound witness for entropy,
-never as the entropy itself.
+Volume growth evolves the fiber mesh of ``fiber_mesh`` (a circle over a
+surface, a sphere over a 3-manifold) by time-1 maps and keeps edges below a
+refinement threshold by bisection; midpoints re-integrate from their stored
+initial parameters so the mesh never accumulates stepping error.
+
+Every growth series (evolved volumes, census counts, counts averaged over
+base points, word balls) becomes a rate and a verdict through one policy,
+``fit_growth``.  A positive fitted rate is reported as a lower-bound witness
+for entropy, never as the entropy itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +91,29 @@ def fit_exponential_rate(series, window: int, start_index: int = 0) -> GrowthFit
                      window=(int(xs[0]), int(xs[-1])),
                      residual=math.sqrt(rss_semilog / window),
                      verdict=verdict, stderr=stderr)
+
+
+INCONCLUSIVE = GrowthFit(rate=float("nan"), window=(0, 0),
+                         residual=float("nan"), verdict="inconclusive")
+
+
+def fit_growth(series, window: int = None,
+               start_index: int = 0) -> GrowthFit | None:
+    """The growth fit of ``series``, whose first entry has index
+    ``start_index``: from its first positive entry on, the trailing
+    ``window`` entries (all of them when None, at most those left) go
+    through ``fit_exponential_rate``.  None when fewer than 3 are left."""
+    y = np.asarray(series, dtype=float)
+    positive = np.nonzero(y > 0)[0]
+    if len(positive) == 0:
+        return None
+    first = int(positive[0])
+    left = len(y) - first
+    window = left if window is None else min(window, left)
+    if window < 3:
+        return None
+    return fit_exponential_rate(y[first:], window=window,
+                                start_index=start_index + first)
 
 
 # -- fiber surface sampling ----------------------------------------------------
@@ -488,9 +515,8 @@ class MeshedSubmanifold:
                                axis=-1)
         return np.sqrt(base ** 2 + fiber ** 2)
 
-    def edge_lengths(self, edges=None) -> np.ndarray:
-        e = self.edges() if edges is None else edges
-        return self._pair_distance(e[:, 0], e[:, 1])
+    def edge_lengths(self, edges) -> np.ndarray:
+        return self._pair_distance(edges[:, 0], edges[:, 1])
 
     def volume(self) -> float:
         s = self.simplices
@@ -541,25 +567,23 @@ def icosphere(level: int):
     return np.stack(verts), np.array(faces, dtype=np.int64)
 
 
-def fiber_circle_mesh(manifold, q0, surface_map, resolution: int) -> MeshedSubmanifold:
-    dirs = circle_directions(max(resolution, 8))
-    p = surface_map(dirs)
-    n = dirs.shape[0]
-    segs = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=-1)
-    q = np.broadcast_to(np.asarray(q0, dtype=float), p.shape).copy()
-    return MeshedSubmanifold(dimension=1, params=dirs, q=q, p=p,
-                             simplices=segs, manifold=manifold)
-
-
-def fiber_sphere_mesh(manifold, q0, surface_map, resolution: int) -> MeshedSubmanifold:
-    level = 0
-    while 10 * 4 ** level + 2 < resolution and level < 6:
-        level += 1
-    dirs, faces = icosphere(level)
+def fiber_mesh(manifold, q0, surface_map, resolution: int) -> MeshedSubmanifold:
+    """The fiber surface over q0, meshed: a closed polygon of
+    ``max(resolution, 8)`` directions over a surface, and over a 3-manifold
+    the coarsest icosphere (level at most 6) with ``resolution`` vertices."""
+    if manifold.dim == 2:
+        dirs = circle_directions(max(resolution, 8))
+        n = dirs.shape[0]
+        simplices = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=-1)
+    else:
+        level = 0
+        while 10 * 4 ** level + 2 < resolution and level < 6:
+            level += 1
+        dirs, simplices = icosphere(level)
     p = surface_map(dirs)
     q = np.broadcast_to(np.asarray(q0, dtype=float), p.shape).copy()
-    return MeshedSubmanifold(dimension=2, params=dirs, q=q, p=p,
-                             simplices=faces, manifold=manifold)
+    return MeshedSubmanifold(dimension=manifold.dim - 1, params=dirs, q=q,
+                             p=p, simplices=simplices, manifold=manifold)
 
 
 _VOLUME_BATCH = 4096     # vertices integrated together
@@ -595,9 +619,7 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
         raise ValueError("vertex budget must exceed the initial vertex count")
     cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=0.25)
     q0 = mesh.q[0].copy()
-    exhausted = False
-    volumes = []
-    level = 0
+    mesh = replace(mesh)     # the levels rebind its arrays, not the caller's
 
     def evolve_new(params, upto):
         p_new = surface_map(params)
@@ -614,79 +636,54 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
             ps.append(P[:, -1])
         return np.concatenate(qs), np.concatenate(ps)
 
-    def splittable(edges, lengths):
-        sep = np.linalg.norm(mesh.params[edges[:, 0]] - mesh.params[edges[:, 1]],
-                             axis=-1)
-        return edges[(lengths > refine_threshold) & (sep > _PARAM_FLOOR)]
-
-    def refine(level):
-        nonlocal mesh, exhausted
-        for _ in range(_REFINE_PASSES):
+    exhausted = False
+    volumes = []
+    for level in range(n_max + 1):
+        if level:
+            qs, ps = [], []
+            for lo in range(0, mesh.vertex_count(), _VOLUME_BATCH):
+                hi = min(lo + _VOLUME_BATCH, mesh.vertex_count())
+                _, Q, P = integrate_batch(field, mesh.q[lo:hi], mesh.p[lo:hi],
+                                          1.0, cfg, t0=float(level - 1),
+                                          t_eval=np.array([float(level - 1),
+                                                           float(level)]))
+                qs.append(Q[:, -1])
+                ps.append(P[:, -1])
+            mesh.q, mesh.p = np.concatenate(qs), np.concatenate(ps)
+        for n_pass in range(_REFINE_PASSES + 1):
             edges = mesh.edges()
-            lengths = mesh.edge_lengths(edges)
-            split = splittable(edges, lengths)
+            sep = np.linalg.norm(mesh.params[edges[:, 0]]
+                                 - mesh.params[edges[:, 1]], axis=-1)
+            split = edges[(mesh.edge_lengths(edges) > refine_threshold)
+                          & (sep > _PARAM_FLOOR)]
             if len(split) == 0:
-                return True
-            if mesh.vertex_count() + len(split) > vertex_budget:
+                break
+            # splittable edges left after the last pass, or over the budget
+            if (n_pass == _REFINE_PASSES
+                    or mesh.vertex_count() + len(split) > vertex_budget):
                 exhausted = True
-                return False
+                break
             mid_params = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
             mid_params /= np.linalg.norm(mid_params, axis=-1, keepdims=True)
             q_new, p_new = evolve_new(mid_params, level)
             base = mesh.vertex_count()
             lookup = {(int(i), int(j)): base + k
                       for k, (i, j) in enumerate(split)}
-            mesh = MeshedSubmanifold(
-                dimension=mesh.dimension,
-                params=np.vstack([mesh.params, mid_params]),
-                q=np.vstack([mesh.q, q_new]),
-                p=np.vstack([mesh.p, p_new]),
-                simplices=_resplit(mesh.simplices, lookup, mesh.dimension),
-                manifold=mesh.manifold)
-        edges = mesh.edges()
-        if len(splittable(edges, mesh.edge_lengths(edges))) == 0:
-            return True
-        exhausted = True  # pass budget ran out with splittable edges left
-        return False
-
-    if not refine(0):
-        fit = GrowthFit(rate=float("nan"), window=(0, 0), residual=float("nan"),
-                        verdict="inconclusive")
-        return VolumeGrowthResult(np.array([]), fit, True, mesh.vertex_count(), 0)
-    volumes.append(mesh.volume())
-
-    for level in range(1, n_max + 1):
-        qs, ps = [], []
-        for lo in range(0, mesh.vertex_count(), _VOLUME_BATCH):
-            hi = min(lo + _VOLUME_BATCH, mesh.vertex_count())
-            _, Q, P = integrate_batch(field, mesh.q[lo:hi], mesh.p[lo:hi],
-                                      1.0, cfg, t0=float(level - 1),
-                                      t_eval=np.array([float(level - 1),
-                                                       float(level)]))
-            qs.append(Q[:, -1])
-            ps.append(P[:, -1])
-        mesh = MeshedSubmanifold(dimension=mesh.dimension, params=mesh.params,
-                                 q=np.concatenate(qs), p=np.concatenate(ps),
-                                 simplices=mesh.simplices,
-                                 manifold=mesh.manifold)
-        if not refine(level):
+            mesh.simplices = _resplit(mesh.simplices, lookup, mesh.dimension)
+            mesh.params = np.vstack([mesh.params, mid_params])
+            mesh.q = np.vstack([mesh.q, q_new])
+            mesh.p = np.vstack([mesh.p, p_new])
+        if exhausted:
             break
         volumes.append(mesh.volume())
 
     volumes = np.array(volumes)
-    completed = len(volumes) - 1
-    window = min(fit_window, len(volumes))
-    if window >= 3 and np.all(volumes > 0):
-        fit = fit_exponential_rate(volumes, window=window)
-    else:
-        fit = GrowthFit(rate=float("nan"), window=(0, 0),
-                        residual=float("nan"), verdict="inconclusive")
+    fit = fit_growth(volumes, fit_window) or INCONCLUSIVE
     if exhausted:
-        fit = GrowthFit(rate=fit.rate, window=fit.window, residual=fit.residual,
-                        verdict="inconclusive", stderr=fit.stderr)
+        fit = replace(fit, verdict="inconclusive")
     return VolumeGrowthResult(volumes=volumes, fit=fit, exhausted=exhausted,
                               vertex_count=mesh.vertex_count(),
-                              levels_completed=completed)
+                              levels_completed=max(len(volumes) - 1, 0))
 
 
 def _resplit(simplices, lookup, dimension):
@@ -739,9 +736,10 @@ class MppResult:
 def mpp_estimate(field: HamiltonianField, surface_map_at, grid: int,
                  horizon: float, resolution: int, rng, *,
                  jitter: float = 1e-3, **census_kwargs) -> MppResult:
-    """Average chord counts over a grid x grid sample of base-point pairs,
-    weighted by the Riemannian volume density, and fit the growth rate on
-    every time from the first positive average on.
+    """Average chord counts over a grid x grid sample of base-point pairs
+    and fit the growth rate on every time from the first positive average
+    on.  Both shipped models have unit volume density in their coordinates,
+    so the average is the plain mean over pairs.
 
     ``surface_map_at(q)`` builds the fiber surface sampler over q.
     """
@@ -750,27 +748,15 @@ def mpp_estimate(field: HamiltonianField, surface_map_at, grid: int,
         raise ValueError("grid must be at least 1")
     starts = [manifold.random_point(rng) for _ in range(grid)]
     targets = [manifold.random_point(rng) for _ in range(grid)]
-    n_int = int(math.floor(horizon + 1e-12))
-    acc = np.zeros(n_int)
-    wsum = 0.0
+    counts = []
     pairs = []
     for qa in starts:
         for qb in targets:
             q1 = qb + jitter * rng.standard_normal(manifold.dim)
             census = chord_census(field, qa, q1, surface_map_at(qa), horizon,
                                   resolution, **census_kwargs)
-            w = float(manifold.volume_density(qa) * manifold.volume_density(q1))
-            acc += w * census.nu_series
-            wsum += w
+            counts.append(census.nu_series)
             pairs.append((qa.copy(), q1.copy()))
-    avg = acc / wsum
-    positive = np.nonzero(avg > 0)[0]
-    if len(positive) >= 3:
-        first = int(positive[0])
-        series = avg[first:]
-        fit = fit_exponential_rate(series, window=len(series),
-                                   start_index=first + 1)
-    else:
-        fit = GrowthFit(rate=float("nan"), window=(0, 0),
-                        residual=float("nan"), verdict="inconclusive")
+    avg = np.mean(counts, axis=0)
+    fit = fit_growth(avg, start_index=1) or INCONCLUSIVE
     return MppResult(fit=fit, averaged_counts=avg, pairs=pairs)

@@ -180,11 +180,6 @@ class ModelManifold:
         e2z = np.exp(2.0 * q[..., 2])
         return v[..., 0] ** 2 / e2z + e2z * v[..., 1] ** 2 + v[..., 2] ** 2
 
-    def volume_density(self, q):
-        """sqrt(det g); identically 1 for both shipped models."""
-        q = np.asarray(q, dtype=float)
-        return np.ones(q.shape[:-1])
-
     # -- distances on the quotient -------------------------------------------
 
     def frame_components(self, q_ref, v):

@@ -144,11 +144,6 @@ class Cutoff:
         _, slope = self.eval(r)
         return float(np.min(slope)), float(np.max(slope))
 
-    def slope_positive_above_knot(self, grid: int = _SLOPE_GRID) -> bool:
-        r = np.linspace(self.eps ** 2, max(1.0, 2.0 * self.eps), grid + 1)[1:]
-        _, slope = self.eval(r)
-        return bool(np.all(slope > 0.0))
-
 
 @dataclass(frozen=True)
 class SandwichedHamiltonians:

@@ -21,6 +21,8 @@ from spherization_lab.experiments import run
 from spherization_lab.geometry import CotangentPoint, ModelManifold
 
 from conftest import ACCEPTANCE_LINES
+from sandwich_helpers import (slope_positive_above_knot,
+                              time_change_residual)
 
 
 def _line(num, ok, msg):
@@ -141,7 +143,7 @@ def test_criterion_05_time_change_identity(round_sandwich, ellipse_sandwich,
                 s = rng.uniform(0.0, eps)  # vanishing branch
             else:
                 s = rng.uniform(0.01, 1.0)
-            worst = max(worst, dyn.time_change_residual(sw, x, float(s)))
+            worst = max(worst, time_change_residual(sw, x, float(s)))
             count += 1
     ok = worst <= 1e-9 and count == 1000
     assert _line(5, ok, f"fiber-scaling conjugacy residual over {count} "
@@ -166,7 +168,7 @@ def test_criterion_06_sandwich_and_cutoff(round_sandwich, ellipse_sandwich,
     for sw in (round_sandwich, ellipse_sandwich):
         s_min, s_max = sw.cutoff.slope_bounds()
         slopes_ok &= (0.0 <= s_min and s_max <= 2.0
-                      and sw.cutoff.slope_positive_above_knot())
+                      and slope_positive_above_knot(sw.cutoff))
         eps_ok &= sw.cutoff.eps ** 2 < 1.0 / (2.0 * sw.upper_scale)
     ok = violations == 0 and slopes_ok and eps_ok
     assert _line(6, ok, f"{violations} order violations on 2x10^5 samples; "

@@ -9,6 +9,9 @@ from spherization_lab.errors import IntegrationDivergedError
 from spherization_lab.geometry import CotangentPoint
 from spherization_lab.starshape import SandwichedHamiltonians
 
+from sandwich_helpers import (blend_field, cutoff_gauge_field,
+                              time_change_residual)
+
 
 def test_convention_lock_straight_geodesics(torus, rng):
     geo = dyn.geodesic_field(torus)
@@ -63,11 +66,11 @@ def test_gradient_analytic_vs_finite_difference(torus, sol, round_sandwich,
               dyn.core_field(round_sandwich),
               dyn.core_field(ellipse_sandwich),
               dyn.core_field(fourier_sandwich),
-              dyn.blend_field(round_sandwich, 0.0),
-              dyn.blend_field(round_sandwich, 0.37),
+              blend_field(round_sandwich, 0.0),
+              blend_field(round_sandwich, 0.37),
               dyn.gauge_field(ellipse_sandwich),
-              dyn.cutoff_gauge_field(ellipse_sandwich),
-              dyn.blend_field(fourier_sandwich, 1.0),
+              cutoff_gauge_field(ellipse_sandwich),
+              blend_field(fourier_sandwich, 1.0),
               dyn.scaled_field(sol_mod.sol_field(sol), 2.5),
               sol_mod.sol_field(sol)]
     for f in fields:
@@ -90,10 +93,10 @@ def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
               dyn.scaled_field(sol_mod.sol_field(sol), 3.0)]
     for sandwich in (round_sandwich, sol_round_sandwich):
         fields += [dyn.gauge_field(sandwich),
-                   dyn.cutoff_gauge_field(sandwich),
-                   dyn.core_field(sandwich), dyn.blend_field(sandwich, 0.0),
-                   dyn.blend_field(sandwich, 1.0),
-                   dyn.blend_field(sandwich, 0.37)]
+                   cutoff_gauge_field(sandwich),
+                   dyn.core_field(sandwich), blend_field(sandwich, 0.0),
+                   blend_field(sandwich, 1.0),
+                   blend_field(sandwich, 0.37)]
     rng = np.random.default_rng(rows)
     for f in fields:
         d = f.manifold.dim
@@ -123,9 +126,9 @@ def test_sandwich_fields_evaluate_energy_once(round_sandwich,
     for sandwich in (round_sandwich, sol_round_sandwich):
         d = sandwich.manifold.dim
         q, p = np.full((3, d), 0.2), np.full((3, d), 0.7)
-        for field in (dyn.blend_field(sandwich, 0.0), dyn.core_field(sandwich),
-                      dyn.blend_field(sandwich, 0.37),
-                      dyn.blend_field(sandwich, 1.0)):
+        for field in (blend_field(sandwich, 0.0), dyn.core_field(sandwich),
+                      blend_field(sandwich, 0.37),
+                      blend_field(sandwich, 1.0)):
             for name in calls:
                 calls[name] = 0
             field.grads(q, p)
@@ -210,7 +213,7 @@ def test_action_geodesic_equals_energy(torus, rng):
 
 
 def test_action_vanishing_inside_cutoff(round_sandwich):
-    f = dyn.cutoff_gauge_field(round_sandwich)
+    f = cutoff_gauge_field(round_sandwich)
     eps = round_sandwich.cutoff.eps
     p0 = np.array([eps * 0.5, 0.0])  # gauge below eps^2
     traj = dyn.integrate(f, CotangentPoint(np.zeros(2), p0), 1.0)
@@ -225,7 +228,7 @@ def test_action_homogeneous_formula():
 
 def test_formula_matches_quadrature_on_cutoff_chord(round_sandwich):
     # a trajectory of f(gauge) is a chord between its own endpoint fibers
-    f = dyn.cutoff_gauge_field(round_sandwich)
+    f = cutoff_gauge_field(round_sandwich)
     p0 = np.array([np.sqrt(0.9), 0.0])
     traj = dyn.integrate(f, CotangentPoint(np.zeros(2), p0), 1.0,
                          dyn.IntegratorConfig(max_step=0.01))
@@ -295,9 +298,9 @@ def test_time_change_identity(round_sandwich, ellipse_sandwich,
             u = np.array([np.cos(theta), np.sin(theta)])
             q = rng.uniform(size=2)
             x = CotangentPoint(q, sw.surface_covector(q, u))
-            assert dyn.time_change_residual(sw, x, 1.0) <= 1e-12
-            assert dyn.time_change_residual(sw, x, sw.cutoff.eps) <= 1e-12
-            assert dyn.time_change_residual(sw, x, 0.7) <= 1e-9
+            assert time_change_residual(sw, x, 1.0) <= 1e-12
+            assert time_change_residual(sw, x, sw.cutoff.eps) <= 1e-12
+            assert time_change_residual(sw, x, 0.7) <= 1e-9
     sw = sol_round_sandwich
     for _ in range(20):
         u = rng.normal(size=3)
@@ -305,7 +308,7 @@ def test_time_change_identity(round_sandwich, ellipse_sandwich,
         q = sw.manifold.random_point(rng)
         x = CotangentPoint(q, sw.surface_covector(q, u))
         s = rng.uniform(0.05, 1.0)
-        assert dyn.time_change_residual(sw, x, s) <= 1e-9
+        assert time_change_residual(sw, x, s) <= 1e-9
 
 
 def test_solve_stacked_retires_only_the_singular_row(rng):
@@ -379,7 +382,7 @@ def test_radial_chord_actions_against_direct_shooting(round_sandwich):
     # every enumerated action is a genuine chord action: check one by
     # integrating the blend field from the implied covector
     h, hp = round_sandwich.blend_profile(0.0)
-    blend = dyn.blend_field(round_sandwich, 0.0)
+    blend = blend_field(round_sandwich, 0.0)
     w = np.array([0.5, 0.5])
     # solve for the speed profile root on the first target
     from scipy.optimize import brentq

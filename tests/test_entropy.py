@@ -8,9 +8,9 @@ from spherization_lab import sol as sol_mod
 from spherization_lab.geometry import CotangentPoint
 from spherization_lab.entropy import (ChordRecord, _dedup_roots, _suppress,
                                       _tangent_frames, chord_census,
-                                      circle_directions, fiber_circle_mesh,
-                                      fiber_sphere_mesh, fibonacci_sphere,
-                                      fit_exponential_rate, mpp_estimate,
+                                      circle_directions, fiber_mesh,
+                                      fibonacci_sphere, fit_exponential_rate,
+                                      fit_growth, mpp_estimate,
                                       torus_chord_count, volume_growth)
 
 
@@ -53,6 +53,27 @@ def test_fit_constant_series_polynomial():
     fit = fit_exponential_rate(np.ones(10), window=6)
     assert fit.rate == 0.0
     assert fit.verdict == "polynomial"
+
+
+def test_fit_growth_skips_leading_zeros_and_clips_window():
+    rng = np.random.default_rng(8)
+    tail = np.exp(0.4 * np.arange(7)) * (1.0 + 0.05 * rng.uniform(-1, 1, 7))
+    series = np.concatenate([[0.0, 0.0], tail])
+    # entry i has index 1 + i, so the tail starts at index 3
+    full = fit_growth(series, start_index=1)
+    assert full == fit_exponential_rate(tail, window=7, start_index=3)
+    assert full.window == (3, 9)
+    assert fit_growth(series, window=50, start_index=1) == full
+    trailing = fit_growth(series, window=4, start_index=1)
+    assert trailing == fit_exponential_rate(tail, window=4, start_index=3)
+    assert trailing.window == (6, 9)
+
+
+def test_fit_growth_needs_three_entries():
+    assert fit_growth([0.0, 0.0, 0.0, 1.0, 2.0]) is None
+    assert fit_growth(np.zeros(6)) is None
+    assert fit_growth([1.0, 2.0, 4.0, 8.0], window=2) is None
+    assert fit_growth([0.0, 1.0, 2.0, 4.0]).window == (1, 3)
 
 
 # -- chord census -----------------------------------------------------------------
@@ -263,7 +284,7 @@ def test_dedup_collapses_within_deck_to_lowest_residual(d):
 def test_volume_static_field_constant(torus, round_sandwich):
     q0 = np.zeros(2)
     smap = lambda u: round_sandwich.surface_covector(q0, u)
-    mesh = fiber_circle_mesh(torus, q0, smap, 64)
+    mesh = fiber_mesh(torus, q0, smap, 64)
     res = volume_growth(dyn.scaled_field(dyn.geodesic_field(torus), 0.0),
                         mesh, 8, 0.5, 10000,
                         surface_map=smap, fit_window=6)
@@ -279,7 +300,7 @@ def test_volume_torus_circle_oracle(torus, round_sandwich):
     exact = 2 * np.pi * np.sqrt(1.0 + np.arange(31) ** 2)
     results = {}
     for thr in (0.2, 0.1):
-        mesh = fiber_circle_mesh(torus, q0, smap, 64)
+        mesh = fiber_mesh(torus, q0, smap, 64)
         res = volume_growth(geo, mesh, 30, thr, 100000, surface_map=smap,
                             fit_window=8)
         assert res.levels_completed == 30 and not res.exhausted
@@ -297,7 +318,7 @@ def test_volume_sol_sphere_positive_rate(sol):
     rng = np.random.default_rng(11)
     q0 = sol.random_point(rng)
     smap = lambda u: sol_mod.level_covector(1.0, q0, u)
-    mesh = fiber_sphere_mesh(sol, q0, smap, 162)
+    mesh = fiber_mesh(sol, q0, smap, 162)
     # initial sphere area in the product metric: radius sqrt(2) momentum
     # sphere over a point, i.e. 8 pi
     assert np.isclose(mesh.volume(), 8 * np.pi, rtol=0.02)
@@ -311,11 +332,38 @@ def test_volume_budget_exhaustion_flags(sol):
     rng = np.random.default_rng(11)
     q0 = sol.random_point(rng)
     smap = lambda u: sol_mod.level_covector(1.0, q0, u)
-    mesh = fiber_sphere_mesh(sol, q0, smap, 162)
+    mesh = fiber_mesh(sol, q0, smap, 162)
     res = volume_growth(field, mesh, 12, 2.0, 400, surface_map=smap)
     assert res.exhausted
     assert res.fit.verdict == "inconclusive"
     assert res.levels_completed < 12
+
+
+def test_fiber_mesh_circle_and_sphere(torus, sol, round_sandwich):
+    q0 = np.array([0.2, 0.7])
+    circle = fiber_mesh(torus, q0, lambda u: round_sandwich.surface_covector(
+        q0, u), 64)
+    assert circle.dimension == 1 and circle.vertex_count() == 64
+    assert circle.simplices.shape == (64, 2)
+    q0 = sol.random_point(np.random.default_rng(11))
+    sphere = fiber_mesh(sol, q0, lambda u: sol_mod.level_covector(1.0, q0, u),
+                        162)
+    assert sphere.dimension == 2 and sphere.vertex_count() == 162
+    assert sphere.simplices.shape == (320, 3)
+    assert np.all(sphere.q == q0)
+
+
+def test_volume_growth_leaves_its_mesh_unchanged(torus, round_sandwich):
+    q0 = np.array([0.2, 0.7])
+    smap = lambda u: round_sandwich.surface_covector(q0, u)
+    mesh = fiber_mesh(torus, q0, smap, 16)
+    before = {name: getattr(mesh, name).copy()
+              for name in ("params", "q", "p", "simplices")}
+    res = volume_growth(dyn.geodesic_field(torus), mesh, 4, 0.3, 10000,
+                        surface_map=smap, fit_window=4)
+    assert res.vertex_count > mesh.vertex_count()   # the run did refine
+    for name, value in before.items():
+        assert np.array_equal(getattr(mesh, name), value)
 
 
 def test_fibonacci_sphere_is_unit():

@@ -116,6 +116,27 @@ fit_window = 5
     assert body[0] == "n,volume" and len(body) == 8
 
 
+def test_flat_volume_control_passes_at_short_horizon(tmp_path):
+    # a fiber circle's length grows linearly, so the semilog slope over a
+    # window ending at n = 10 is about 0.13; the flat control rules on the
+    # verdict, which reads polynomial at every horizon, not on the rate
+    manifest, _ = _run(tmp_path, """
+[experiment]
+name = volume-growth
+seed = 31
+
+[volume]
+n_max = 10
+resolution = 64
+refine_threshold = 0.2
+fit_window = 6
+""")
+    check = manifest["checks"]["flat-volume-subexponential"]
+    assert check["passed"] and check["verdict"] == "polynomial"
+    assert check["rate"] > 0.05
+    assert not manifest["results"]["exhausted"]
+
+
 def test_manifest_reproducibility_fields(tmp_path):
     manifest, out = _run(tmp_path, """
 [experiment]

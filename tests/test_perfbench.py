@@ -51,3 +51,41 @@ print(json.dumps({{k: v.rows for k, v in tracer.stages.items()}}))
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout.splitlines()[-1])
     assert rows.get("census.mesh", 0) > 0 and rows.get("census.polish", 0) > 0
+
+
+TINY_SOL_VOLUME = """
+[experiment]
+name = volume-growth
+seed = 24
+
+[manifold]
+kind = sol
+
+[sol]
+k = 1.0
+
+[volume]
+n_max = 3
+resolution = 162
+refine_threshold = 4.0
+vertex_budget = 50000
+"""
+
+
+def test_benchmark_sees_volume_stages(tmp_path):
+    # the level advance of volume_growth and the midpoint integration of
+    # its evolve_new are told apart by caller name, like the census stages
+    config = tmp_path / "volume.ini"
+    config.write_text(TINY_SOL_VOLUME)
+    done = _traced(f"""
+import json, layers
+tracer = layers.Tracer()
+layers.install(tracer)
+from spherization_lab import experiments
+from spherization_lab.config import load_config
+experiments.run(load_config({str(config)!r}), out_dir={str(tmp_path / "out")!r})
+print(json.dumps({{k: v.rows for k, v in tracer.stages.items()}}))
+""")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout.splitlines()[-1])
+    assert rows.get("volume.advance", 0) > 0 and rows.get("volume.refine", 0) > 0

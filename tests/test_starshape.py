@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from spherization_lab.dynamics import blend_field
 from spherization_lab.starshape import (Cutoff, RadialProfile,
                                         SandwichedHamiltonians, calibrate)
+
+from sandwich_helpers import blend_field, slope_positive_above_knot
 
 
 def quintic(x):
@@ -71,7 +72,7 @@ def test_calibrate_round(round_sandwich):
     # cutoff width shrank until the slope bound certified
     lo, hi = round_sandwich.cutoff.slope_bounds()
     assert 0.0 <= lo and hi <= 2.0
-    assert round_sandwich.cutoff.slope_positive_above_knot()
+    assert slope_positive_above_knot(round_sandwich.cutoff)
     assert round_sandwich.cutoff.eps ** 2 < 1.0 / (2 * round_sandwich.upper_scale)
 
 

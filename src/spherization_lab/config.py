@@ -1,10 +1,10 @@
 """Experiment configuration: a flat, typed key-value format with sections.
 
 Files use INI syntax (section headers, ``key = value`` lines).  Every key is
-declared in the schema below with its type and admissible range; unknown
-sections or keys are rejected, as are out-of-range values.  Vector values
-are space-separated numbers.  The parsed configuration echoes into the run
-manifest so a run is reproducible from its manifest alone.
+declared once, in the schema below, with its type, default and admissible
+range; unknown sections or keys are rejected, as are out-of-range values.
+Vector values are space-separated numbers.  The parsed configuration echoes
+into the run manifest so a run is reproducible from its manifest alone.
 """
 
 from __future__ import annotations
@@ -22,114 +22,96 @@ EXPERIMENTS = ("sol-entropy", "sol-sweep", "chord-census", "volume-growth",
 _INT64_MAX = 2 ** 63 - 1
 
 
-def _typed(kind, lo=None, hi=None, choices=None, length=None):
-    return {"kind": kind, "lo": lo, "hi": hi, "choices": choices,
-            "length": length}
+def _typed(kind, default, lo=None, hi=None, choices=None, length=None):
+    return {"kind": kind, "default": default, "lo": lo, "hi": hi,
+            "choices": choices, "length": length}
 
 
 SCHEMA = {
     "experiment": {
-        "name": _typed("str", choices=EXPERIMENTS),
-        "seed": _typed("int", lo=0, hi=_INT64_MAX),
-        "workers": _typed("int", lo=1, hi=256),
-        "out_dir": _typed("str"),
+        "name": _typed("str", None, choices=EXPERIMENTS),    # required
+        "seed": _typed("int", 0, lo=0, hi=_INT64_MAX),
+        "workers": _typed("int", 1, lo=1, hi=256),
+        "out_dir": _typed("str", "runs"),
     },
     "manifold": {
-        "kind": _typed("str", choices=("torus", "sol")),
-        "lattice": _typed("floats", length=4),        # row-major basis
-        "monodromy": _typed("ints", length=4),
+        # None: the experiment's model, from _DEFAULT_MANIFOLD
+        "kind": _typed("str", None, choices=("torus", "sol")),
+        "lattice": _typed("floats", (1.0, 0.0, 0.0, 1.0),    # row-major basis
+                          length=4),
+        "monodromy": _typed("ints", (2, 1, 1, 1), length=4),
     },
     "profile": {
-        "kind": _typed("str", choices=("round", "ellipse", "fourier")),
-        "axes": _typed("floats"),
-        "fourier_base": _typed("float", lo=1e-6),
-        "fourier_cos": _typed("floats"),
-        "fourier_sin": _typed("floats"),
+        "kind": _typed("str", "round",
+                       choices=("round", "ellipse", "fourier")),
+        "axes": _typed("floats", (1.0, 2.0)),
+        "fourier_base": _typed("float", 1.0, lo=1e-6),
+        "fourier_cos": _typed("floats", ()),
+        "fourier_sin": _typed("floats", ()),
     },
     "cutoff": {
-        "epsilon": _typed("float", lo=1e-9, hi=0.2499999),
-        "safety": _typed("float", lo=1.0, hi=10.0),
+        "epsilon": _typed("float", 0.2, lo=1e-9, hi=0.2499999),
+        "safety": _typed("float", 1.1, lo=1.0, hi=10.0),
     },
     "integrator": {
-        "scheme": _typed("str", choices=("rk", "midpoint")),
-        "rel_tol": _typed("float", lo=1e-14, hi=1e-2),
-        "abs_tol": _typed("float", lo=1e-16, hi=1e-2),
-        "max_step": _typed("float", lo=1e-6, hi=10.0),
-        "drift_abort": _typed("float", lo=1e-14, hi=1.0),
+        "scheme": _typed("str", "rk", choices=("rk", "midpoint")),
+        "rel_tol": _typed("float", 1e-10, lo=1e-14, hi=1e-2),
+        "abs_tol": _typed("float", 1e-12, lo=1e-16, hi=1e-2),
+        "max_step": _typed("float", 0.05, lo=1e-6, hi=10.0),
+        "drift_abort": _typed("float", 1e-6, lo=1e-14, hi=1.0),
     },
     "sol": {
-        "k": _typed("float", lo=1e-6, hi=100.0),
-        "mode": _typed("str", choices=("ensemble", "fixed-point")),
-        "count": _typed("int", lo=1, hi=10000),
-        "horizon": _typed("float", lo=0.1, hi=1e6),
-        "burn_in": _typed("float", lo=0.0, hi=0.9),
-        "k_values": _typed("floats"),
+        "k": _typed("float", 1.0, lo=1e-6, hi=100.0),
+        "mode": _typed("str", "ensemble", choices=("ensemble", "fixed-point")),
+        "count": _typed("int", 50, lo=1, hi=10000),
+        "horizon": _typed("float", 2000.0, lo=0.1, hi=1e6),
+        "burn_in": _typed("float", 0.1, lo=0.0, hi=0.9),
+        "k_values": _typed("floats", (0.75, 1.0, 1.5)),
     },
     "census": {
-        "horizon": _typed("float", lo=0.1, hi=1000.0),
-        "resolution": _typed("int", lo=64, hi=1_000_000),
-        "coarse_threshold": _typed("float", lo=1e-4, hi=10.0),
-        "sample_dt": _typed("float", lo=0.0, hi=10.0),   # 0 = automatic
-        "q0": _typed("floats"),
-        "q1": _typed("floats"),
-        "jitter": _typed("float", lo=0.0, hi=0.1),
-        "time_floor": _typed("float", lo=0.0, hi=1.0),
-        "max_candidates": _typed("int", lo=1000, hi=50_000_000),
-        "pairs": _typed("int", lo=1, hi=64),
-        "grid": _typed("int", lo=1, hi=16),
-        "newton_tol": _typed("float", lo=1e-14, hi=1e-4),
+        "horizon": _typed("float", 10.0, lo=0.1, hi=1000.0),
+        "resolution": _typed("int", 512, lo=64, hi=1_000_000),
+        "coarse_threshold": _typed("float", 0.25, lo=1e-4, hi=10.0),
+        "sample_dt": _typed("float", 0.0, lo=0.0, hi=10.0),  # 0 = automatic
+        "q0": _typed("floats", (0.0, 0.0)),
+        "q1": _typed("floats", (0.5, 0.5)),
+        "jitter": _typed("float", 1e-3, lo=0.0, hi=0.1),
+        "time_floor": _typed("float", 1e-6, lo=0.0, hi=1.0),
+        "max_candidates": _typed("int", 500_000, lo=1000, hi=50_000_000),
+        "pairs": _typed("int", 3, lo=1, hi=64),
+        "grid": _typed("int", 2, lo=1, hi=16),
+        "newton_tol": _typed("float", 1e-8, lo=1e-14, hi=1e-4),
     },
     "volume": {
-        "n_max": _typed("int", lo=1, hi=64),
-        "resolution": _typed("int", lo=8, hi=100_000),
-        "refine_threshold": _typed("float", lo=1e-3, hi=1e3),
-        "vertex_budget": _typed("int", lo=16, hi=10_000_000),
-        "fit_window": _typed("int", lo=3, hi=64),
-        "rel_tol": _typed("float", lo=1e-14, hi=1e-2),
+        "n_max": _typed("int", 30, lo=1, hi=64),
+        "resolution": _typed("int", 64, lo=8, hi=100_000),
+        "refine_threshold": _typed("float", 0.2, lo=1e-3, hi=1e3),
+        "vertex_budget": _typed("int", 200_000, lo=16, hi=10_000_000),
+        "fit_window": _typed("int", 8, lo=3, hi=64),
+        "rel_tol": _typed("float", 1e-8, lo=1e-14, hi=1e-2),
     },
     "action": {
-        "n_values": _typed("ints"),
-        "scales": _typed("floats"),
-        "chord_count": _typed("int", lo=1, hi=1000),
-        "grid": _typed("int", lo=8, hi=512),
-        "p_max": _typed("float", lo=0.1, hi=16.0),
+        "n_values": _typed("ints", (1, 2, 3)),
+        "scales": _typed("floats", (2.0, 3.0)),
+        "chord_count": _typed("int", 10, lo=1, hi=1000),
+        "grid": _typed("int", 40, lo=8, hi=512),
+        "p_max": _typed("float", 2.6, lo=0.1, hi=16.0),
     },
     "noncrossing": {
-        "n_values": _typed("ints"),
-        "s_points": _typed("int", lo=2, hi=1024),
-        "exclusion": _typed("float", lo=0.0, hi=1.0),
+        "n_values": _typed("ints", (1, 2, 3)),
+        "s_points": _typed("int", 32, lo=2, hi=1024),
+        "exclusion": _typed("float", 1e-4, lo=0.0, hi=1.0),
     },
     "growth": {
-        "n_max": _typed("int", lo=1, hi=16),
-        "control_n_max": _typed("int", lo=1, hi=64),
-        "fit_window": _typed("int", lo=3, hi=17),
-        "control_fit_window": _typed("int", lo=3, hi=65),
+        "n_max": _typed("int", 12, lo=1, hi=16),
+        "control_n_max": _typed("int", 28, lo=1, hi=64),
+        "fit_window": _typed("int", 6, lo=3, hi=17),
+        "control_fit_window": _typed("int", 8, lo=3, hi=65),
     },
 }
 
-DEFAULTS = {
-    "experiment": {"seed": 0, "workers": 1, "out_dir": "runs"},
-    "manifold": {"kind": None, "lattice": (1.0, 0.0, 0.0, 1.0),
-                 "monodromy": (2, 1, 1, 1)},
-    "profile": {"kind": "round", "axes": (1.0, 2.0), "fourier_base": 1.0,
-                "fourier_cos": (), "fourier_sin": ()},
-    "cutoff": {"epsilon": 0.2, "safety": 1.1},
-    "integrator": {"scheme": "rk", "rel_tol": 1e-10, "abs_tol": 1e-12,
-                   "max_step": 0.05, "drift_abort": 1e-6},
-    "sol": {"k": 1.0, "mode": "ensemble", "count": 50, "horizon": 2000.0,
-            "burn_in": 0.1, "k_values": (0.75, 1.0, 1.5)},
-    "census": {"horizon": 10.0, "resolution": 512, "coarse_threshold": 0.25,
-               "sample_dt": 0.0, "q0": (0.0, 0.0), "q1": (0.5, 0.5),
-               "jitter": 1e-3, "time_floor": 1e-6, "max_candidates": 500_000,
-               "pairs": 3, "grid": 2, "newton_tol": 1e-8},
-    "volume": {"n_max": 30, "resolution": 64, "refine_threshold": 0.2,
-               "vertex_budget": 200_000, "fit_window": 8, "rel_tol": 1e-8},
-    "action": {"n_values": (1, 2, 3), "scales": (2.0, 3.0), "chord_count": 10,
-               "grid": 40, "p_max": 2.6},
-    "noncrossing": {"n_values": (1, 2, 3), "s_points": 32, "exclusion": 1e-4},
-    "growth": {"n_max": 12, "control_n_max": 28, "fit_window": 6,
-               "control_fit_window": 8},
-}
+DEFAULTS = {sec: {key: spec["default"] for key, spec in keys.items()}
+            for sec, keys in SCHEMA.items()}
 
 _DEFAULT_MANIFOLD = {
     "sol-entropy": "sol", "sol-sweep": "sol", "chord-census": "torus",
@@ -217,7 +199,7 @@ def load_config(path: str) -> ExperimentConfig:
             sections[sec][key] = _parse_value(raw, SCHEMA[sec][key],
                                               f"[{sec}] {key}")
 
-    name = sections["experiment"].get("name")
+    name = sections["experiment"]["name"]
     if name is None:
         raise ConfigError("missing required key [experiment] name")
     if sections["manifold"]["kind"] is None:

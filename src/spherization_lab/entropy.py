@@ -35,7 +35,6 @@ from .dynamics import (CONVERGED, NEWTON_OUTCOMES, OUTSIDE_WINDOW,
                        lockstep_newton)
 from .errors import BudgetExceededError
 from .geometry import Deck, ModelManifold
-from .sol import momentum_map
 
 # -- rate fitting -------------------------------------------------------------
 
@@ -483,37 +482,9 @@ class MeshedSubmanifold:
         return np.unique(e, axis=0)
 
     def _pair_distance(self, i, j):
-        """Product-metric chord distance between vertex sets i and j.
-
-        The base part is the Riemannian chord; on sol the naive chart chord
-        overestimates wildly once an edge spans several z units, so it is
-        taken as the minimum of the frame chord and a constructive bound
-        (climb, cross at the cheap height, descend).  The fiber part uses
-        the flat covector gap on the torus and the left-invariant momentum
-        gap on sol.
-        """
-        qa, qb = self.q[i], self.q[j]
-        pa, pb = self.p[i], self.p[j]
-        if self.manifold.kind == "torus":
-            base = np.linalg.norm(qa - qb, axis=-1)
-            fiber = np.linalg.norm(pa - pb, axis=-1)
-            return np.sqrt(base ** 2 + fiber ** 2)
-        za, zb = qa[:, 2], qb[:, 2]
-        zbar = 0.5 * (za + zb)
-        dx = np.abs(qa[:, 0] - qb[:, 0])
-        dy = np.abs(qa[:, 1] - qb[:, 1])
-        dz = np.abs(za - zb)
-        chord = np.sqrt((dx * np.exp(-zbar)) ** 2 + (dy * np.exp(zbar)) ** 2
-                        + dz ** 2)
-        # x is cheap at large z, y at small z
-        ux = dx * np.exp(-np.maximum(za, zb))
-        uy = dy * np.exp(np.minimum(za, zb))
-        cx = np.where(ux <= 2.0, ux, 2.0 + 2.0 * np.log(np.maximum(ux, 2.0) / 2.0))
-        cy = np.where(uy <= 2.0, uy, 2.0 + 2.0 * np.log(np.maximum(uy, 2.0) / 2.0))
-        base = np.minimum(chord, cx + cy + dz)
-        fiber = np.linalg.norm(momentum_map(qa, pa) - momentum_map(qb, pb),
-                               axis=-1)
-        return np.sqrt(base ** 2 + fiber ** 2)
+        """Product-metric chord distance between vertex sets i and j."""
+        return self.manifold.phase_distance(self.q[i], self.p[i], self.q[j],
+                                            self.p[j])
 
     def edge_lengths(self, edges) -> np.ndarray:
         return self._pair_distance(edges[:, 0], edges[:, 1])

@@ -574,13 +574,10 @@ def run(cfg: ExperimentConfig, out_dir=None) -> dict:
         manifest["files"] = files
         manifest["pass"] = all(c["passed"] for c in checks.values()
                                if c["hard"])
-    except SpherizationError as exc:
-        manifest["error"] = {"category": exc.category, "message": str(exc)}
-        manifest["wall_clock_sec"] = time.perf_counter() - started
-        _write_manifest(out, manifest)
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        manifest["error"] = {"category": "internal-error", "message": str(exc)}
+    except Exception as exc:
+        category = (exc.category if isinstance(exc, SpherizationError)
+                    else "internal-error")
+        manifest["error"] = {"category": category, "message": str(exc)}
         manifest["wall_clock_sec"] = time.perf_counter() - started
         _write_manifest(out, manifest)
         raise

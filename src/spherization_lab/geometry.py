@@ -1,18 +1,21 @@
 """Model base manifolds and their covering geometry.
 
-Two models are supported:
+Each model is one frozen dataclass behind the base ``ModelManifold``, built
+by ``ModelManifold.torus()`` or ``ModelManifold.sol()``:
 
-* ``torus``: the flat 2-torus R^2 / (B Z^2) for an invertible lattice basis B.
-* ``sol``: a compact quotient of the 3-dimensional solvable group with left
-  multiplication (x,y,z)*(x',y',z') = (x + e^z x', y + e^{-z} y', z + z') and
-  metric e^{-2z} dx^2 + e^{2z} dy^2 + dz^2.  The lattice is built from an
-  integer unimodular matrix A with eigenvalue lam > 1 via a matrix P with
-  P A P^{-1} = diag(lam, 1/lam): the element (m, n, l) acts on the cover by
-  left multiplication with (P(m,n), l*log(lam)).
+* ``FlatTorus``: the flat 2-torus R^2 / (B Z^2) for an invertible lattice
+  basis B.
+* ``SolQuotient``: a compact quotient of the 3-dimensional solvable group
+  with left multiplication (x,y,z)*(x',y',z') = (x + e^z x', y + e^{-z} y',
+  z + z') and metric e^{-2z} dx^2 + e^{2z} dy^2 + dz^2.  The lattice is
+  built from an integer unimodular matrix A with eigenvalue lam > 1 via a
+  matrix P with P A P^{-1} = diag(lam, 1/lam): the element (m, n, l) acts
+  on the cover by left multiplication with (P(m,n), l*log(lam)).
 
-The metric enters through ``conorm_sq`` and its one gradient kernel,
-``conorm_grads`` (the gradients of |p|^2 / 2), which the geodesic field, the
-sandwich energy G and the round gauge all scale.
+The per-model interface is listed on ``ModelManifold``.  The metric enters
+through ``conorm_sq`` and its one gradient kernel, ``conorm_grads`` (the
+gradients of |p|^2 / 2), which the geodesic field, the sandwich energy G
+and the round gauge all scale.
 
 Coordinates always live in the universal cover, so trajectories stay
 smooth.  Arrivals are found by one vectorized search, ``nearest_lift``,
@@ -27,11 +30,13 @@ All operations here are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 Deck = tuple[int, ...]
+
+_CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -48,37 +53,48 @@ class CotangentPoint:
             raise ValueError("non-finite phase-space state")
 
 
-@dataclass(frozen=True)
+def momentum_map(q, p):
+    """Sol's left-invariant momenta (M_x, M_y, M_z) from cover coordinates;
+    vectorized."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    ez = np.exp(q[..., 2])
+    return np.stack([ez * p[..., 0], p[..., 1] / ez, p[..., 2]], axis=-1)
+
+
 class ModelManifold:
     """A model base manifold together with its covering data.
 
-    For the sol quotient, ``basis_mat`` is the matrix P above (it sends
-    integer lattice coordinates to horizontal cover coordinates) and
-    ``basis_inv`` its inverse; ``stretch`` is lam and ``period`` log(lam).
-    """
+    Each model is a frozen dataclass that holds only its own covering data
+    and sets the class attributes ``kind`` and ``dim``.  It implements,
+    vectorized over leading axes:
 
-    kind: str                      # "torus" | "sol"
-    dim: int
-    lattice: np.ndarray | None = None        # torus: basis columns
-    lattice_inv: np.ndarray | None = None
-    monodromy: tuple[int, int, int, int] | None = None   # sol: A, row-major
-    basis_mat: np.ndarray | None = None
-    basis_inv: np.ndarray | None = None
-    stretch: float = field(default=0.0)
-    period: float = field(default=0.0)
+    * ``random_point(rng)``: a uniform sample of the fundamental domain;
+    * ``conorm_sq(q, p)`` and ``conorm_grads(q, p)``: |p|^2 in the dual
+      metric, and (d/dq, d/dp) of |p|^2 / 2;
+    * ``norm_sq(q, v)``: |v|^2 of a tangent vector in the base metric;
+    * ``frame_components(q_ref, v)``: ``v`` in the orthonormal frame at
+      ``q_ref``;
+    * ``phase_distance(qa, pa, qb, pb)``: the product-metric chord distance
+      between phase-space points;
+    * ``_deck_apply(g, q)`` and ``_nearest_lift(q_probe, q_base)``: the
+      model's halves of ``deck_apply`` and ``nearest_lift``, on float arrays.
+
+    ``deck_apply``, ``frame_displacement`` and ``nearest_lift`` live here
+    only, so that a wrapper set on this class sees every model's lifts.
+    """
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def torus(basis=None) -> "ModelManifold":
+    def torus(basis=None) -> "FlatTorus":
         b = np.eye(2) if basis is None else np.asarray(basis, dtype=float)
         if b.shape != (2, 2) or abs(np.linalg.det(b)) < 1e-12:
             raise ValueError("lattice basis must be an invertible 2x2 matrix")
-        return ModelManifold(kind="torus", dim=2, lattice=b,
-                             lattice_inv=np.linalg.inv(b))
+        return FlatTorus(lattice=b, lattice_inv=np.linalg.inv(b))
 
     @staticmethod
-    def sol(monodromy=(2, 1, 1, 1)) -> "ModelManifold":
+    def sol(monodromy=(2, 1, 1, 1)) -> "SolQuotient":
         a = tuple(int(v) for v in np.asarray(monodromy).ravel())
         if len(a) != 4:
             raise ValueError("monodromy must be a 2x2 integer matrix")
@@ -105,95 +121,14 @@ class ModelManifold:
         if abs(diag[0, 1]) > 1e-12 or abs(diag[1, 0]) > 1e-12 or \
            abs(diag[0, 0] - lam) > 1e-12:
             raise ValueError("diagonalization of the monodromy failed")
-        return ModelManifold(kind="sol", dim=3, monodromy=a, basis_mat=p,
-                             basis_inv=v, stretch=lam,
-                             period=float(np.log(lam)))
+        return SolQuotient(monodromy=a, basis_mat=p, basis_inv=v,
+                           period=float(np.log(lam)))
 
-    # -- deck transformations ---------------------------------------------
+    # -- the shared covering interface --------------------------------------
 
     def deck_apply(self, g: Deck, q) -> np.ndarray:
         """Left action of the lattice element ``g`` on a cover point."""
-        q = np.asarray(q, dtype=float)
-        if self.kind == "torus":
-            return q + self.lattice @ np.asarray(g, dtype=float)
-        m, n, l = g
-        shift = self.basis_mat @ np.array([float(m), float(n)])
-        zg = l * self.period
-        return np.array([shift[0] + np.exp(zg) * q[0],
-                         shift[1] + np.exp(-zg) * q[1],
-                         zg + q[2]])
-
-    def deck_transport(self, g: Deck, x: CotangentPoint) -> CotangentPoint:
-        """Lift of the deck action to the cotangent bundle.
-
-        The base moves by the left action; the covector by the inverse
-        transpose of its (diagonal) differential, which preserves the
-        left-invariant conorm.
-        """
-        q = self.deck_apply(g, x.q)
-        if self.kind == "torus":
-            return CotangentPoint(q, x.p.copy())
-        zg = g[2] * self.period
-        p = np.array([x.p[0] * np.exp(-zg), x.p[1] * np.exp(zg), x.p[2]])
-        return CotangentPoint(q, p)
-
-    def random_point(self, rng) -> np.ndarray:
-        """Uniform sample of the fundamental domain."""
-        if self.kind == "torus":
-            return self.lattice @ rng.uniform(0.0, 1.0, size=2)
-        frac = rng.uniform(0.0, 1.0, size=3)
-        xy = self.basis_mat @ frac[:2]
-        return np.array([xy[0], xy[1], frac[2] * self.period])
-
-    # -- metric data ---------------------------------------------------------
-
-    def conorm_sq(self, q, p):
-        """|p|^2 in the dual metric; vectorized over leading axes."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if self.kind == "torus":
-            return np.sum(p * p, axis=-1)
-        e2z = np.exp(2.0 * q[..., 2])
-        return e2z * p[..., 0] ** 2 + p[..., 1] ** 2 / e2z + p[..., 2] ** 2
-
-    def conorm_grads(self, q, p):
-        """(d/dq, d/dp) of |p|^2 / 2; vectorized over leading axes."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        gq = np.zeros_like(q)
-        if self.kind == "torus":
-            return gq, p.copy()
-        e2z = np.exp(2.0 * q[..., 2])
-        gq[..., 2] = e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z
-        gp = np.empty_like(p)
-        gp[..., 0] = e2z * p[..., 0]
-        gp[..., 1] = p[..., 1] / e2z
-        gp[..., 2] = p[..., 2]
-        return gq, gp
-
-    def norm_sq(self, q, v):
-        """|v|^2 of a tangent vector in the base metric."""
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind == "torus":
-            return np.sum(v * v, axis=-1)
-        e2z = np.exp(2.0 * q[..., 2])
-        return v[..., 0] ** 2 / e2z + e2z * v[..., 1] ** 2 + v[..., 2] ** 2
-
-    # -- distances on the quotient -------------------------------------------
-
-    def frame_components(self, q_ref, v):
-        """Tangent vectors ``v`` at ``q_ref`` in the orthonormal frame there
-        (on sol the left-invariant frame e^z d/dx, e^-z d/dy, d/dz)."""
-        v = np.asarray(v, dtype=float)
-        if self.kind == "torus":
-            return v
-        z = np.asarray(q_ref, dtype=float)[..., 2]
-        out = np.empty_like(v)
-        out[..., 0] = v[..., 0] * np.exp(-z)
-        out[..., 1] = v[..., 1] * np.exp(z)
-        out[..., 2] = v[..., 2]
-        return out
+        return self._deck_apply(g, np.asarray(q, dtype=float))
 
     def frame_displacement(self, q_probe, q_ref):
         """Displacement of ``q_probe`` from ``q_ref`` in an orthonormal frame
@@ -217,25 +152,162 @@ class ModelManifold:
         ``(deck, dist, lift)`` of shapes (..., k), (...) and (..., d), with
         ``deck`` the int64 lattice coordinates of the winning lift.
         """
-        q_probe = np.asarray(q_probe, dtype=float)
-        q_base = np.asarray(q_base, dtype=float)
-        corners = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
-        best_d = np.full(q_probe.shape[:-1], np.inf)
-        if self.kind == "torus":
-            kf = np.floor((q_probe - q_base) @ self.lattice_inv.T)
-            best_k = np.zeros_like(kf)
-            for corner in corners:
-                k = kf + np.array(corner)
-                w = q_probe - (q_base + k @ self.lattice.T)
-                # np.linalg.norm's dot product of one vector, per probe: the
-                # seed order of shoot_fixed_time_chords rests on these bits
-                dist = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
-                better = dist < best_d
-                best_d = np.where(better, dist, best_d)
-                best_k[better] = k[better]
-            lift = q_base + best_k @ self.lattice.T
-            return best_k.astype(np.int64), best_d, lift
+        return self._nearest_lift(np.asarray(q_probe, dtype=float),
+                                  np.asarray(q_base, dtype=float))
 
+
+@dataclass(frozen=True)
+class FlatTorus(ModelManifold):
+    """The flat torus R^2 / (B Z^2); ``lattice`` holds the basis columns B."""
+
+    kind = "torus"
+    dim = 2
+    lattice: np.ndarray
+    lattice_inv: np.ndarray
+
+    def _deck_apply(self, g, q):
+        return q + self.lattice @ np.asarray(g, dtype=float)
+
+    def random_point(self, rng) -> np.ndarray:
+        return self.lattice @ rng.uniform(0.0, 1.0, size=2)
+
+    def conorm_sq(self, q, p):
+        p = np.asarray(p, dtype=float)
+        return np.sum(p * p, axis=-1)
+
+    def conorm_grads(self, q, p):
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
+        return np.zeros_like(q), p.copy()
+
+    def norm_sq(self, q, v):
+        v = np.asarray(v, dtype=float)
+        return np.sum(v * v, axis=-1)
+
+    def frame_components(self, q_ref, v):
+        return np.asarray(v, dtype=float)
+
+    def phase_distance(self, qa, pa, qb, pb):
+        base = np.linalg.norm(qa - qb, axis=-1)
+        fiber = np.linalg.norm(pa - pb, axis=-1)
+        return np.sqrt(base ** 2 + fiber ** 2)
+
+    def _nearest_lift(self, q_probe, q_base):
+        best_d = np.full(q_probe.shape[:-1], np.inf)
+        kf = np.floor((q_probe - q_base) @ self.lattice_inv.T)
+        best_k = np.zeros_like(kf)
+        for corner in _CORNERS:
+            k = kf + np.array(corner)
+            w = q_probe - (q_base + k @ self.lattice.T)
+            # np.linalg.norm's dot product of one vector, per probe: the
+            # seed order of shoot_fixed_time_chords rests on these bits
+            dist = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
+            better = dist < best_d
+            best_d = np.where(better, dist, best_d)
+            best_k[better] = k[better]
+        lift = q_base + best_k @ self.lattice.T
+        return best_k.astype(np.int64), best_d, lift
+
+    def lattice_translates(self, delta, radius: float) -> np.ndarray:
+        """Translates ``w = delta + B k`` with ``|w| <= radius``.
+
+        Integer vectors k run over a box that covers the disk, in m-major
+        order (the order of nested loops over m, then n); returns (N, 2).
+        """
+        delta = np.asarray(delta, dtype=float)
+        scale = np.linalg.norm(self.lattice_inv, 2)
+        r = int(math.ceil((radius + np.linalg.norm(delta)) * scale)) + 1
+        m, n = np.meshgrid(np.arange(-r, r + 1.0), np.arange(-r, r + 1.0),
+                           indexing="ij")
+        k = np.stack([m.ravel(), n.ravel()], axis=-1)
+        w = delta + (self.lattice @ k[..., None])[..., 0]
+        return w[np.linalg.norm(w, axis=-1) <= radius]
+
+
+@dataclass(frozen=True)
+class SolQuotient(ModelManifold):
+    """The sol quotient of monodromy A (row-major).  ``basis_mat`` is the
+    matrix P above (it sends integer lattice coordinates to horizontal cover
+    coordinates), ``basis_inv`` its inverse and ``period`` log(lam)."""
+
+    kind = "sol"
+    dim = 3
+    monodromy: tuple[int, int, int, int]
+    basis_mat: np.ndarray
+    basis_inv: np.ndarray
+    period: float
+
+    def _deck_apply(self, g, q):
+        m, n, l = g
+        shift = self.basis_mat @ np.array([float(m), float(n)])
+        zg = l * self.period
+        return np.array([shift[0] + np.exp(zg) * q[0],
+                         shift[1] + np.exp(-zg) * q[1],
+                         zg + q[2]])
+
+    def random_point(self, rng) -> np.ndarray:
+        frac = rng.uniform(0.0, 1.0, size=3)
+        xy = self.basis_mat @ frac[:2]
+        return np.array([xy[0], xy[1], frac[2] * self.period])
+
+    def conorm_sq(self, q, p):
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
+        e2z = np.exp(2.0 * q[..., 2])
+        return e2z * p[..., 0] ** 2 + p[..., 1] ** 2 / e2z + p[..., 2] ** 2
+
+    def conorm_grads(self, q, p):
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
+        gq = np.zeros_like(q)
+        e2z = np.exp(2.0 * q[..., 2])
+        gq[..., 2] = e2z * p[..., 0] ** 2 - p[..., 1] ** 2 / e2z
+        gp = np.empty_like(p)
+        gp[..., 0] = e2z * p[..., 0]
+        gp[..., 1] = p[..., 1] / e2z
+        gp[..., 2] = p[..., 2]
+        return gq, gp
+
+    def norm_sq(self, q, v):
+        q = np.asarray(q, dtype=float)
+        v = np.asarray(v, dtype=float)
+        e2z = np.exp(2.0 * q[..., 2])
+        return v[..., 0] ** 2 / e2z + e2z * v[..., 1] ** 2 + v[..., 2] ** 2
+
+    def frame_components(self, q_ref, v):
+        # the left-invariant frame e^z d/dx, e^-z d/dy, d/dz
+        v = np.asarray(v, dtype=float)
+        z = np.asarray(q_ref, dtype=float)[..., 2]
+        out = np.empty_like(v)
+        out[..., 0] = v[..., 0] * np.exp(-z)
+        out[..., 1] = v[..., 1] * np.exp(z)
+        out[..., 2] = v[..., 2]
+        return out
+
+    def phase_distance(self, qa, pa, qb, pb):
+        # the naive chart chord overestimates wildly once an edge spans
+        # several z units, so the base part is the minimum of the frame
+        # chord and a constructive bound (climb, cross at the cheap height,
+        # descend); the fiber part is the left-invariant momentum gap
+        za, zb = qa[..., 2], qb[..., 2]
+        zbar = 0.5 * (za + zb)
+        dx = np.abs(qa[..., 0] - qb[..., 0])
+        dy = np.abs(qa[..., 1] - qb[..., 1])
+        dz = np.abs(za - zb)
+        chord = np.sqrt((dx * np.exp(-zbar)) ** 2 + (dy * np.exp(zbar)) ** 2
+                        + dz ** 2)
+        # x is cheap at large z, y at small z
+        ux = dx * np.exp(-np.maximum(za, zb))
+        uy = dy * np.exp(np.minimum(za, zb))
+        cx = np.where(ux <= 2.0, ux, 2.0 + 2.0 * np.log(np.maximum(ux, 2.0) / 2.0))
+        cy = np.where(uy <= 2.0, uy, 2.0 + 2.0 * np.log(np.maximum(uy, 2.0) / 2.0))
+        base = np.minimum(chord, cx + cy + dz)
+        fiber = np.linalg.norm(momentum_map(qa, pa) - momentum_map(qb, pb),
+                               axis=-1)
+        return np.sqrt(base ** 2 + fiber ** 2)
+
+    def _nearest_lift(self, q_probe, q_base):
+        best_d = np.full(q_probe.shape[:-1], np.inf)
         bm, bi = self.basis_mat, self.basis_inv
 
         def lift_xy(k0, k1, ez):
@@ -256,7 +328,7 @@ class ModelManifold:
             lift_z = zg + q_base[2]
             shrink, grow = np.exp(-lift_z), np.exp(lift_z)
             fz = z - lift_z
-            for dm, dn in corners:
+            for dm, dn in _CORNERS:
                 k0 = kf0 + dm
                 k1 = kf1 + dn
                 lift_x, lift_y = lift_xy(k0, k1, ez)
@@ -273,18 +345,3 @@ class ModelManifold:
                          zg + q_base[2]], axis=-1)
         deck = np.stack([k0_best, k1_best, l_best], axis=-1).astype(np.int64)
         return deck, best_d, lift
-
-    def lattice_translates(self, delta, radius: float) -> np.ndarray:
-        """Torus translates ``w = delta + B k`` with ``|w| <= radius``.
-
-        Integer vectors k run over a box that covers the disk, in m-major
-        order (the order of nested loops over m, then n); returns (N, 2).
-        """
-        delta = np.asarray(delta, dtype=float)
-        scale = np.linalg.norm(self.lattice_inv, 2)
-        r = int(math.ceil((radius + np.linalg.norm(delta)) * scale)) + 1
-        m, n = np.meshgrid(np.arange(-r, r + 1.0), np.arange(-r, r + 1.0),
-                           indexing="ij")
-        k = np.stack([m.ravel(), n.ravel()], axis=-1)
-        w = delta + (self.lattice @ k[..., None])[..., 0]
-        return w[np.linalg.norm(w, axis=-1) <= radius]

@@ -31,15 +31,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .dynamics import HamiltonianField, Trajectory
-from .geometry import ModelManifold
-
-
-def momentum_map(q, p):
-    """(M_x, M_y, M_z) from cover coordinates; vectorized."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    ez = np.exp(q[..., 2])
-    return np.stack([ez * p[..., 0], p[..., 1] / ez, p[..., 2]], axis=-1)
+from .geometry import ModelManifold, momentum_map
 
 
 def inverse_momentum_map(m, q):

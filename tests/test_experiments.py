@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spherization_lab import dynamics as dyn
+from spherization_lab import experiments
 from spherization_lab import sol as sol_mod
 from spherization_lab.config import load_config
 from spherization_lab.errors import InvariantFailureError
@@ -156,6 +157,25 @@ control_fit_window = 4
     assert manifest["wall_clock_sec"] >= 0.0
     again = json.loads((out / "manifest.json").read_text())
     assert again["config_hash"] == manifest["config_hash"]
+
+
+def test_unexpected_error_writes_internal_error_manifest(tmp_path,
+                                                         monkeypatch):
+    # an exception outside the lab's own error types still leaves a
+    # manifest behind, filed as internal-error, and reaches the caller
+    def broken(cfg, out, rng):
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(experiments._RUNNERS, "group-growth", broken)
+    p = tmp_path / "c.ini"
+    p.write_text("[experiment]\nname = group-growth\n")
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="runner bug"):
+        run(load_config(str(p)), out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == {"category": "internal-error",
+                                 "message": "runner bug"}
+    assert manifest["pass"] is False
 
 
 def test_write_csv_formatting(tmp_path):

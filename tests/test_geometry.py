@@ -12,7 +12,7 @@ def test_sol_vertical_deck_lift_action(sol):
     # plane by lam and 1/lam and shifts z by the period
     q = np.array([0.2, 0.5, 0.1])
     lifted = sol.deck_apply((0, 0, 1), q)
-    lam = sol.stretch
+    lam = np.exp(sol.period)
     assert np.allclose(lifted, [lam * 0.2, 0.5 / lam, 0.1 + sol.period],
                        atol=1e-14)
 
@@ -66,10 +66,15 @@ def test_sol_conorm_equals_momentum_norm(sol, rng):
 
 
 def test_deck_transport_preserves_conorm(sol, rng):
+    # the lift of the deck action to the cotangent bundle: the base moves by
+    # the left action, the covector by the inverse transpose of its
+    # (diagonal) differential
     for _ in range(100):
         x = CotangentPoint(sol.random_point(rng), rng.normal(size=3))
         g = tuple(int(v) for v in rng.integers(-2, 3, size=3))
-        y = sol.deck_transport(g, x)
+        zg = g[2] * sol.period
+        y = CotangentPoint(sol.deck_apply(g, x.q),
+                           x.p * np.array([np.exp(-zg), np.exp(zg), 1.0]))
         a = sol.conorm_sq(x.q, x.p)
         b = sol.conorm_sq(y.q, y.p)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
@@ -138,5 +143,5 @@ def test_monodromy_validation():
         ModelManifold.sol((0, 1, -1, 0))  # elliptic
     man = ModelManifold.sol((3, 2, 1, 1))
     diag = man.basis_mat @ np.array([[3.0, 2.0], [1.0, 1.0]]) @ man.basis_inv
-    assert abs(diag[0, 0] - man.stretch) < 1e-12
+    assert abs(diag[0, 0] - np.exp(man.period)) < 1e-12
     assert abs(diag[0, 1]) < 1e-12 and abs(diag[1, 0]) < 1e-12

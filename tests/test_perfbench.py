@@ -89,3 +89,23 @@ print(json.dumps({{k: v.rows for k, v in tracer.stages.items()}}))
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout.splitlines()[-1])
     assert rows.get("volume.advance", 0) > 0 and rows.get("volume.refine", 0) > 0
+
+
+def test_benchmark_sees_every_geometry_lift():
+    # the tracer wraps deck_apply, frame_displacement and nearest_lift on
+    # the ModelManifold base class; a model that overrode one of them would
+    # run its lifts past the tracer without an error
+    done = _traced("""
+import layers, numpy as np
+tracer = layers.Tracer()
+layers.install(tracer)
+from spherization_lab.geometry import ModelManifold
+for man in (ModelManifold.torus(), ModelManifold.sol()):
+    q = man.random_point(np.random.default_rng(0))
+    man.deck_apply((1,) * man.dim, q)
+    man.frame_displacement(q + 0.1, q)
+    man.nearest_lift(q + 0.1, q)
+print(tracer.totals["geometry.lift"].calls)
+""")
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) == 6

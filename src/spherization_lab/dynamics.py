@@ -15,6 +15,15 @@ upper and blended sandwich Hamiltonians are one scalar profile of G, the
 sandwich's ``blend_profile(t)``, whose slope h_t'(G) scales the gradients
 of G.
 
+The adaptive scheme is an in-house DOP853 (Dormand and Prince's explicit
+Runge-Kutta pair of order 8(5,3) with a 7th-order interpolant; Hairer,
+Norsett and Wanner, *Solving ODEs I*, Sec. II.5), ``_dop853``: one step
+shared by all components, taken operation for operation as in scipy's
+``solve_ivp(method="DOP853")``, whose results it reproduces bit for bit.
+Its tableau is read from scipy's ``dop853_coefficients.py`` file, so the lab
+imports no scipy submodule.  ``simpson`` is the composite Simpson rule of
+the action and Lyapunov quadratures, equal to scipy's bit for bit.
+
 Both chord finders, the census polisher in ``entropy`` and the fixed-time
 shooting here, polish with one damped Newton driver, ``lockstep_newton``
 (Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).
@@ -22,12 +31,14 @@ shooting here, polish with one damped Newton driver, ``lockstep_newton``
 
 from __future__ import annotations
 
+import bisect
+import importlib.util
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import IntegrationDivergedError, InvariantFailureError, StiffnessError
 from .geometry import CotangentPoint, ModelManifold
@@ -221,27 +232,179 @@ def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None):
     """Integrate y' = rhs(t, y) over [t0, t1] with the configured scheme.
 
     Returns (times, ys, stats) with ys of shape (len(y0), samples), sampled
-    on ``t_eval`` (default: the quadrature grid of ``cfg.max_step``).
+    on ``t_eval`` (default: the quadrature grid of ``cfg.max_step``), which
+    must increase strictly from t0 to t1.  ``stats`` counts RHS calls
+    (``nfev``), accepted and rejected steps and samples.
     """
-    if t_eval is None:
-        t_eval = _sample_grid(t0, t1, cfg.max_step)
-    if cfg.scheme == "midpoint":
-        return _implicit_midpoint(rhs, y0, t_eval, cfg)
-    res = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=t_eval)
-    if not res.success:
-        raise StiffnessError(f"integrator failed: {res.message}")
-    return res.t, res.y, {"nfev": int(res.nfev), "samples": len(res.t)}
+    t_eval = np.asarray(_sample_grid(t0, t1, cfg.max_step) if t_eval is None
+                        else t_eval, dtype=float)
+    if (t_eval.ndim != 1 or len(t_eval) < 2 or t_eval[0] != t0
+            or t_eval[-1] != t1 or np.any(np.diff(t_eval) <= 0)):
+        raise ValueError("t_eval must increase strictly from t0 to t1")
+    scheme = _implicit_midpoint if cfg.scheme == "midpoint" else _dop853
+    return scheme(rhs, y0, t_eval, cfg)
+
+
+def _load_dop853_tableau():
+    """scipy's DOP853 coefficients, run from their file: importing them as
+    ``scipy.integrate._ivp.dop853_coefficients`` would first run
+    ``scipy.integrate``'s package init, which loads most of scipy."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = Path(root) / "integrate" / "_ivp" / "dop853_coefficients.py"
+    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_DOP853 = _load_dop853_tableau()
+_STAGES = _DOP853.N_STAGES                         # 12; K gains f_new as row 12
+_EXTENDED = _DOP853.N_STAGES_EXTENDED              # 16: 3 more for the interpolant
+_NODES = [float(c) for c in _DOP853.C]
+_WEIGHTS = [_DOP853.A[s, :s] for s in range(_EXTENDED)]
+_B, _E3, _E5, _D = _DOP853.B, _DOP853.E3, _DOP853.E5, _DOP853.D
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8                           # -1 / (error order 7 + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(rhs, y0, t_eval, cfg):
+    """DOP853 over [t_eval[0], t_eval[-1]] with one step for all components,
+    sampled on ``t_eval`` by the 7th-order interpolant.
+
+    This is scipy 1.17's ``solve_ivp(method="DOP853")`` operation for
+    operation, so that its results are the same bits: the initial step
+    guess, the stage sums as ``np.dot`` on the rows of one (16, n) stage
+    buffer, the RMS error norm of the 5th- and 3rd-order estimators, the step
+    controller (safety 0.9, factors in [0.2, 10], no growth right after a
+    rejection) and its 10-ulp minimum step, and the three extra stages of
+    the interpolant on those steps only that hold a sample.  ``rel_tol`` is
+    clamped at 100 eps with a warning, a non-finite ``y0`` is a ValueError,
+    and a step below the minimum (where a non-finite RHS ends up, and also a
+    non-finite step, which would loop in scipy) raises StiffnessError.
+    """
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
+        raise ValueError("the initial state must be a finite, non-empty vector")
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    if rtol < _RTOL_FLOOR:
+        warnings.warn(f"rel_tol {rtol:.3g} is below 100 eps; using "
+                      f"{_RTOL_FLOOR:.3g}", stacklevel=3)
+        rtol = _RTOL_FLOOR
+    times = t_eval.tolist()
+    t, t_bound = times[0], times[-1]
+    n = y.size
+    f = rhs(t, y)
+    nfev, steps, rejected = 1, 0, 0
+
+    # initial step (Hairer, Norsett and Wanner, Sec. II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    f1 = rhs(t + h0, y + h0 * f)
+    nfev += 1
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = float(min(100 * h0, h1, t_bound - t))
+
+    K = np.empty((_EXTENDED, n))
+    KT = [K[:s].T for s in range(_EXTENDED + 1)]   # stage sums read K[:s].T
+    out = np.empty((n, len(times)))
+    dy = np.empty(n)
+    sampled = 0
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StiffnessError("integrator failed: Required step size "
+                                     "is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, _STAGES):
+                np.dot(KT[s], _WEIGHTS[s], out=dy)
+                dy *= h
+                dy += y
+                K[s] = rhs(t + _NODES[s] * h, dy)
+            y_new = y + h * np.dot(KT[_STAGES], _B)
+            f_new = rhs(t + h, y_new)
+            K[_STAGES] = f_new
+            nfev += _STAGES
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(KT[_STAGES + 1], h, scale)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else
+                          min(_MAX_FACTOR,
+                              _SAFETY * error_norm ** _ERROR_EXPONENT))
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        steps += 1
+        t_old, y_old, f_old = t, y, f
+        t, y, f = t_new, y_new, f_new
+        hi = bisect.bisect_right(times, t, sampled)
+        if hi > sampled:
+            # the three extra stages and the interpolant, as scipy's
+            # Dop853DenseOutput evaluates it
+            for s in range(_STAGES + 1, _EXTENDED):
+                K[s] = rhs(t_old + _NODES[s] * h,
+                           y_old + np.dot(KT[s], _WEIGHTS[s]) * h)
+            nfev += _EXTENDED - _STAGES - 1
+            delta_y = y - y_old
+            F = np.empty((_DOP853.INTERPOLATOR_POWER, n))
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (f + f_old)
+            F[3:] = h * np.dot(_D, K)
+            x = ((t_eval[sampled:hi] - t_old) / (t - t_old))[:, None]
+            one_minus_x = 1 - x
+            ys = np.zeros((hi - sampled, n))
+            for i, row in enumerate(F[::-1]):
+                ys += row
+                ys *= one_minus_x if i % 2 else x
+            ys += y_old
+            out[:, sampled:hi] = ys.T
+            sampled = hi
+    return t_eval, out, {"nfev": nfev, "steps": steps, "rejected": rejected,
+                         "samples": len(times)}
+
+
+def _error_norm(KT, h, scale):
+    """scipy's DOP853 error norm: the RMS of the 5th-order estimate, damped
+    by the 3rd-order one."""
+    err5 = np.dot(KT, _E5) / scale
+    err3 = np.dot(KT, _E3) / scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    if denom == 0:   # an underflow, 0 / 0 in scipy's numpy scalars
+        return math.nan
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 def _implicit_midpoint(rhs, y0, t_eval, cfg):
     """Implicit midpoint across each interval of ``t_eval`` in equal steps of
     at most ``cfg.max_step``, so every sample is a step endpoint."""
-    t_eval = np.asarray(t_eval, dtype=float)
     out = np.empty((len(y0), len(t_eval)))
     out[:, 0] = y0
     y = np.asarray(y0, dtype=float)
-    nfev = 0
+    nfev = total_steps = 0
     for i in range(len(t_eval) - 1):
         t, dt = t_eval[i], t_eval[i + 1] - t_eval[i]
         # the tolerance keeps a spacing of max_step plus rounding at one step
@@ -251,8 +414,10 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg):
             y, calls = _midpoint_step(rhs, t, y, h)
             nfev += calls
             t += h
+        total_steps += steps
         out[:, i + 1] = y
-    return t_eval, out, {"nfev": nfev, "samples": len(t_eval)}
+    return t_eval, out, {"nfev": nfev, "steps": total_steps, "rejected": 0,
+                         "samples": len(t_eval)}
 
 
 def _midpoint_step(rhs, t, y, h):
@@ -269,6 +434,45 @@ def _midpoint_step(rhs, t, y, h):
 
 
 # -- action functional -------------------------------------------------------
+
+def simpson(y, x):
+    """Composite Simpson's rule of samples ``y`` at increasing abscissae
+    ``x``, equal bit for bit to scipy 1.17's ``simpson(y, x=x)`` on 1-D
+    input.  For an even number of samples the rule covers all but the last
+    interval, which gets Cartwright's three-point correction."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = len(y)
+    if n == 2:
+        return 0.0 + (0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2]))
+    if n % 2:
+        return _basic_simpson(y, x, n - 2)
+    result = _basic_simpson(y, x, n - 3)
+    diffs = np.diff(x)
+    h0, h1 = np.asarray(diffs[-2]), np.asarray(diffs[-1])
+    alpha = _divide(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _divide(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _divide(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0
+
+
+def _basic_simpson(y, x, stop):
+    """Simpson's rule for unequal spacing over the samples [0, stop + 2)."""
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = _divide(h0, h1)
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - _divide(1.0, h0divh1))
+                        + y[1:stop + 1:2] * (hsum * _divide(hsum, hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def _divide(a, b):
+    """a / b, and 0 where b is 0."""
+    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
+
 
 def action_of_trajectory(traj: Trajectory, field: HamiltonianField) -> float:
     """Quadrature of the classical action integral(p . dq/dt - H) dt.
@@ -560,6 +764,9 @@ def radial_chord_actions(sandwich: SandwichedHamiltonians, n: int, t: float,
     delta = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
     norms = sorted({round(float(np.linalg.norm(w)), 12)
                     for w in sandwich.manifold.lattice_translates(delta, w_cap)})
+    # imported here so that only this check pays for loading scipy.optimize
+    from scipy.optimize import brentq
+
     actions = []
     for wn in norms:
         if wn == 0.0:

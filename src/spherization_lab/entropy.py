@@ -479,7 +479,10 @@ class MeshedSubmanifold:
         else:
             e = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]])
         e = np.sort(e, axis=1)
-        return np.unique(e, axis=0)
+        # unique rows in lexicographic order, through one int64 key
+        n = self.vertex_count()
+        key = np.unique(e[:, 0].astype(np.int64) * n + e[:, 1])
+        return np.stack([key // n, key % n], axis=1).astype(e.dtype, copy=False)
 
     def _pair_distance(self, i, j):
         """Product-metric chord distance between vertex sets i and j."""

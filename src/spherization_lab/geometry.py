@@ -39,7 +39,7 @@ Deck = tuple[int, ...]
 _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CotangentPoint:
     """A phase-space state: base coordinates in the cover plus a covector."""
 
@@ -66,7 +66,8 @@ class ModelManifold:
     """A model base manifold together with its covering data.
 
     Each model is a frozen dataclass that holds only its own covering data
-    and sets the class attributes ``kind`` and ``dim``.  It implements,
+    and sets the class attributes ``kind`` and ``dim``; it compares and
+    hashes by identity, since its fields are arrays.  It implements,
     vectorized over leading axes:
 
     * ``random_point(rng)``: a uniform sample of the fundamental domain;
@@ -156,7 +157,7 @@ class ModelManifold:
                                   np.asarray(q_base, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatTorus(ModelManifold):
     """The flat torus R^2 / (B Z^2); ``lattice`` holds the basis columns B."""
 
@@ -224,7 +225,7 @@ class FlatTorus(ModelManifold):
         return w[np.linalg.norm(w, axis=-1) <= radius]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolQuotient(ModelManifold):
     """The sol quotient of monodromy A (row-major).  ``basis_mat`` is the
     matrix P above (it sends integer lattice coordinates to horizontal cover

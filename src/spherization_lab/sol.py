@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
-from .dynamics import HamiltonianField, Trajectory
+from .dynamics import HamiltonianField, Trajectory, simpson
 from .geometry import ModelManifold, momentum_map
 
 
@@ -139,7 +138,8 @@ def lyapunov_estimate(traj: Trajectory, burn_in_fraction: float = 0.1) -> Lyapun
     t = traj.times
     mz = traj.p[:, 2]
     i0, chi = _window_average(t, mz, burn_in_fraction)
-    cum = cumulative_trapezoid(mz[i0:], t[i0:], initial=0.0)
+    cum = np.cumsum(np.concatenate(
+        ([0.0], np.diff(t[i0:]) * (mz[i0 + 1:] + mz[i0:-1]) / 2.0)))
     spans = t[i0:] - t[i0]
     with np.errstate(divide="ignore", invalid="ignore"):
         partial = np.abs(cum) / np.where(spans > 0, spans, np.inf)

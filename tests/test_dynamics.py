@@ -1,12 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
-from spherization_lab.errors import IntegrationDivergedError
-from spherization_lab.geometry import CotangentPoint
+from spherization_lab.errors import IntegrationDivergedError, StiffnessError
+from spherization_lab.geometry import CotangentPoint, ModelManifold
 from spherization_lab.starshape import SandwichedHamiltonians
 
 from sandwich_helpers import (blend_field, cutoff_gauge_field,
@@ -191,6 +195,7 @@ def test_implicit_midpoint_counts_every_rhs_call(torus, rng):
     cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.01)
     _, _, stats = dyn.solve(counted, y0, 0.0, 1.0, cfg)
     assert stats["nfev"] == calls > 0
+    assert stats["steps"] == 100 and stats["rejected"] == 0
 
 
 def test_action_constant_orbit_is_zero(torus):
@@ -394,3 +399,159 @@ def test_radial_chord_actions_against_direct_shooting(round_sandwich):
     assert np.allclose(traj.q[-1], q1, atol=1e-9)
     a_quad = dyn.action_of_trajectory(traj, blend)
     assert any(abs(a - a_quad) < 1e-8 for a in acts)
+
+
+# -- the in-house DOP853 and Simpson rule against scipy's ------------------------
+
+def _assert_solve_matches_scipy(rhs, y0, t1, cfg, t_eval=None):
+    from scipy.integrate import solve_ivp
+    grid = dyn._sample_grid(0.0, t1, cfg.max_step) if t_eval is None else t_eval
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the rel_tol clamp, on both sides
+        times, ys, stats = dyn.solve(rhs, y0, 0.0, t1, cfg, t_eval)
+        ref = solve_ivp(rhs, (0.0, t1), y0, method="DOP853", rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, t_eval=grid)
+    assert ref.success
+    assert times.tobytes() == ref.t.tobytes()
+    assert ys.shape == ref.y.shape and ys.tobytes() == ref.y.tobytes()
+    assert stats["nfev"] == ref.nfev
+    assert stats["samples"] == len(times)
+
+
+@pytest.mark.parametrize("grid", ["dense", "two-point"])
+@pytest.mark.parametrize("rows", [1, 192, 2048])
+@pytest.mark.parametrize("kind", ["sol", "torus"])
+def test_solve_matches_scipy_dop853_bitwise(kind, rows, grid):
+    rng = np.random.default_rng(rows)
+    man = ModelManifold.sol() if kind == "sol" else ModelManifold.torus()
+    field = (sol_mod.sol_field(man) if kind == "sol"
+             else dyn.geodesic_field(man))
+    Q = np.stack([man.random_point(rng) for _ in range(rows)])
+    P = rng.normal(size=(rows, man.dim))
+    y0 = np.concatenate([Q.ravel(), P.ravel()])
+    t1 = 2.0 if grid == "dense" else 1.0
+    t_eval = None if grid == "dense" else np.array([0.0, t1])
+    _assert_solve_matches_scipy(dyn._flat_rhs(field, man.dim), y0, t1,
+                                dyn.IntegratorConfig(), t_eval)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-14])
+def test_solve_matches_scipy_dop853_on_euler_field(rel_tol):
+    # 1e-14 is below 100 eps, where both clamp the tolerance with a warning
+    cfg = dyn.IntegratorConfig(rel_tol=rel_tol)
+    rhs = lambda t, m: sol_mod.euler_field(m)   # noqa: E731
+    m0 = np.array([0.6, -0.64, 0.48])
+    _assert_solve_matches_scipy(rhs, m0, 200.0, cfg)
+    if rel_tol < 100 * np.finfo(float).eps:
+        with pytest.warns(UserWarning, match="below 100 eps"):
+            dyn.solve(rhs, m0, 0.0, 1.0, cfg)
+
+
+def test_solve_matches_scipy_dop853_at_rest_and_in_decay():
+    # a zero error estimate and a decay below abs_tol both grow the step by
+    # the controller's largest factor; a jump in the field, reached by a
+    # long step, cuts it by the smallest
+    cfg = dyn.IntegratorConfig()
+    y0 = np.array([1.0, -2.0, 0.5])
+    _assert_solve_matches_scipy(lambda t, y: np.zeros_like(y), y0, 1.0, cfg)
+    _assert_solve_matches_scipy(lambda t, y: -y, y0, 60.0, cfg)
+    _assert_solve_matches_scipy(
+        lambda t, y: np.full_like(y, 1e6 if t > 0.5 else 0.0), y0, 1.0, cfg)
+
+
+def test_solve_counts_steps_and_rejections(monkeypatch):
+    # scipy's own step loop, sampled as solve_ivp samples, with every
+    # attempted step counted
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp import rk
+
+    attempts = 0
+    rk_step = rk.rk_step
+
+    def counted(*args):
+        nonlocal attempts
+        attempts += 1
+        return rk_step(*args)
+
+    monkeypatch.setattr(rk, "rk_step", counted)
+    rhs = lambda t, m: sol_mod.euler_field(m)   # noqa: E731
+    m0 = np.array([0.6, -0.64, 0.48])
+    cfg = dyn.IntegratorConfig()
+    grid = dyn._sample_grid(0.0, 50.0, cfg.max_step)
+    solver = DOP853(rhs, 0.0, m0, 50.0, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    steps = sampled = 0
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+        reached = int(np.searchsorted(grid, solver.t, side="right"))
+        if reached > sampled:
+            solver.dense_output()
+            sampled = reached
+    assert solver.status == "finished"
+    _, _, stats = dyn.solve(rhs, m0, 0.0, 50.0, cfg, grid)
+    assert stats["steps"] == steps
+    assert stats["rejected"] == attempts - steps > 0
+    assert stats["nfev"] == solver.nfev
+
+
+def test_solve_rejects_nonfinite_state_and_rhs():
+    cfg = dyn.IntegratorConfig()
+    with pytest.raises(ValueError):
+        dyn.solve(lambda t, y: -y, np.array([1.0, np.nan]), 0.0, 1.0, cfg)
+
+    def blows_up(t, y):
+        return np.full_like(y, np.nan) if t > 0.5 else -y
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StiffnessError):
+            dyn.solve(blows_up, np.ones(2), 0.0, 1.0, cfg)
+        # non-finite from the first call on: scipy would loop forever here
+        with pytest.raises(StiffnessError):
+            dyn.solve(lambda t, y: np.full_like(y, np.inf), np.ones(2), 0.0,
+                      1.0, cfg)
+
+
+def test_solve_rejects_a_grid_off_its_span():
+    cfg = dyn.IntegratorConfig()
+    for t_eval in ([0.0, 0.5], [0.1, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0]):
+        with pytest.raises(ValueError):
+            dyn.solve(lambda t, y: -y, np.ones(2), 0.0, 1.0, cfg,
+                      np.array(t_eval))
+
+
+def test_dop853_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    tableau = dyn._DOP853
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(tableau, name) == getattr(ref, name)
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        assert getattr(tableau, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 101])
+def test_simpson_matches_scipy_bitwise(n):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.01, 0.2, size=n)) - 0.3
+    y = np.sin(3.0 * x) + rng.normal(size=n)
+    # -0.0 samples check the sign of a zero integral as well
+    for y in (y, np.full(n, -0.0)):
+        ours, ref = dyn.simpson(y, x=x), simpson(y, x=x)
+        assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
+
+
+def test_lab_imports_no_scipy_submodule():
+    # scipy.integrate, .optimize, .special and .sparse cost most of a cold
+    # start; the lab reads only the DOP853 tableau file and imports brentq
+    # inside the noncrossing check
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, spherization_lab.experiments, spherization_lab.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == []

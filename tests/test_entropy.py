@@ -353,6 +353,25 @@ def test_fiber_mesh_circle_and_sphere(torus, sol, round_sandwich):
     assert np.all(sphere.q == q0)
 
 
+def test_mesh_edges_match_unique_rows(torus, sol, round_sandwich):
+    # the int64 edge key gives np.unique(axis=0)'s rows, in its order
+    q0 = np.array([0.2, 0.7])
+    circle = fiber_mesh(torus, q0, lambda u: round_sandwich.surface_covector(
+        q0, u), 64)
+    q0 = sol.random_point(np.random.default_rng(11))
+    sphere = fiber_mesh(sol, q0, lambda u: sol_mod.level_covector(1.0, q0, u),
+                        642)
+    for mesh in (circle, sphere):
+        s = mesh.simplices
+        e = (s if mesh.dimension == 1 else
+             np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]))
+        expected = np.unique(np.sort(e, axis=1), axis=0)
+        edges = mesh.edges()
+        assert edges.dtype == expected.dtype
+        assert edges.tobytes() == expected.tobytes()
+    assert len(sphere.edges()) == 1920
+
+
 def test_volume_growth_leaves_its_mesh_unchanged(torus, round_sandwich):
     q0 = np.array([0.2, 0.7])
     smap = lambda u: round_sandwich.surface_covector(q0, u)

@@ -145,3 +145,15 @@ def test_monodromy_validation():
     diag = man.basis_mat @ np.array([[3.0, 2.0], [1.0, 1.0]]) @ man.basis_inv
     assert abs(diag[0, 0] - np.exp(man.period)) < 1e-12
     assert abs(diag[0, 1]) < 1e-12 and abs(diag[1, 0]) < 1e-12
+
+
+def test_models_and_states_compare_by_identity(torus, sol):
+    # array fields make field-wise == and hash() raise; identity does not
+    assert (ModelManifold.torus() == ModelManifold.torus()) is False
+    assert torus == torus and sol != torus
+    cache = {torus: "torus", sol: "sol"}
+    assert cache[torus] == "torus" and cache[sol] == "sol"
+    assert {torus, sol, torus} == {sol, torus}
+    x = CotangentPoint(np.zeros(2), np.ones(2))
+    assert x == x and x != CotangentPoint(np.zeros(2), np.ones(2))
+    assert len({x, x}) == 1

@@ -126,3 +126,20 @@ def test_starshaped_switch():
         assert (sol_mod.entropy_closed_form(k) > 0) == expect
     with pytest.raises(ValueError):
         sol_mod.fixed_point_covector(0.4, np.zeros(3))
+
+
+def test_lyapunov_partial_averages_match_trapezoid(sol, rng):
+    # the inlined cumulative trapezoid equals scipy's bit for bit
+    from scipy.integrate import cumulative_trapezoid
+
+    f = sol_mod.sol_field(sol)
+    q0 = sol.random_point(rng)
+    p0 = sol_mod.level_covector(1.0, q0, np.array([0.6, -0.64, 0.48]))
+    traj = dyn.integrate(f, CotangentPoint(q0, p0), 20.0)
+    est = sol_mod.lyapunov_estimate(traj)
+    t = est.partial_times
+    cum = cumulative_trapezoid(traj.p[-len(t):, 2], t, initial=0.0)
+    spans = t - t[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = np.abs(cum) / np.where(spans > 0, spans, np.inf)
+    assert est.partial_averages.tobytes() == ref.tobytes()

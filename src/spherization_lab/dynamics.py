@@ -21,8 +21,13 @@ Norsett and Wanner, *Solving ODEs I*, Sec. II.5), ``_dop853``: one step
 shared by all components, taken operation for operation as in scipy's
 ``solve_ivp(method="DOP853")``, whose results it reproduces bit for bit.
 Its tableau is read from scipy's ``dop853_coefficients.py`` file, so the lab
-imports no scipy submodule.  ``simpson`` is the composite Simpson rule of
-the action and Lyapunov quadratures, equal to scipy's bit for bit.
+imports no scipy submodule.  ``integrate_batch(..., at=...)`` reads each
+row of a batch at its own sample only: the steps, stages and interpolant
+coefficients stay those of the whole batch, and the interpolant (or the
+midpoint scheme's step endpoint) fills only the samples kept, with the bits
+of the full read; the census polisher reads its endpoints this way.
+``simpson`` is the composite Simpson rule of the action and Lyapunov
+quadratures, equal to scipy's bit for bit.
 
 Both chord finders, the census polisher in ``entropy`` and the fixed-time
 shooting here, polish with one damped Newton driver, ``lockstep_newton``
@@ -204,45 +209,83 @@ def energy_drift(energy, abort: float = math.inf) -> float:
 
 def integrate_batch(field: HamiltonianField, Q0, P0, T: float,
                     cfg: IntegratorConfig = IntegratorConfig(),
-                    t0: float = 0.0, t_eval=None):
+                    t0: float = 0.0, t_eval=None, at=None, stats=None):
     """Integrate many initial conditions as one stacked system.
 
-    Returns (times, Q, P) with Q, P of shape (n, samples, d).  Error control
-    is per component; the batch shares adaptive steps, which is fine for the
-    mesh and census workloads this backs.
+    Returns (times, Q, P) with Q, P of shape (n, samples, d).  With ``at``,
+    one index into ``t_eval`` per row, returns (q, p) of shape (n, d) instead:
+    row r at ``t_eval[at[r]]`` only, the same bits as ``Q[r, at[r]]`` and
+    ``P[r, at[r]]`` of the full read, with no other sample interpolated.  A
+    ``stats`` dict gains the solve's ``nfev``, ``steps`` and ``rejected``.
+
+    The batch shares one step sequence.  Each component has its own error
+    scale, but one RMS norm over the whole stack accepts or rejects every
+    step, so a row's result depends on its batch-mates and on the chunk
+    sizes of the caller.
     """
     Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-    times, Q, P, _ = _integrate_raw(field, Q0, P0, t0, t0 + T, cfg,
-                                    t_eval=t_eval)
-    return times, Q, P
+    n, d = Q0.shape
+    reads = None if at is None else np.tile(np.repeat(at, d), 2)
+    times, Q, P, counts = _integrate_raw(field, Q0, P0, t0, t0 + T, cfg,
+                                         t_eval=t_eval, reads=reads)
+    if stats is not None:
+        for key in ("nfev", "steps", "rejected"):
+            stats[key] = stats.get(key, 0) + counts[key]
+    return (times, Q, P) if at is None else (Q, P)
 
 
-def _integrate_raw(field, Q0, P0, t0, t1, cfg, t_eval=None):
+def _integrate_raw(field, Q0, P0, t0, t1, cfg, t_eval=None, reads=None):
     n, d = Q0.shape
     y0 = np.concatenate([Q0.ravel(), P0.ravel()])
-    times, ys, stats = solve(_flat_rhs(field, d), y0, t0, t1, cfg, t_eval)
+    times, ys, stats = solve(_flat_rhs(field, d), y0, t0, t1, cfg, t_eval,
+                             reads=reads)
+    if reads is not None:
+        return times, ys[: n * d].reshape(n, d), ys[n * d:].reshape(n, d), stats
     S = len(times)
     Q = ys[: n * d].reshape(n, d, S).transpose(0, 2, 1)
     P = ys[n * d:].reshape(n, d, S).transpose(0, 2, 1)
     return times, Q, P, stats
 
 
-def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None):
+def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
     """Integrate y' = rhs(t, y) over [t0, t1] with the configured scheme.
 
     Returns (times, ys, stats) with ys of shape (len(y0), samples), sampled
     on ``t_eval`` (default: the quadrature grid of ``cfg.max_step``), which
-    must increase strictly from t0 to t1.  ``stats`` counts RHS calls
-    (``nfev``), accepted and rejected steps and samples.
+    must increase strictly from t0 to t1.  With ``reads``, one index into
+    ``t_eval`` per component, ys is instead the vector of each component at
+    its own sample, the same bits as the full read; the step sequence does
+    not change.  ``stats`` counts RHS calls (``nfev``), accepted and
+    rejected steps and samples.
     """
     t_eval = np.asarray(_sample_grid(t0, t1, cfg.max_step) if t_eval is None
                         else t_eval, dtype=float)
     if (t_eval.ndim != 1 or len(t_eval) < 2 or t_eval[0] != t0
             or t_eval[-1] != t1 or np.any(np.diff(t_eval) <= 0)):
         raise ValueError("t_eval must increase strictly from t0 to t1")
+    if reads is not None:
+        reads = np.asarray(reads)
+        if (reads.shape != (len(y0),) or reads.dtype.kind not in "iu"
+                or np.any(reads < 0) or np.any(reads >= len(t_eval))):
+            raise ValueError("reads must hold one sample index per component")
+        reads = _SampleReads(reads, len(t_eval))
     scheme = _implicit_midpoint if cfg.scheme == "midpoint" else _dop853
-    return scheme(rhs, y0, t_eval, cfg)
+    return scheme(rhs, y0, t_eval, cfg, reads)
+
+
+class _SampleReads:
+    """The components that read each sample, grouped by sample."""
+
+    def __init__(self, reads, samples):
+        self.index = reads
+        self.by_sample = np.argsort(reads, kind="stable")
+        self.starts = np.searchsorted(reads[self.by_sample],
+                                      np.arange(samples + 1))
+
+    def components(self, lo, hi):
+        """The components whose sample lies in [lo, hi)."""
+        return self.by_sample[self.starts[lo]:self.starts[hi]]
 
 
 def _load_dop853_tableau():
@@ -272,9 +315,10 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dop853(rhs, y0, t_eval, cfg):
+def _dop853(rhs, y0, t_eval, cfg, reads=None):
     """DOP853 over [t_eval[0], t_eval[-1]] with one step for all components,
-    sampled on ``t_eval`` by the 7th-order interpolant.
+    sampled on ``t_eval`` by the 7th-order interpolant, or with ``reads``
+    (a ``_SampleReads``) each component at its own sample only.
 
     This is scipy 1.17's ``solve_ivp(method="DOP853")`` operation for
     operation, so that its results are the same bits: the initial step
@@ -286,6 +330,9 @@ def _dop853(rhs, y0, t_eval, cfg):
     clamped at 100 eps with a warning, a non-finite ``y0`` is a ValueError,
     and a step below the minimum (where a non-finite RHS ends up, and also a
     non-finite step, which would loop in scipy) raises StiffnessError.
+    ``reads`` narrows the interpolant's elementwise Horner loop alone: the
+    steps, stages and the ``_D`` product still run over the whole stack, as
+    BLAS on a column subset need not give the same bits.
     """
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
@@ -316,7 +363,7 @@ def _dop853(rhs, y0, t_eval, cfg):
 
     K = np.empty((_EXTENDED, n))
     KT = [K[:s].T for s in range(_EXTENDED + 1)]   # stage sums read K[:s].T
-    out = np.empty((n, len(times)))
+    out = np.empty((n, len(times)) if reads is None else n)
     dy = np.empty(n)
     sampled = 0
     while t < t_bound:
@@ -370,14 +417,24 @@ def _dop853(rhs, y0, t_eval, cfg):
             F[1] = h * f_old - delta_y
             F[2] = 2 * delta_y - h * (f + f_old)
             F[3:] = h * np.dot(_D, K)
-            x = ((t_eval[sampled:hi] - t_old) / (t - t_old))[:, None]
+            x = (t_eval[sampled:hi] - t_old) / (t - t_old)
+            if reads is None:
+                x, base = x[:, None], y_old
+                ys = np.zeros((hi - sampled, n))
+            else:
+                comps = reads.components(sampled, hi)
+                x = x[reads.index[comps] - sampled]
+                F, base = F[:, comps], y_old[comps]
+                ys = np.zeros(len(comps))
             one_minus_x = 1 - x
-            ys = np.zeros((hi - sampled, n))
             for i, row in enumerate(F[::-1]):
                 ys += row
                 ys *= one_minus_x if i % 2 else x
-            ys += y_old
-            out[:, sampled:hi] = ys.T
+            ys += base
+            if reads is None:
+                out[:, sampled:hi] = ys.T
+            else:
+                out[comps] = ys
             sampled = hi
     return t_eval, out, {"nfev": nfev, "steps": steps, "rejected": rejected,
                          "samples": len(times)}
@@ -398,12 +455,21 @@ def _error_norm(KT, h, scale):
     return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _implicit_midpoint(rhs, y0, t_eval, cfg):
+def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
     """Implicit midpoint across each interval of ``t_eval`` in equal steps of
-    at most ``cfg.max_step``, so every sample is a step endpoint."""
-    out = np.empty((len(y0), len(t_eval)))
-    out[:, 0] = y0
+    at most ``cfg.max_step``, so every sample is a step endpoint; with
+    ``reads`` each component keeps the endpoint at its own sample only."""
     y = np.asarray(y0, dtype=float)
+    out = np.empty((len(y0), len(t_eval)) if reads is None else len(y0))
+
+    def keep(j, y):
+        if reads is None:
+            out[:, j] = y
+        else:
+            comps = reads.components(j, j + 1)
+            out[comps] = y[comps]
+
+    keep(0, y)
     nfev = total_steps = 0
     for i in range(len(t_eval) - 1):
         t, dt = t_eval[i], t_eval[i + 1] - t_eval[i]
@@ -415,7 +481,7 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg):
             nfev += calls
             t += h
         total_steps += steps
-        out[:, i + 1] = y
+        keep(i + 1, y)
     return t_eval, out, {"nfev": nfev, "steps": total_steps, "rejected": 0,
                          "samples": len(t_eval)}
 

@@ -191,7 +191,8 @@ class _LockstepPolisher:
     polish.
     """
 
-    def __init__(self, field, q0, surface_map, cfg, horizon, time_floor, tol):
+    def __init__(self, field, q0, surface_map, cfg, horizon, time_floor, tol,
+                 stats):
         self.field = field
         self.manifold = field.manifold
         self.q0 = np.asarray(q0, dtype=float)
@@ -200,12 +201,15 @@ class _LockstepPolisher:
         self.horizon = horizon
         self.time_floor = time_floor
         self.tol = tol
+        self.stats = stats      # integrator counters, summed over solves
 
     def _endpoints(self, us, ts):
         """Endpoints of trajectories from surface points us at times ts.
 
-        One batch integration per chunk over the union time grid; each
-        trajectory reads off its own arrival sample.
+        The rows go in order of time, ``_POLISH_CHUNK`` at a time, into one
+        batch integration over the union of their times; the interpolant
+        fills each row at its own arrival time only (``integrate_batch``'s
+        ``at``), with the bits of the full read.
         """
         n = us.shape[0]
         q_out = np.empty((n, self.manifold.dim))
@@ -219,11 +223,9 @@ class _LockstepPolisher:
                 grid = np.array([0.0, max(t_sel[0], 1e-9)])
             p0 = self.surface_map(us[sel])
             q0 = np.broadcast_to(self.q0, p0.shape).copy()
-            _, Q, P = integrate_batch(self.field, q0, p0, float(grid[-1]),
-                                      self.cfg, t_eval=grid)
-            pos = np.searchsorted(grid, t_sel)
-            q_out[sel] = Q[np.arange(len(sel)), pos]
-            p_out[sel] = P[np.arange(len(sel)), pos]
+            q_out[sel], p_out[sel] = integrate_batch(
+                self.field, q0, p0, float(grid[-1]), self.cfg, t_eval=grid,
+                at=np.searchsorted(grid, t_sel), stats=self.stats)
         return q_out, p_out
 
     def polish(self, us, ts, lifts):
@@ -366,13 +368,15 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     mesh_spacing = (2.0 * np.pi / resolution if d == 2
                     else math.sqrt(4.0 * np.pi / resolution))
 
+    # integrator counters of the mesh, polish and re-verification solves
+    counts = {"nfev": 0, "steps": 0, "rejected": 0}
     # candidates: deck, seed index, time and distance of each near-arrival
     raw = ([], [], [], [])
     n_raw = 0
     for lo in range(0, resolution, _MESH_BATCH):
         hi = min(lo + _MESH_BATCH, resolution)
         _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
-                                  horizon, cfg, t_eval=t_grid)
+                                  horizon, cfg, t_eval=t_grid, stats=counts)
         deck, dist, _ = manifold.nearest_lift(Q, q1)
         near = dist < coarse_threshold
         interior = np.zeros_like(near)
@@ -396,7 +400,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
 
     # Newton polish against the fixed lift of each representative
     polisher = _LockstepPolisher(field, q0, surface_map, cfg, horizon,
-                                 time_floor, newton_tol)
+                                 time_floor, newton_tol, counts)
     lifts0 = np.array([manifold.deck_apply(g, q1)
                        for g in decks[reps]]).reshape(len(reps), d)
     us, ts, outcome = polisher.polish(dirs[seeds[reps]], times[reps], lifts0)
@@ -432,7 +436,8 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                                     "reverify_misses": misses,
                                     "sample_dt": sample_dt,
                                     "resolution": resolution,
-                                    "newton_outcomes": outcomes})
+                                    "newton_outcomes": outcomes,
+                                    "integrator": counts})
 
 
 def _dedup_roots(decks, times, residuals, dirs, horizon):

@@ -519,6 +519,46 @@ def test_solve_rejects_a_grid_off_its_span():
                       np.array(t_eval))
 
 
+@pytest.mark.parametrize("scheme", ["rk", "midpoint"])
+@pytest.mark.parametrize("rows", [1, 192, 2048])
+@pytest.mark.parametrize("kind", ["sol", "torus"])
+def test_read_at_own_sample_matches_full_read_bitwise(kind, rows, scheme):
+    # each row read at its own sample only, against the full-grid read:
+    # samples that many rows share, a row at t = 0, and the [0, 1e-9] grid
+    # the census polisher builds when every arrival time is 0
+    rng = np.random.default_rng(rows)
+    man = ModelManifold.sol() if kind == "sol" else ModelManifold.torus()
+    field = (sol_mod.sol_field(man) if kind == "sol"
+             else dyn.geodesic_field(man))
+    Q0 = np.stack([man.random_point(rng) for _ in range(rows)])
+    P0 = rng.normal(size=(rows, man.dim))
+    cfg = dyn.IntegratorConfig(scheme=scheme)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 1.5, size=6))])
+    at = rng.integers(0, len(grid), size=rows)
+    at[0], at[-1] = 0, len(grid) - 1
+    cases = [(grid, at), (np.array([0.0, 1e-9]), np.zeros(rows, dtype=int))]
+    for t_eval, pos in cases:
+        full_stats, read_stats = {}, {}
+        _, Q, P = dyn.integrate_batch(field, Q0, P0, t_eval[-1], cfg,
+                                      t_eval=t_eval, stats=full_stats)
+        q, p = dyn.integrate_batch(field, Q0, P0, t_eval[-1], cfg,
+                                   t_eval=t_eval, at=pos, stats=read_stats)
+        r = np.arange(rows)
+        assert q.shape == p.shape == (rows, man.dim)
+        assert q.tobytes() == Q[r, pos].tobytes()
+        assert p.tobytes() == P[r, pos].tobytes()
+        assert read_stats == full_stats and full_stats["nfev"] > 0
+
+
+def test_solve_rejects_reads_off_the_grid():
+    cfg = dyn.IntegratorConfig()
+    t_eval = np.array([0.0, 0.5, 1.0])
+    for reads in ([0, 3], [-1, 0], [0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            dyn.solve(lambda t, y: -y, np.ones(2), 0.0, 1.0, cfg, t_eval,
+                      reads=np.array(reads))
+
+
 def test_dop853_tableau_is_scipys():
     from scipy.integrate._ivp import dop853_coefficients as ref
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spherization_lab import dynamics as dyn
+from spherization_lab import entropy
 from spherization_lab import sol as sol_mod
 from spherization_lab.geometry import CotangentPoint
 from spherization_lab.entropy import (ChordRecord, _dedup_roots, _suppress,
@@ -121,6 +122,37 @@ def test_census_rejects_low_resolution(torus_census_ctx):
     torus, geo, q0, q1, smap = torus_census_ctx
     with pytest.raises(ValueError):
         chord_census(geo, q0, q1, smap, 2.0, 32)
+
+
+def test_midpoint_census_reads_endpoints_as_the_full_grid(torus_census_ctx,
+                                                         monkeypatch):
+    # the polisher's per-row read keeps the configured scheme and gives the
+    # records of the full-grid read picked out by hand
+    torus, geo, q0, q1, smap = torus_census_ctx
+    cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.05)
+
+    def no_rk(*args):
+        raise AssertionError("a midpoint census ran DOP853")
+
+    monkeypatch.setattr(dyn, "_dop853", no_rk)
+    read = chord_census(geo, q0, q1, smap, 3.0, 64, cfg=cfg)
+    full_batch = entropy.integrate_batch
+
+    def by_hand(field, Q0, P0, T, cfg, t0=0.0, t_eval=None, at=None,
+                stats=None):
+        times, Q, P = full_batch(field, Q0, P0, T, cfg, t0=t0, t_eval=t_eval,
+                                 stats=stats)
+        if at is None:
+            return times, Q, P
+        rows = np.arange(len(at))
+        return Q[rows, at], P[rows, at]
+
+    monkeypatch.setattr(entropy, "integrate_batch", by_hand)
+    full = chord_census(geo, q0, q1, smap, 3.0, 64, cfg=cfg)
+    assert len(read.records) > 0 and read.records == full.records
+    assert read.diagnostics == full.diagnostics
+    counts = read.diagnostics["integrator"]
+    assert counts["rejected"] == 0 and counts["steps"] > 0
 
 
 def test_sol_census_finds_verified_chords(sol):

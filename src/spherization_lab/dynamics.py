@@ -30,8 +30,10 @@ of the full read; the census polisher reads its endpoints this way.
 quadratures, equal to scipy's bit for bit.
 
 Both chord finders, the census polisher in ``entropy`` and the fixed-time
-shooting here, polish with one damped Newton driver, ``lockstep_newton``
-(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).
+chords here, polish with one damped Newton driver, ``lockstep_newton``
+(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).  The
+fixed-time chords solve the flat torus's closed-form time-1 map and
+integrate only the chords they accept, which re-verifies them.
 """
 
 from __future__ import annotations
@@ -695,12 +697,14 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                             p_max: float = 3.2, grid: int = 48,
                             cfg: IntegratorConfig):
     """Find solutions x(0) in the fiber over q0 with base(x(1)) on a lift of
-    q1, by shooting over a covector grid and polishing with damped Newton
-    in the starting covector (lockstep across all seeds, since the arrival
-    time is fixed).
+    q1, for a torus field that depends on p alone (the action experiments).
 
-    Torus-only helper used by the action experiments.  Returns a list of
-    (trajectory, deck) pairs deduplicated in (covector, deck).
+    p is then constant and the time-1 map is q0 + dH/dp(p0): grid covectors
+    landing within ``_SHOOT_COARSE`` of a lift seed ``lockstep_newton`` on
+    that closed form.  The accepted chords are integrated densely, and an
+    endpoint more than ``10 * _SHOOT_TOL`` off its lift (dH/dq != 0)
+    raises InvariantFailureError.  Returns (trajectory, deck) pairs,
+    deduplicated in (covector, deck) and sorted by (deck, covector).
     """
     manifold = field.manifold
     if manifold.kind != "torus":
@@ -712,25 +716,14 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
     P0 = np.stack([px.ravel(), py.ravel()], axis=-1)
 
     def endpoints(P):
-        Q0 = np.broadcast_to(q0, P.shape).copy()
-        _, Q, _ = integrate_batch(field, Q0, P, _SHOOT_DURATION, cfg,
-                                  t_eval=np.array([0.0, _SHOOT_DURATION]))
-        return Q[:, -1, :]
+        return q0 + _SHOOT_DURATION * field.grads(
+            np.broadcast_to(q0, P.shape), P)[1]
 
-    _, dist, lift = manifold.nearest_lift(endpoints(P0), q1)
+    deck0, dist, lift = manifold.nearest_lift(endpoints(P0), q1)
     near = np.nonzero(dist < _SHOOT_COARSE)[0]
-    spacing = axis[1] - axis[0]
-    taken = []
-    for i in near[np.argsort(dist[near], kind="stable")]:
-        pseed = P0[i]
-        if any(np.hypot(pseed[0] - t[0][0], pseed[1] - t[0][1]) < 0.6 * spacing
-               for t in taken):
-            continue
-        taken.append((pseed, lift[i]))
 
     # lockstep damped Newton in the covector against each seed's fixed lift
-    P = np.array([t[0] for t in taken])
-    lifts = np.array([t[1] for t in taken])
+    P, lifts = P0[near], lift[near]
     h = _SHOOT_FD_STEP
 
     def linearize(idx):
@@ -750,31 +743,32 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
 
     outcome = lockstep_newton(len(P), linearize, move, tol=_SHOOT_TOL,
                               max_sweeps=_SHOOT_SWEEPS)
-    found = np.nonzero(outcome == CONVERGED)[0]
-    if len(found) == 0:
-        return []
-    decks, dists, _ = manifold.nearest_lift(endpoints(P[found]), q1)
-    selected = []
-    for pos, i in enumerate(found):
-        if dists[pos] > 10 * _SHOOT_TOL:
-            continue
-        deck_star = tuple(int(v) for v in decks[pos])
-        if any(d_old == deck_star and np.linalg.norm(p_old - P[i]) < 1e-6
-               for p_old, d_old in selected):
-            continue
-        selected.append((P[i].copy(), deck_star))
-        if len(selected) >= _SHOOT_MAX_RECORDS:
-            break
+    # a root within _SHOOT_TOL of its seed's lift keeps the seed's deck; in
+    # (deck, covector) order the first of each 1e-6 cluster wins
+    by_deck = {}
+    for deck, p in sorted((tuple(int(v) for v in deck0[near[i]]), tuple(P[i]))
+                          for i in np.nonzero(outcome == CONVERGED)[0]):
+        roots = by_deck.setdefault(deck, [])
+        if all(math.dist(p, r) >= 1e-6 for r in roots):
+            roots.append(p)
+    selected = [(deck, p) for deck, roots in by_deck.items()
+                for p in roots][:_SHOOT_MAX_RECORDS]
     if not selected:
         return []
-    # dense trajectories for all accepted chords in one batch
-    P_sel = np.stack([p for p, _ in selected])
+    # dense chords in one batch, for the quadrature and as re-verification
+    P_sel = np.array([p for _, p in selected])
     Q_sel = np.broadcast_to(q0, P_sel.shape).copy()
     t_grid = _sample_grid(0.0, _SHOOT_DURATION, cfg.max_step)
     _, Q, Pt = integrate_batch(field, Q_sel, P_sel, _SHOOT_DURATION, cfg,
                                t_eval=t_grid)
+    targets = np.array([manifold.deck_apply(deck, q1) for deck, _ in selected])
+    miss = np.linalg.norm(Q[:, -1] - targets, axis=-1)
+    if not np.all(miss <= 10 * _SHOOT_TOL):
+        raise InvariantFailureError(
+            f"integrated chord misses its lift by {np.max(miss):.3e}: the "
+            f"closed-form time-1 map needs a field that depends on p alone")
     records = []
-    for j, (_, deck_star) in enumerate(selected):
+    for j, (deck_star, _) in enumerate(selected):
         energy = field.value(Q[j], Pt[j])
         records.append((Trajectory(times=t_grid, q=Q[j], p=Pt[j],
                                    energy=energy,
@@ -808,42 +802,46 @@ def exclusion_level(n: int, spectrum) -> float:
 
 _RHO_MAX = 4.6        # largest radial speed scanned for chords
 _RHO_SAMPLES = 6000
+_RHO_XTOL, _RHO_BISECTIONS = 1e-14, 64   # a scan bracket needs 37 halvings
 
 
 def radial_chord_actions(sandwich: SandwichedHamiltonians, n: int, t: float,
                          q0, q1):
     """All chord actions up to n + 2 of n * blend(t) between two fibers of
-    the flat torus with a round profile, by scalar shooting over the radial
-    speed profile.
+    the flat torus with a round profile.
 
     The blend is h(G) with G radial there, so a chord to the shifted target
     w exists for each speed rho solving n h'(rho^2/2) rho = |w|; its action
-    follows from the homogeneous action formula applied to h.
+    follows from the homogeneous action formula applied to h.  A sign scan
+    brackets the roots for every |w|; one bisection narrows them all at once.
     """
     if sandwich.manifold.kind != "torus" or sandwich.profile.kind != "round":
         raise ValueError("radial chord enumeration needs a round torus profile")
     h, h_prime = sandwich.blend_profile(t)
     rho = np.linspace(1e-9, _RHO_MAX, _RHO_SAMPLES)
-    g = 0.5 * rho ** 2
-    speed = n * h_prime(g) * rho
+    speed = n * h_prime(0.5 * rho ** 2) * rho
     w_cap = float(np.max(speed)) * 1.0000001
     delta = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
-    norms = sorted({round(float(np.linalg.norm(w)), 12)
-                    for w in sandwich.manifold.lattice_translates(delta, w_cap)})
-    # imported here so that only this check pays for loading scipy.optimize
-    from scipy.optimize import brentq
-
-    actions = []
-    for wn in norms:
-        if wn == 0.0:
-            continue
-        diff = speed - wn
-        sign_change = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
-        for i in sign_change:
-            root = brentq(lambda r: float(n * h_prime(0.5 * r * r) * r - wn),
-                          rho[i], rho[i + 1], xtol=1e-14)
-            gr = 0.5 * root ** 2
-            a = n * (2.0 * float(h_prime(gr)) * gr - float(h(gr)))
-            if a <= n + 2.0:
-                actions.append(a)
-    return sorted(actions)
+    norms = np.array(sorted(
+        {round(float(np.linalg.norm(w)), 12)
+         for w in sandwich.manifold.lattice_translates(delta, w_cap)} - {0.0}))
+    # speed - |w| changes sign on [rho_i, rho_i+1] for the |w| strictly
+    # between speed_i and speed_i+1: one sorted lookup per scan interval
+    ends = np.sort(np.stack([speed[:-1], speed[1:]]), axis=0)
+    start = np.searchsorted(norms, ends[0], side="right")
+    stop = np.searchsorted(norms, ends[1], side="left")
+    j = np.nonzero(stop > start)[0]
+    count = stop[j] - start[j]
+    i = np.repeat(j, count)   # one bracket per (interval, norm) pair
+    k = start[i] + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    lo, hi, wn = rho[i], rho[i + 1], norms[k]
+    sign_lo = np.sign(speed[i] - wn)
+    for _ in range(_RHO_BISECTIONS):
+        if not np.any(hi - lo > _RHO_XTOL):
+            break
+        mid = 0.5 * (lo + hi)
+        below = np.sign(n * h_prime(0.5 * mid * mid) * mid - wn) == sign_lo
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    gr = 0.5 * (0.5 * (lo + hi)) ** 2
+    actions = n * (2.0 * h_prime(gr) * gr - h(gr))
+    return sorted(float(a) for a in actions if a <= n + 2.0)

@@ -377,12 +377,16 @@ def _run_action_check(cfg, out: Path, rng):
             rel, res = verify_scaling_law(geo, chord, c)
             scaling_rows.append(("geodesic", i, c, rel, res))
             max_scaling = max(max_scaling, rel)
-    ell_profile = RadialProfile.ellipse(cfg.get("profile", "axes")[:2])
-    ell_sandwich = calibrate(ell_profile, manifold,
-                             safety=cfg.get("cutoff", "safety"),
-                             eps=cfg.get("cutoff", "epsilon"))
-    ell = gauge_field(ell_sandwich)
-    axes = np.asarray(ell_profile.axes)
+    # torus calibration is deterministic: one sandwich per profile serves
+    # both the scaling law and the shot chords
+    profiles = {"round": RadialProfile.round(),
+                "ellipse": RadialProfile.ellipse(cfg.get("profile", "axes")[:2])}
+    sandwiches = {name: calibrate(profile, manifold,
+                                  safety=cfg.get("cutoff", "safety"),
+                                  eps=cfg.get("cutoff", "epsilon"))
+                  for name, profile in profiles.items()}
+    ell = gauge_field(sandwiches["ellipse"])
+    axes = np.asarray(profiles["ellipse"].axes)
     for i, w in enumerate(targets[:3]):
         p0 = w * axes ** 2 / 2.0
         chord = integrate(ell, CotangentPoint(q0, p0), 1.0, int_cfg)
@@ -398,12 +402,7 @@ def _run_action_check(cfg, out: Path, rng):
     chord_rows = []
     counts = {"inside": 0, "outside": 0, "boundary-ambiguous": 0}
     max_formula_gap = 0.0
-    for prof_name in ("round", "ellipse"):
-        profile = (RadialProfile.round() if prof_name == "round"
-                   else ell_profile)
-        sandwich = calibrate(profile, manifold,
-                             safety=cfg.get("cutoff", "safety"),
-                             eps=cfg.get("cutoff", "epsilon"))
+    for prof_name, sandwich in sandwiches.items():
         for n in n_values:
             field_n = scaled_field(core_field(sandwich), n)
             found = shoot_fixed_time_chords(

@@ -200,8 +200,7 @@ class FlatTorus(ModelManifold):
         for corner in _CORNERS:
             k = kf + np.array(corner)
             w = q_probe - (q_base + k @ self.lattice.T)
-            # np.linalg.norm's dot product of one vector, per probe: the
-            # seed order of shoot_fixed_time_chords rests on these bits
+            # np.linalg.norm's dot product of one vector, per probe
             dist = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
             better = dist < best_d
             best_d = np.where(better, dist, best_d)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
-from spherization_lab.errors import IntegrationDivergedError, StiffnessError
+from spherization_lab.errors import (IntegrationDivergedError,
+                                     InvariantFailureError, StiffnessError)
 from spherization_lab.geometry import CotangentPoint, ModelManifold
 from spherization_lab.starshape import SandwichedHamiltonians
 
@@ -376,6 +378,105 @@ def test_exclusion_level_picks_gap_midpoint(torus):
     assert a == pytest.approx(1.625)
 
 
+# -- flat-torus chords in closed form ---------------------------------------------
+
+def test_flat_time_one_map_is_closed_form(round_sandwich, ellipse_sandwich):
+    # every torus field of the action check depends on p alone, so the
+    # time-1 map that shoot_fixed_time_chords solves is q0 + dH/dp(p0)
+    rng = np.random.default_rng(16)
+    cfg = dyn.IntegratorConfig(max_step=0.01)
+    for sw in (round_sandwich, ellipse_sandwich):
+        for n in (1, 2, 3):
+            field = dyn.scaled_field(dyn.core_field(sw), n)
+            Q0 = rng.uniform(size=(200, 2))
+            P0 = rng.uniform(-2.6, 2.6, size=(200, 2))
+            _, Q, P = dyn.integrate_batch(field, Q0, P0, 1.0, cfg,
+                                          t_eval=np.array([0.0, 1.0]))
+            closed = Q0 + field.grads(Q0, P0)[1]
+            assert np.max(np.abs(Q[:, -1] - closed)) <= 1e-12
+            assert np.array_equal(P[:, -1], P0)
+
+
+def test_shot_chords_sorted_and_on_their_lifts(torus, round_sandwich):
+    field = dyn.scaled_field(dyn.core_field(round_sandwich), 2)
+    q0, q1 = np.zeros(2), np.array([0.5, 0.5])
+    found = dyn.shoot_fixed_time_chords(
+        field, q0, q1, p_max=2.6, grid=24,
+        cfg=dyn.IntegratorConfig(max_step=0.01))
+    keys = [(deck, tuple(traj.p[0])) for traj, deck in found]
+    assert keys and keys == sorted(keys)
+    for traj, deck in found:
+        assert np.linalg.norm(traj.q[-1] - torus.deck_apply(deck, q1)) <= 1e-9
+
+
+def test_shot_chords_do_not_depend_on_the_seed_order(monkeypatch, torus,
+                                                    round_sandwich):
+    # the arrival distance picks the seeds, and mirror-image seeds of
+    # q1 - q0 = (0.5, 0.5) tie in it up to the last bit; whatever order it
+    # puts the seeds in, here reversed, the chords keep every bit
+    field = dyn.scaled_field(dyn.core_field(round_sandwich), 1)
+    q0, q1 = np.zeros(2), np.array([0.5, 0.5])
+    cfg = dyn.IntegratorConfig(max_step=0.01)
+
+    def shoot():
+        return [(deck, traj.p.tobytes(), traj.q.tobytes()) for traj, deck in
+                dyn.shoot_fixed_time_chords(field, q0, q1, p_max=2.6,
+                                            grid=40, cfg=cfg)]
+
+    reference = shoot()
+    nearest_lift = type(torus)._nearest_lift
+
+    def reversed_lift(self, q_probe, q_base):
+        deck, dist, lift = nearest_lift(self, q_probe, q_base)
+        coarse = dyn._SHOOT_COARSE
+        return deck, np.where(dist < coarse, coarse - dist, dist), lift
+
+    monkeypatch.setattr(type(torus), "_nearest_lift", reversed_lift)
+    assert len(reference) > 100 and shoot() == reference
+
+
+def test_shot_chords_refuse_a_field_that_depends_on_q(round_sandwich):
+    # a potential bends the flow off the closed form; the dense
+    # re-verification must catch it instead of returning wrong chords
+    core = dyn.core_field(round_sandwich)
+    k = 2.0 * np.pi
+
+    def grads(q, p):
+        gq, gp = core.grads(q, p)
+        return gq - 0.05 * k * np.sin(k * q), gp
+
+    field = dyn.HamiltonianField(
+        name="core+potential", manifold=core.manifold,
+        value=lambda q, p: core.value(q, p) + 0.05 * np.sum(np.cos(k * q), -1),
+        grads=grads)
+    with pytest.raises(InvariantFailureError, match="misses its lift"):
+        dyn.shoot_fixed_time_chords(field, np.zeros(2), np.array([0.5, 0.5]),
+                                    p_max=2.6, grid=16,
+                                    cfg=dyn.IntegratorConfig(max_step=0.01))
+
+
+def _radial_actions_by_brentq(sandwich, n, t, q0, q1):
+    """The per-root scan-and-brentq enumeration, as a reference."""
+    from scipy.optimize import brentq
+    h, h_prime = sandwich.blend_profile(t)
+    rho = np.linspace(1e-9, dyn._RHO_MAX, dyn._RHO_SAMPLES)
+    speed = n * h_prime(0.5 * rho ** 2) * rho
+    w_cap = float(np.max(speed)) * 1.0000001
+    norms = {round(float(np.linalg.norm(w)), 12)
+             for w in sandwich.manifold.lattice_translates(q1 - q0, w_cap)}
+    actions = []
+    for wn in sorted(norms - {0.0}):
+        diff = speed - wn
+        for i in np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]:
+            r = brentq(lambda r: float(n * h_prime(0.5 * r * r) * r - wn),
+                       rho[i], rho[i + 1], xtol=1e-14)
+            g = 0.5 * r * r
+            a = n * (2.0 * float(h_prime(g)) * g - float(h(g)))
+            if a <= n + 2.0:
+                actions.append(a)
+    return sorted(actions)
+
+
 def test_radial_chord_actions_against_direct_shooting(round_sandwich):
     # at t=0 the blend is the lower Hamiltonian; chords of n=1 to the nearest
     # targets should match a brute shoot along one ray
@@ -399,6 +500,13 @@ def test_radial_chord_actions_against_direct_shooting(round_sandwich):
     assert np.allclose(traj.q[-1], q1, atol=1e-9)
     a_quad = dyn.action_of_trajectory(traj, blend)
     assert any(abs(a - a_quad) < 1e-8 for a in acts)
+    # the vectorized bisection finds every root that per-root brentq finds
+    for n in (1, 2, 3):
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            ours = dyn.radial_chord_actions(round_sandwich, n, t, q0, q1)
+            ref = _radial_actions_by_brentq(round_sandwich, n, t, q0, q1)
+            assert len(ours) == len(ref) > 0
+            assert np.max(np.abs(np.subtract(ours, ref))) <= 1e-13
 
 
 # -- the in-house DOP853 and Simpson rule against scipy's ------------------------
@@ -584,14 +692,26 @@ def test_simpson_matches_scipy_bitwise(n):
 
 def test_lab_imports_no_scipy_submodule():
     # scipy.integrate, .optimize, .special and .sparse cost most of a cold
-    # start; the lab reads only the DOP853 tableau file and imports brentq
-    # inside the noncrossing check
+    # start; the lab reads only the DOP853 tableau file, also when it finds
+    # the chords of the action and noncrossing checks
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, spherization_lab.experiments, spherization_lab.cli; "
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import spherization_lab.experiments, spherization_lab.cli
+        from spherization_lab import dynamics as dyn
+        from spherization_lab.geometry import ModelManifold
+        from spherization_lab.starshape import RadialProfile, calibrate
+        sw = calibrate(RadialProfile.round(), ModelManifold.torus())
+        q0, q1 = np.zeros(2), np.array([0.5, 0.5])
+        assert dyn.radial_chord_actions(sw, 1, 0.5, q0, q1)
+        assert dyn.shoot_fixed_time_chords(dyn.core_field(sw), q0, q1,
+                                           grid=12, cfg=dyn.IntegratorConfig())
+        print(' '.join(m for m in sys.modules if m.startswith('scipy')))
+    """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == []

@@ -822,9 +822,10 @@ def radial_chord_actions(sandwich: SandwichedHamiltonians, n: int, t: float,
     speed = n * h_prime(0.5 * rho ** 2) * rho
     w_cap = float(np.max(speed)) * 1.0000001
     delta = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
-    norms = np.array(sorted(
-        {round(float(np.linalg.norm(w)), 12)
-         for w in sandwich.manifold.lattice_translates(delta, w_cap)} - {0.0}))
+    w = sandwich.manifold.lattice_translates(delta, w_cap)
+    # np.linalg.norm's dot product of one vector, per translate
+    lengths = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0]).tolist()
+    norms = np.array(sorted({round(v, 12) for v in lengths} - {0.0}))
     # speed - |w| changes sign on [rho_i, rho_i+1] for the |w| strictly
     # between speed_i and speed_i+1: one sorted lookup per scan interval
     ends = np.sort(np.stack([speed[:-1], speed[1:]]), axis=0)

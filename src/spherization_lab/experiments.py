@@ -212,10 +212,18 @@ def _run_sol_sweep(cfg, out: Path, rng):
 
 def _field_and_surface(cfg, manifold):
     """The flow of the census and volume experiments, and the map from a
-    base point q to its fiber's surface parametrization u -> covector."""
+    base point q to its fiber's surface parametrization u -> covector.
+
+    On the torus the flow is that of F/2 for the profile's gauge F: F is
+    homogeneous of degree 2, so on the surface F = 1 this is the surface's
+    Reeb flow, with time equal to action.  For a round profile F/2 is the
+    geodesic energy, whose field is used as is (the same bits)."""
     if manifold.kind == "torus":
         sandwich = sandwich_from(cfg, manifold)
-        field = geodesic_field(manifold)
+        if cfg.get("profile", "kind") == "round":
+            field = geodesic_field(manifold)
+        else:
+            field = scaled_field(gauge_field(sandwich), 0.5)
         def surface_at(q):
             return lambda u: sandwich.surface_covector(q, u)
         return field, surface_at

@@ -1,7 +1,9 @@
 """Fiberwise starshaped surfaces and the sandwiched Hamiltonians built on them.
 
 A surface is described by a radial profile r(q, u) over unit covector
-directions.  The squared gauge
+directions, one class per shape (``RoundProfile``, ``EllipseProfile``,
+``FourierProfile``) behind the interface of ``RadialProfile``: ``radius``,
+``gauge`` and ``gauge_grads``.  The squared gauge
 
     F(q, p) = (|p|_g / r(q, p/|p|_g))^2
 
@@ -51,46 +53,74 @@ def smoothstep_slope(x):
     return np.where(inside, 30.0 * xc ** 2 * (1.0 - xc) ** 2, 0.0)
 
 
-@dataclass(frozen=True)
 class RadialProfile:
-    """Fiber radius as a function of the unit covector direction.
-
-    kind "round": r = 1.  kind "ellipse": the surface is the coordinate
-    ellipsoid with the given semi-axes.  kind "fourier" (2d fibers only):
-    r(theta) = base + sum_k cos_k cos(k theta) + sin_k sin(k theta).
-    """
-
-    kind: str = "round"
-    axes: tuple[float, ...] = ()
-    base: float = 1.0
-    cos_coeffs: tuple[float, ...] = ()
-    sin_coeffs: tuple[float, ...] = ()
+    """The fiber radius over unit covector directions, one frozen dataclass
+    per shape that holds only its own parameters and sets ``kind``:
+    ``RoundProfile`` (r = 1), ``EllipseProfile`` (the coordinate ellipsoid
+    with semi-axes ``axes``) and ``FourierProfile`` (2d fibers only:
+    r(theta) = base + sum_k cos_k cos(k theta) + sin_k sin(k theta)).  Each
+    implements, vectorized, ``radius(u)`` at unit directions u of shape
+    (..., d), and the gauge F on a manifold with its gradients (d/dq, d/dp):
+    ``gauge(manifold, q, p)`` and ``gauge_grads(manifold, q, p)``."""
 
     @staticmethod
-    def round() -> "RadialProfile":
-        return RadialProfile(kind="round")
+    def round() -> "RoundProfile":
+        return RoundProfile()
 
     @staticmethod
-    def ellipse(axes) -> "RadialProfile":
-        axes = tuple(float(a) for a in axes)
+    def ellipse(axes) -> "EllipseProfile":
+        axes = tuple(map(float, axes))
         if any(a <= 0 for a in axes):
             raise ValueError("ellipse axes must be positive")
-        return RadialProfile(kind="ellipse", axes=axes)
+        return EllipseProfile(axes=axes)
 
     @staticmethod
-    def fourier(base, cos_coeffs=(), sin_coeffs=()) -> "RadialProfile":
-        return RadialProfile(kind="fourier", base=float(base),
-                             cos_coeffs=tuple(float(c) for c in cos_coeffs),
-                             sin_coeffs=tuple(float(c) for c in sin_coeffs))
+    def fourier(base, cos_coeffs=(), sin_coeffs=()) -> "FourierProfile":
+        return FourierProfile(float(base), tuple(map(float, cos_coeffs)),
+                              tuple(map(float, sin_coeffs)))
+
+
+@dataclass(frozen=True)
+class RoundProfile(RadialProfile):
+    kind = "round"
 
     def radius(self, u):
-        """r at unit directions ``u`` (shape (..., d))."""
+        return np.ones(np.shape(u)[:-1])
+
+    def gauge(self, manifold, q, p):
+        return manifold.conorm_sq(q, p)
+
+    def gauge_grads(self, manifold, q, p):
+        gq, gp = manifold.conorm_grads(q, p)
+        return 2.0 * gq, 2.0 * gp
+
+
+@dataclass(frozen=True)
+class EllipseProfile(RadialProfile):
+    kind = "ellipse"
+    axes: tuple[float, ...]
+
+    def radius(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind == "round":
-            return np.ones(u.shape[:-1])
-        if self.kind == "ellipse":
-            axes = np.asarray(self.axes, dtype=float)
-            return 1.0 / np.sqrt(np.sum((u / axes) ** 2, axis=-1))
+        return 1.0 / np.sqrt(np.sum((u / self.axes) ** 2, axis=-1))
+
+    def gauge(self, manifold, q, p):
+        return np.sum((np.asarray(p, dtype=float) / self.axes) ** 2, axis=-1)
+
+    def gauge_grads(self, manifold, q, p):
+        p = np.asarray(p, dtype=float)
+        return np.zeros_like(q, dtype=float), 2.0 * p / np.square(self.axes)
+
+
+@dataclass(frozen=True)
+class FourierProfile(RadialProfile):
+    kind = "fourier"
+    base: float
+    cos_coeffs: tuple[float, ...]
+    sin_coeffs: tuple[float, ...]
+
+    def radius(self, u):
+        u = np.asarray(u, dtype=float)
         theta = np.arctan2(u[..., 1], u[..., 0])
         r = np.full(theta.shape, self.base)
         for k, c in enumerate(self.cos_coeffs, start=1):
@@ -99,15 +129,30 @@ class RadialProfile:
             r = r + c * np.sin(k * theta)
         return r
 
-    def radius_angle_slope(self, theta):
-        """dr/dtheta for the fourier profile (zero for the other kinds)."""
-        theta = np.asarray(theta, dtype=float)
+    def _radius_angle_slope(self, theta):
         r = np.zeros(theta.shape)
         for k, c in enumerate(self.cos_coeffs, start=1):
             r = r - c * k * np.sin(k * theta)
         for k, c in enumerate(self.sin_coeffs, start=1):
             r = r + c * k * np.cos(k * theta)
         return r
+
+    def gauge(self, manifold, q, p):
+        p = np.asarray(p, dtype=float)
+        theta = np.arctan2(p[..., 1], p[..., 0])
+        r = self.radius(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        return manifold.conorm_sq(q, p) / r ** 2
+
+    def gauge_grads(self, manifold, q, p):
+        # fourier profile lives on the flat torus fiber
+        p = np.asarray(p, dtype=float)
+        theta = np.arctan2(p[..., 1], p[..., 0])
+        r = self.radius(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        dr = self._radius_angle_slope(theta)
+        dp = np.empty_like(p)
+        dp[..., 0] = 2.0 * p[..., 0] / r ** 2 + 2.0 * dr / r ** 3 * p[..., 1]
+        dp[..., 1] = 2.0 * p[..., 1] / r ** 2 - 2.0 * dr / r ** 3 * p[..., 0]
+        return np.zeros_like(q, dtype=float), dp
 
 
 @dataclass(frozen=True)
@@ -167,35 +212,10 @@ class SandwichedHamiltonians:
 
     def gauge(self, q, p):
         """Degree-2 homogeneous gauge F; equals 1 exactly on the surface."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if self.profile.kind == "ellipse":
-            axes = np.asarray(self.profile.axes, dtype=float)
-            return np.sum((p / axes) ** 2, axis=-1)
-        norm_sq = self.manifold.conorm_sq(q, p)
-        if self.profile.kind == "round":
-            return norm_sq
-        theta = np.arctan2(p[..., 1], p[..., 0])
-        r = self.profile.radius(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
-        return norm_sq / r ** 2
+        return self.profile.gauge(self.manifold, q, p)
 
     def gauge_grads(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if self.profile.kind == "ellipse":
-            axes = np.asarray(self.profile.axes, dtype=float)
-            return np.zeros_like(q), 2.0 * p / axes ** 2
-        if self.profile.kind == "round":
-            gq, gp = self.manifold.conorm_grads(q, p)
-            return 2.0 * gq, 2.0 * gp
-        # fourier profile lives on the flat torus fiber
-        theta = np.arctan2(p[..., 1], p[..., 0])
-        r = self.profile.radius(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
-        dr = self.profile.radius_angle_slope(theta)
-        dp = np.empty_like(p)
-        dp[..., 0] = 2.0 * p[..., 0] / r ** 2 + 2.0 * dr / r ** 3 * p[..., 1]
-        dp[..., 1] = 2.0 * p[..., 1] / r ** 2 - 2.0 * dr / r ** 3 * p[..., 0]
-        return np.zeros_like(q), dp
+        return self.profile.gauge_grads(self.manifold, q, p)
 
     def surface_covector(self, q, u):
         """Map unit coordinate directions to covectors on the surface F = 1."""

@@ -74,7 +74,12 @@ def test_gradient_analytic_vs_finite_difference(torus, sol, round_sandwich,
               dyn.core_field(fourier_sandwich),
               blend_field(round_sandwich, 0.0),
               blend_field(round_sandwich, 0.37),
+              dyn.gauge_field(round_sandwich),
               dyn.gauge_field(ellipse_sandwich),
+              dyn.gauge_field(fourier_sandwich),
+              # F/2: the Reeb fields that the torus census flows
+              dyn.scaled_field(dyn.gauge_field(ellipse_sandwich), 0.5),
+              dyn.scaled_field(dyn.gauge_field(fourier_sandwich), 0.5),
               cutoff_gauge_field(ellipse_sandwich),
               blend_field(fourier_sandwich, 1.0),
               dyn.scaled_field(sol_mod.sol_field(sol), 2.5),

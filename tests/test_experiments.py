@@ -7,10 +7,10 @@ import pytest
 from spherization_lab import dynamics as dyn
 from spherization_lab import experiments
 from spherization_lab import sol as sol_mod
-from spherization_lab.config import load_config
+from spherization_lab.config import SCHEMA, load_config
 from spherization_lab.errors import InvariantFailureError
 from spherization_lab.experiments import _sol_chi_task, run, write_csv
-from spherization_lab.geometry import CotangentPoint
+from spherization_lab.geometry import CotangentPoint, ModelManifold
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -336,3 +336,48 @@ pairs = 2
     assert all(p["max_residual"] <= 1e-8 for p in pairs)
     assert all(p["records"] == p["nu"][-1] for p in pairs)
     assert sum(p["diagnostics"]["reverify_misses"] for p in pairs) >= 1
+
+
+def test_ellipse_census_counts_reeb_chords(tmp_path):
+    # on F = p_x^2 + p_y^2 / 4 the flow of F/2 runs at velocity
+    # (p_x, p_y / 4), so it reaches q0 + w at time |(w_x, 2 w_y)|
+    manifest, _ = _run(tmp_path, """
+[experiment]
+name = chord-census
+seed = 117
+
+[profile]
+kind = ellipse
+axes = 1 2
+
+[census]
+horizon = 10.0
+resolution = 1024
+""")
+    pair = manifest["results"]["pairs"][0]
+    w = ModelManifold.torus().lattice_translates(
+        np.subtract(pair["q1"], pair["q0"]), 10.0)
+    arrival = np.hypot(w[:, 0], 2.0 * w[:, 1])
+    oracle = [int(np.sum(arrival <= t)) for t in range(1, 11)]
+    assert pair["nu"] == oracle
+
+
+def test_every_profile_kind_has_its_own_class(tmp_path):
+    # a kind added to the schema but not wired into profile_from fails here
+    kinds = SCHEMA["profile"]["kind"]["choices"]
+    torus = ModelManifold.torus()
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    q = np.array([0.3, 0.7])
+    classes = set()
+    for kind in kinds:
+        path = tmp_path / f"{kind}.ini"
+        path.write_text("[experiment]\nname = chord-census\n\n"
+                        f"[profile]\nkind = {kind}\nfourier_cos = 0 0 0 0.1\n")
+        cfg = load_config(str(path))
+        profile = experiments.profile_from(cfg, torus.dim)
+        assert profile.kind == kind
+        classes.add(type(profile))
+        surface = experiments.sandwich_from(cfg, torus).surface_covector(q, dirs)
+        assert np.max(np.abs(profile.gauge(torus, q, surface) - 1.0)) <= 1e-12
+    assert len(classes) == len(kinds)

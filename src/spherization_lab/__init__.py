@@ -13,8 +13,8 @@ from .errors import (BudgetExceededError, CalibrationError, ConfigError,
                      SpherizationError, StiffnessError)
 from .geometry import CotangentPoint, ModelManifold
 from .growth import ball_counts, multiply
-from .sol import (entropy_closed_form, euler_field, inverse_momentum_map,
-                  lyapunov_estimate, momentum_map, sol_field, sol_hamiltonian)
+from .sol import (entropy_closed_form, inverse_momentum_map, lyapunov_estimate,
+                  momentum_map, sol_field, sol_hamiltonian)
 from .starshape import Cutoff, RadialProfile, SandwichedHamiltonians, calibrate
 
 __version__ = "0.1.0"

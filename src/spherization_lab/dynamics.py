@@ -141,7 +141,7 @@ class IntegratorConfig:
     scheme: str = "rk"           # "rk" (adaptive DOP853) | "midpoint"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 0.05       # output sample spacing (quadrature density)
+    max_step: float = 0.05       # default sample spacing of solve; midpoint's step
     drift_abort: float = 1e-6
 
     def __post_init__(self):

@@ -9,8 +9,12 @@ count.
 
 The sol Lyapunov experiments (``sol-entropy``, ``sol-sweep``) integrate each
 ensemble member on the reduced Euler equations for its left-invariant
-momenta (see ``sol``), one member per task: a member's exponent never
-depends on which other members run.
+momenta together with z, z' = M_z (see ``sol``), one member per task: a
+member's exponent never depends on which other members run.  The exponent
+is the z increment over the window after the burn-in, divided by the
+window's length; the energy and first-integral drifts are read on a unit
+sample grid, and the members' integrator counters (RHS calls, steps,
+rejected steps) are summed into the manifest's ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import growth as growth_mod
 from . import sol as sol_mod
 from .config import ExperimentConfig
-from .dynamics import (IntegratorConfig, action_homogeneous,
+from .dynamics import (IntegratorConfig, _sample_grid, action_homogeneous,
                        classify_chord_action, core_field, energy_drift,
                        exclusion_level, flat_action_spectrum, gauge_field,
                        geodesic_field, integrate, radial_chord_actions,
@@ -91,17 +95,31 @@ def _pmap(fn, tasks, workers: int):
 
 
 def _sol_chi_task(args):
-    """(chi, energy drift, first-integral drift) of one ensemble member,
-    integrated on the Euler equations from its momenta M0."""
+    """(chi, energy drift, first-integral drift, solve stats) of one
+    ensemble member, integrated on the Euler equations from its momenta M0
+    together with z, z' = M_z.  chi is the z increment over the window
+    [burn_in * T, T]; the drifts are read on the unit grid of
+    ``_sample_grid(0, T, 1.0)`` with the window start added."""
     (M0, horizon, burn_in, cfg) = args
-    times, ms, _ = solve(lambda t, m: sol_mod.euler_field(m), M0, 0.0,
-                         horizon, cfg)
-    drift = energy_drift(sol_mod.hamiltonian_from_momenta(ms.T),
+    t_b = burn_in * horizon
+    grid = _sample_grid(0.0, horizon, 1.0)
+    i_b = int(np.searchsorted(grid, t_b))
+    if grid[i_b] != t_b:
+        grid = np.insert(grid, i_b, t_b)
+    _, ys, stats = solve(sol_mod.euler_field, np.append(M0, 0.0), 0.0,
+                         horizon, cfg, t_eval=grid)
+    mx, my, _, z = ys
+    drift = energy_drift(sol_mod.hamiltonian_from_momenta(ys[:3].T),
                          cfg.drift_abort)
-    mx, my, mz = ms
-    chi = sol_mod.lyapunov_from_momentum_series(times, mz, burn_in)
+    chi = abs(float(z[-1] - z[i_b])) / (horizon - t_b)
     integral = mx * my
-    return chi, drift, float(np.max(np.abs(integral - integral[0])))
+    return chi, drift, float(np.max(np.abs(integral - integral[0]))), stats
+
+
+def _summed_stats(outs):
+    """The members' integrator counters, summed in input order."""
+    return {key: sum(o[3][key] for o in outs)
+            for key in ("nfev", "steps", "rejected")}
 
 
 # -- output helpers --------------------------------------------------------------
@@ -154,7 +172,7 @@ def _run_sol_entropy(cfg, out: Path, rng):
     outs = _pmap(_sol_chi_task, tasks, cfg.workers)
     closed = sol_mod.entropy_closed_form(k)
     rows = []
-    for i, (chi, drift, dint) in enumerate(outs):
+    for i, (chi, *_) in enumerate(outs):
         ratio = chi / closed if closed > 0 else float("nan")
         rows.append((i, chi, closed, ratio))
     write_csv(out / "sol-entropy.csv", ("ic", "chi_plus", "closed_form",
@@ -164,7 +182,8 @@ def _run_sol_entropy(cfg, out: Path, rng):
                "chi_max": float(np.max(chis)), "chi_mean": float(np.mean(chis)),
                "closed_form": closed,
                "energy_drift_max": float(max(o[1] for o in outs)),
-               "first_integral_drift_max": float(max(o[2] for o in outs))}
+               "first_integral_drift_max": float(max(o[2] for o in outs)),
+               "diagnostics": {"integrator": _summed_stats(outs)}}
     checks = {}
     if mode == "fixed-point":
         _check(checks, "fixed-point-matches-closed-form",
@@ -196,7 +215,8 @@ def _run_sol_sweep(cfg, out: Path, rng):
         ratio = chi / closed if closed > 0 else float("nan")
         rows.append((k, chi, closed, ratio))
         per_k[str(k)] = {"chi": chi, "chi_max": float(np.max(chis)),
-                         "closed_form": closed}
+                         "closed_form": closed,
+                         "diagnostics": {"integrator": _summed_stats(outs)}}
         if k > 0.5 and mode_k == "fixed-point":
             _check(checks, f"k={k}-matches-closed-form",
                    abs(chi - closed) <= 1e-3, gap=abs(chi - closed))

@@ -13,14 +13,18 @@ The momenta close on themselves (an Euler-type reduction):
 with M_x M_y a first integral.  On the level H = k the momenta live on a
 sphere of radius sqrt(2k) centered at (-1, 0, 0); it encloses the origin
 exactly when k > 1/2, and then the reduced field has fixed points at
-M = (0, 0, +-sqrt(2k-1)).  The positive Lyapunov exponent along an orbit is
-the absolute time average of M_z, which at the upper fixed point evaluates
-to the closed form sqrt(2k-1).
+M = (0, 0, +-sqrt(2k-1)).  Along an orbit d log|M_x|/dt = M_z, so the
+positive Lyapunov exponent is the absolute time average of M_z, which at
+the upper fixed point evaluates to the closed form sqrt(2k-1).
 
 The Lyapunov ensembles therefore integrate only the Euler equations, from
-M(0) = momentum_map(q0, p0): the exponent, the energy and the first
-integral all read off M(t).  The full field on the cotangent bundle serves
-the chord census, volume growth and the conservation checks.
+M(0) = momentum_map(q0, p0), with one more component z, z' = M_z, z(0) = 0
+(``euler_field``): the exponent over a window [t_b, T] is the increment
+|z(T) - z(t_b)| / (T - t_b), which the integrator's own error control
+covers, so no dense sample grid and no quadrature are needed.  The energy
+and the first integral read off M(t) on a unit sample grid.  The full field
+on the cotangent bundle serves the chord census, volume growth and the
+conservation checks.
 """
 
 from __future__ import annotations
@@ -50,10 +54,12 @@ def sol_hamiltonian(q, p):
     return hamiltonian_from_momenta(momentum_map(q, p))
 
 
-def euler_field(m):
-    """Reduced momentum dynamics; vectorized over leading axes."""
-    mx, my, mz = np.asarray(m, dtype=float).T
-    return np.array([mx * mz, -my * mz, my * my - mx * (mx + 1.0)]).T
+def euler_field(t, y):
+    """Reduced momentum dynamics with the exponent's integrand: the RHS of
+    the state (M_x, M_y, M_z, z), z' = M_z, on Python floats (one state per
+    call, the same bits as numpy's float64 arithmetic)."""
+    mx, my, mz, _ = y.tolist()
+    return np.array([mx * mz, -my * mz, my * my - mx * (mx + 1.0), mz])
 
 
 def sol_field(manifold: ModelManifold) -> HamiltonianField:
@@ -120,24 +126,18 @@ class LyapunovEstimate:
     partial_averages: np.ndarray
 
 
-def _window_average(times, mz, burn_in_fraction):
-    """(i0, chi): the first sample after the burn-in window and the absolute
-    Simpson average of M_z from there to the end."""
-    if times[-1] <= times[0] or len(times) < 8:
-        raise ValueError("trajectory too short for a Lyapunov average")
-    t_start = times[0] + burn_in_fraction * (times[-1] - times[0])
-    i0 = min(int(np.searchsorted(times, t_start)), len(times) - 4)
-    chi = abs(float(simpson(mz[i0:], x=times[i0:]))) / float(times[-1] - times[i0])
-    return i0, chi
-
-
 def lyapunov_estimate(traj: Trajectory, burn_in_fraction: float = 0.1) -> LyapunovEstimate:
-    """Positive Lyapunov exponent along a sol orbit: the absolute time
-    average of M_z after a burn-in window, with the sequence of partial
-    averages for convergence diagnosis."""
+    """Positive Lyapunov exponent along a sampled sol orbit: the absolute
+    Simpson average of M_z from the first sample after a burn-in window to
+    the end, with the sequence of partial averages for convergence
+    diagnosis."""
     t = traj.times
     mz = traj.p[:, 2]
-    i0, chi = _window_average(t, mz, burn_in_fraction)
+    if t[-1] <= t[0] or len(t) < 8:
+        raise ValueError("trajectory too short for a Lyapunov average")
+    t_start = t[0] + burn_in_fraction * (t[-1] - t[0])
+    i0 = min(int(np.searchsorted(t, t_start)), len(t) - 4)
+    chi = abs(float(simpson(mz[i0:], x=t[i0:]))) / float(t[-1] - t[i0])
     cum = np.cumsum(np.concatenate(
         ([0.0], np.diff(t[i0:]) * (mz[i0 + 1:] + mz[i0:-1]) / 2.0)))
     spans = t[i0:] - t[i0]
@@ -145,13 +145,6 @@ def lyapunov_estimate(traj: Trajectory, burn_in_fraction: float = 0.1) -> Lyapun
         partial = np.abs(cum) / np.where(spans > 0, spans, np.inf)
     return LyapunovEstimate(chi=chi, window=(float(t[i0]), float(t[-1])),
                             partial_times=t[i0:], partial_averages=partial)
-
-
-def lyapunov_from_momentum_series(times, mz, burn_in_fraction: float = 0.1) -> float:
-    """The same average for a raw (t, M_z) series, such as a solution of the
-    reduced Euler equations."""
-    return _window_average(np.asarray(times, dtype=float),
-                           np.asarray(mz, dtype=float), burn_in_fraction)[1]
 
 
 def entropy_closed_form(k: float) -> float:

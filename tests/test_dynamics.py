@@ -552,8 +552,8 @@ def test_solve_matches_scipy_dop853_bitwise(kind, rows, grid):
 def test_solve_matches_scipy_dop853_on_euler_field(rel_tol):
     # 1e-14 is below 100 eps, where both clamp the tolerance with a warning
     cfg = dyn.IntegratorConfig(rel_tol=rel_tol)
-    rhs = lambda t, m: sol_mod.euler_field(m)   # noqa: E731
-    m0 = np.array([0.6, -0.64, 0.48])
+    rhs = sol_mod.euler_field
+    m0 = np.array([0.6, -0.64, 0.48, 0.0])
     _assert_solve_matches_scipy(rhs, m0, 200.0, cfg)
     if rel_tol < 100 * np.finfo(float).eps:
         with pytest.warns(UserWarning, match="below 100 eps"):
@@ -587,8 +587,8 @@ def test_solve_counts_steps_and_rejections(monkeypatch):
         return rk_step(*args)
 
     monkeypatch.setattr(rk, "rk_step", counted)
-    rhs = lambda t, m: sol_mod.euler_field(m)   # noqa: E731
-    m0 = np.array([0.6, -0.64, 0.48])
+    rhs = sol_mod.euler_field
+    m0 = np.array([0.6, -0.64, 0.48, 0.0])
     cfg = dyn.IntegratorConfig()
     grid = dyn._sample_grid(0.0, 50.0, cfg.max_step)
     solver = DOP853(rhs, 0.0, m0, 50.0, rtol=cfg.rel_tol, atol=cfg.abs_tol)

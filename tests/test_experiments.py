@@ -219,12 +219,51 @@ def test_momentum_path_matches_full_flow(sol, rng, k):
     field = sol_mod.sol_field(sol)
     Q, P = sol_mod.sample_level_states(sol, k, 2, rng)
     for q0, p0 in zip(Q, P):
-        chi, drift, integral_drift = _sol_chi_task(
+        chi, drift, integral_drift, _ = _sol_chi_task(
             (sol_mod.momentum_map(q0, p0), 100.0, 0.1, cfg))
         traj = dyn.integrate(field, CotangentPoint(q0, p0), 100.0, cfg)
-        ref = sol_mod.lyapunov_estimate(traj, 0.1).chi
+        # the full flow's own z increment over [10, 100]: z' = p_z = M_z
+        i_b = int(np.searchsorted(traj.times, 10.0))
+        ref = abs(traj.q[-1, 2] - traj.q[i_b, 2]) / (100.0 - traj.times[i_b])
         assert abs(chi - ref) <= 1e-6 * abs(ref)
         assert drift <= 1e-8 and integral_drift <= 1e-8
+
+
+@pytest.mark.parametrize("k", [0.3, 1.0])
+def test_sol_chi_converged_to_tight_tolerance(sol, rng, k):
+    # the exponent carries no quadrature error: at the default tolerance it
+    # is within 1e-6 of the full flow's z increment at rel_tol 1e-13 (a
+    # Simpson average of M_z on a 0.05 grid is off by 1.0e-6 here at k = 1)
+    field = sol_mod.sol_field(sol)
+    tight = dyn.IntegratorConfig(rel_tol=1e-13)
+    Q, P = sol_mod.sample_level_states(sol, k, 2, rng)
+    for q0, p0 in zip(Q, P):
+        chi = _sol_chi_task((sol_mod.momentum_map(q0, p0), 100.0, 0.1,
+                             dyn.IntegratorConfig()))[0]
+        _, (q,), _ = dyn.integrate_batch(field, q0, p0, 100.0, tight,
+                                         t_eval=np.array([0.0, 10.0, 100.0]))
+        ref = abs(q[2, 2] - q[1, 2]) / 90.0
+        assert abs(chi - ref) <= 1e-6 * ref
+
+
+@pytest.mark.parametrize("k", [0.75, 1.0, 1.5])
+def test_sol_chi_at_fixed_point_is_closed_form(sol, rng, k):
+    q0 = sol.random_point(rng)
+    M0 = sol_mod.momentum_map(q0, sol_mod.fixed_point_covector(k, q0))
+    chi = _sol_chi_task((M0, 100.0, 0.1, dyn.IntegratorConfig()))[0]
+    assert abs(chi - np.sqrt(2 * k - 1)) <= 1e-12
+
+
+def test_sol_chi_ignores_max_step_under_rk(sol, rng):
+    # the adaptive scheme samples a unit grid whatever max_step says, so no
+    # dense sample grid feeds the exponent or the drift checks
+    Q, P = sol_mod.sample_level_states(sol, 0.3, 1, rng)
+    M0 = sol_mod.momentum_map(Q, P)[0]
+    outs = [_sol_chi_task((M0, 100.0, 0.1,
+                           dyn.IntegratorConfig(max_step=step)))
+            for step in (0.05, 0.5)]
+    assert outs[0] == outs[1]
+    assert outs[0][3]["samples"] == 101
 
 
 def test_sol_entropy_midpoint_keeps_quadratic_invariants(tmp_path):

@@ -37,11 +37,19 @@ def test_hamiltonian_values(sol, rng):
     assert np.max(np.abs(direct - via_m)) <= 1e-12 * np.max(1 + np.abs(direct))
 
 
+def _euler_reference(m):
+    """The reduced momentum dynamics, vectorized over leading axes."""
+    mx, my, mz = np.asarray(m, dtype=float).T
+    return np.array([mx * mz, -my * mz, my * my - mx * (mx + 1.0)]).T
+
+
 def test_euler_field_values():
-    assert np.allclose(sol_mod.euler_field(np.array([0.0, 0.0, 1.0])), 0.0)
-    assert np.allclose(sol_mod.euler_field(np.array([-1.0, 0.0, 0.0])), 0.0)
-    got = sol_mod.euler_field(np.array([0.1, 0.2, 0.3]))
-    assert np.allclose(got, [0.03, -0.06, -0.07])
+    assert np.allclose(sol_mod.euler_field(0.0, np.array([0.0, 0.0, 1.0, 0.0])),
+                       [0.0, 0.0, 0.0, 1.0])
+    assert np.allclose(sol_mod.euler_field(0.0, np.array([-1.0, 0.0, 0.0, 5.0])),
+                       0.0)
+    got = sol_mod.euler_field(0.0, np.array([0.1, 0.2, 0.3, -2.0]))
+    assert np.allclose(got, [0.03, -0.06, -0.07, 0.3])
 
 
 def test_full_field_consistent_with_euler(sol, rng):
@@ -54,8 +62,13 @@ def test_full_field_consistent_with_euler(sol, rng):
     mdot = np.stack([ez * pdot[:, 0] + qdot[:, 2] * ez * p[:, 0],
                      pdot[:, 1] / ez - qdot[:, 2] * p[:, 1] / ez,
                      pdot[:, 2]], axis=-1)
-    assert np.max(np.abs(mdot - sol_mod.euler_field(m))) <= 1e-10 * \
-        np.max(1.0 + np.abs(mdot))
+    ref = _euler_reference(m)
+    assert np.max(np.abs(mdot - ref)) <= 1e-10 * np.max(1.0 + np.abs(mdot))
+    # the ensembles' scalar kernel gives the same bits, and its z' = M_z is
+    # the full flow's z' = p_z
+    for mi, zi, ri, qdot_z in zip(m, q[:, 2], ref, qdot[:, 2]):
+        got = sol_mod.euler_field(0.0, np.append(mi, zi))
+        assert got.tobytes() == np.append(ri, qdot_z).tobytes()
 
 
 def test_lyapunov_at_fixed_point(sol):
@@ -68,10 +81,13 @@ def test_lyapunov_at_fixed_point(sol):
     assert np.all(np.isfinite(est.partial_averages[1:]))
 
 
-def test_lyapunov_synthetic_constant():
+def test_lyapunov_synthetic_constant(sol):
     times = np.linspace(0.0, 10.0, 501)
-    chi = sol_mod.lyapunov_from_momentum_series(times, np.full(501, -0.4))
-    assert np.isclose(chi, 0.4)
+    q = np.zeros((501, 3))
+    p = np.tile([0.0, 0.0, -0.4], (501, 1))
+    traj = dyn.Trajectory(times=times, q=q, p=p, energy=np.zeros(501),
+                          energy_drift=0.0, stats={}, manifold=sol)
+    assert np.isclose(sol_mod.lyapunov_estimate(traj).chi, 0.4)
 
 
 def test_subcritical_average_decays(sol, rng):

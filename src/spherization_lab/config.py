@@ -72,7 +72,6 @@ SCHEMA = {
         "horizon": _typed("float", 10.0, lo=0.1, hi=1000.0),
         "resolution": _typed("int", 512, lo=64, hi=1_000_000),
         "coarse_threshold": _typed("float", 0.25, lo=1e-4, hi=10.0),
-        "sample_dt": _typed("float", 0.0, lo=0.0, hi=10.0),  # 0 = automatic
         "q0": _typed("floats", (0.0, 0.0)),
         "q1": _typed("floats", (0.5, 0.5)),
         "jitter": _typed("float", 1e-3, lo=0.0, hi=0.1),

@@ -25,11 +25,11 @@ imports no scipy submodule.  ``integrate_batch(..., at=...)`` reads each
 row of a batch at its own sample only: the steps, stages and interpolant
 coefficients stay those of the whole batch, and the interpolant (or the
 midpoint scheme's step endpoint) fills only the samples kept, with the bits
-of the full read; the census polisher reads its endpoints this way.
+of the full read; the census's ``entropy._endpoints`` reads this way.
 ``simpson`` is the composite Simpson rule of the action and Lyapunov
 quadratures, equal to scipy's bit for bit.
 
-Both chord finders, the census polisher in ``entropy`` and the fixed-time
+Both chord finders, the census polish ``entropy._polish`` and the fixed-time
 chords here, polish with one damped Newton driver, ``lockstep_newton``
 (Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).  The
 fixed-time chords solve the flat torus's closed-form time-1 map and
@@ -185,15 +185,16 @@ def _flat_rhs(field: HamiltonianField, d: int):
 def integrate(field: HamiltonianField, x0: CotangentPoint, T: float,
               cfg: IntegratorConfig = IntegratorConfig(),
               t0: float = 0.0) -> Trajectory:
-    """Integrate one initial condition over [t0, t0 + T]."""
+    """Integrate one initial condition over [t0, t0 + T], as a one-row
+    ``integrate_batch`` sampled on the quadrature grid of ``cfg.max_step``."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    times, Q, P, stats = _integrate_raw(field, x0.q[None, :], x0.p[None, :],
-                                        t0, t0 + T, cfg)
+    stats = {}
+    times, Q, P = integrate_batch(field, x0.q, x0.p, T, cfg, t0=t0,
+                                  stats=stats)
     q, p = Q[0], P[0]
     energy = field.value(q, p)
     drift = energy_drift(energy, cfg.drift_abort)
-    stats = dict(stats)
     return Trajectory(times=times, q=q, p=p, energy=energy,
                       energy_drift=drift, stats=stats, manifold=field.manifold)
 
@@ -229,25 +230,18 @@ def integrate_batch(field: HamiltonianField, Q0, P0, T: float,
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     n, d = Q0.shape
     reads = None if at is None else np.tile(np.repeat(at, d), 2)
-    times, Q, P, counts = _integrate_raw(field, Q0, P0, t0, t0 + T, cfg,
-                                         t_eval=t_eval, reads=reads)
+    times, ys, counts = solve(_flat_rhs(field, d),
+                              np.concatenate([Q0.ravel(), P0.ravel()]),
+                              t0, t0 + T, cfg, t_eval, reads=reads)
     if stats is not None:
         for key in ("nfev", "steps", "rejected"):
             stats[key] = stats.get(key, 0) + counts[key]
-    return (times, Q, P) if at is None else (Q, P)
-
-
-def _integrate_raw(field, Q0, P0, t0, t1, cfg, t_eval=None, reads=None):
-    n, d = Q0.shape
-    y0 = np.concatenate([Q0.ravel(), P0.ravel()])
-    times, ys, stats = solve(_flat_rhs(field, d), y0, t0, t1, cfg, t_eval,
-                             reads=reads)
-    if reads is not None:
-        return times, ys[: n * d].reshape(n, d), ys[n * d:].reshape(n, d), stats
+    if at is not None:
+        return ys[: n * d].reshape(n, d), ys[n * d:].reshape(n, d)
     S = len(times)
     Q = ys[: n * d].reshape(n, d, S).transpose(0, 2, 1)
     P = ys[n * d:].reshape(n, d, S).transpose(0, 2, 1)
-    return times, Q, P, stats
+    return times, Q, P
 
 
 def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):

@@ -5,7 +5,9 @@ The census solves the shooting problem "start on the fiber surface over q0,
 arrive on the fiber over q1 (any deck translate) before the horizon" by
 seeding a mesh on (surface parameter) x (time), detecting near-arrivals on
 dense trajectory samples, and polishing each candidate with damped Newton in
-(parameter, time) on ``dynamics.lockstep_newton``.  Arrivals are tagged with
+(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The polish
+and the re-verification of its roots read their endpoints from one batched
+integration, ``_endpoints``.  Arrivals are tagged with
 the deck element of the lift they hit, which identifies the homotopy class
 of the projected path; one vectorized ``ModelManifold.nearest_lift`` call
 finds the lifts for each mesh batch, and one more for all re-verified
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -180,107 +183,90 @@ _POLISH_CHUNK, _POLISH_FD_STEP = 192, 1e-6
 _POLISH_SWEEPS, _POLISH_BLOWUP = 36, 6.0
 
 
-class _LockstepPolisher:
+def _endpoints(field, q0, surface_map, cfg, stats, us, ts):
+    """Endpoints of trajectories from surface points us at times ts.
+
+    The rows go in order of time, ``_POLISH_CHUNK`` at a time, into one
+    batch integration over the union of their times; the interpolant fills
+    each row at its own arrival time only (``integrate_batch``'s ``at``),
+    with the bits of the full read.  ``stats`` sums the integrator counters.
+    """
+    n = us.shape[0]
+    q_out = np.empty((n, field.manifold.dim))
+    p_out = np.empty((n, field.manifold.dim))
+    order = np.argsort(ts, kind="stable")
+    for lo in range(0, n, _POLISH_CHUNK):
+        sel = order[lo:lo + _POLISH_CHUNK]
+        t_sel = ts[sel]
+        grid = np.unique(np.concatenate([[0.0], t_sel]))
+        if len(grid) < 2:
+            grid = np.array([0.0, max(t_sel[0], 1e-9)])
+        p0 = surface_map(us[sel])
+        q_out[sel], p_out[sel] = integrate_batch(
+            field, np.broadcast_to(q0, p0.shape).copy(), p0, float(grid[-1]),
+            cfg, t_eval=grid, at=np.searchsorted(grid, t_sel), stats=stats)
+    return q_out, p_out
+
+
+def _polish(field, endpoints, us, ts, lifts, horizon, time_floor, tol):
     """Damped Newton on (surface parameter, time) for many candidates at
-    once, each against its own fixed lift.
+    once, each against its own fixed lift; returns the final directions and
+    times, and each candidate's index into NEWTON_OUTCOMES.
 
     One sweep of ``lockstep_newton`` advances every live candidate by a
     single proposed step; all endpoint evaluations of a sweep (current point
-    plus finite-difference perturbations) ride in shared batch integrations,
-    which amortizes the solver overhead that would dominate a per-candidate
-    polish.
+    plus finite-difference perturbations) ride in one ``endpoints(us, ts)``
+    call, which amortizes the solver overhead that would dominate a
+    per-candidate polish.
     """
+    manifold = field.manifold
+    d = manifold.dim
+    us = np.array(us, dtype=float)
+    ts = np.array(ts, dtype=float)
+    frames = np.empty((len(us), d - 1, d))
 
-    def __init__(self, field, q0, surface_map, cfg, horizon, time_floor, tol,
-                 stats):
-        self.field = field
-        self.manifold = field.manifold
-        self.q0 = np.asarray(q0, dtype=float)
-        self.surface_map = surface_map
-        self.cfg = cfg
-        self.horizon = horizon
-        self.time_floor = time_floor
-        self.tol = tol
-        self.stats = stats      # integrator counters, summed over solves
+    def linearize(idx):
+        # the current and the finite-difference starts in one evaluation
+        k = len(idx)
+        frames[idx] = dirs = _tangent_frames(us[idx])
+        eval_us = [us[idx]]
+        for j in range(d - 1):
+            pert = us[idx] + _POLISH_FD_STEP * dirs[:, j]
+            eval_us.append(pert / np.linalg.norm(pert, axis=1, keepdims=True))
+        q_end, p_end = endpoints(np.concatenate(eval_us, axis=0),
+                                 np.tile(ts[idx], d))
+        res = manifold.frame_displacement(q_end[:k], lifts[idx])
 
-    def _endpoints(self, us, ts):
-        """Endpoints of trajectories from surface points us at times ts.
+        def jacobian(rows):
+            i = idx[rows]
+            cols = [(manifold.frame_displacement(q_end[(1 + j) * k + rows],
+                                                 lifts[i]) - res[rows])
+                    / _POLISH_FD_STEP for j in range(d - 1)]
+            vel = field.velocity(q_end[rows], p_end[rows])
+            cols.append(manifold.frame_components(lifts[i], vel))
+            return np.stack(cols, axis=-1)
 
-        The rows go in order of time, ``_POLISH_CHUNK`` at a time, into one
-        batch integration over the union of their times; the interpolant
-        fills each row at its own arrival time only (``integrate_batch``'s
-        ``at``), with the bits of the full read.
-        """
-        n = us.shape[0]
-        q_out = np.empty((n, self.manifold.dim))
-        p_out = np.empty((n, self.manifold.dim))
-        order = np.argsort(ts, kind="stable")
-        for lo in range(0, n, _POLISH_CHUNK):
-            sel = order[lo:lo + _POLISH_CHUNK]
-            t_sel = ts[sel]
-            grid = np.unique(np.concatenate([[0.0], t_sel]))
-            if len(grid) < 2:
-                grid = np.array([0.0, max(t_sel[0], 1e-9)])
-            p0 = self.surface_map(us[sel])
-            q0 = np.broadcast_to(self.q0, p0.shape).copy()
-            q_out[sel], p_out[sel] = integrate_batch(
-                self.field, q0, p0, float(grid[-1]), self.cfg, t_eval=grid,
-                at=np.searchsorted(grid, t_sel), stats=self.stats)
-        return q_out, p_out
+        return res, jacobian
 
-    def polish(self, us, ts, lifts):
-        """Polish every candidate; returns the final directions and times,
-        and each candidate's index into NEWTON_OUTCOMES."""
-        d = self.manifold.dim
-        us = np.array(us, dtype=float)
-        ts = np.array(ts, dtype=float)
-        lifts = np.array(lifts, dtype=float)
-        frames = np.empty((len(us), d - 1, d))
+    def move(i, step, a):
+        if d == 2:
+            ang = a * step[:, 0]
+            c, s = np.cos(ang), np.sin(ang)
+            u0, u1 = us[i, 0], us[i, 1]
+            us[i] = np.stack([c * u0 - s * u1, s * u0 + c * u1], axis=-1)
+        else:
+            dirs = frames[i]
+            v = us[i] + a[:, None] * (step[:, :1] * dirs[:, 0]
+                                      + step[:, 1:2] * dirs[:, 1])
+            us[i] = v / _row_norms(v)[:, None]
+        ts[i] = np.minimum(np.maximum(ts[i] + a * step[:, -1], time_floor),
+                           horizon * 1.05)
 
-        def linearize(idx):
-            # the current and the finite-difference starts in one evaluation
-            k = len(idx)
-            frames[idx] = dirs = _tangent_frames(us[idx])
-            eval_us = [us[idx]]
-            for j in range(d - 1):
-                pert = us[idx] + _POLISH_FD_STEP * dirs[:, j]
-                eval_us.append(pert / np.linalg.norm(pert, axis=1,
-                                                     keepdims=True))
-            q_end, p_end = self._endpoints(np.concatenate(eval_us, axis=0),
-                                           np.tile(ts[idx], d))
-            res = self.manifold.frame_displacement(q_end[:k], lifts[idx])
-
-            def jacobian(rows):
-                i = idx[rows]
-                cols = [(self.manifold.frame_displacement(
-                            q_end[(1 + j) * k + rows], lifts[i]) - res[rows])
-                        / _POLISH_FD_STEP for j in range(d - 1)]
-                vel = self.field.velocity(q_end[rows], p_end[rows])
-                cols.append(self.manifold.frame_components(lifts[i], vel))
-                return np.stack(cols, axis=-1)
-
-            return res, jacobian
-
-        def move(i, step, a):
-            if d == 2:
-                ang = a * step[:, 0]
-                c, s = np.cos(ang), np.sin(ang)
-                u0, u1 = us[i, 0], us[i, 1]
-                us[i] = np.stack([c * u0 - s * u1, s * u0 + c * u1], axis=-1)
-            else:
-                dirs = frames[i]
-                v = us[i] + a[:, None] * (step[:, :1] * dirs[:, 0]
-                                          + step[:, 1:2] * dirs[:, 1])
-                us[i] = v / _row_norms(v)[:, None]
-            ts[i] = np.minimum(np.maximum(ts[i] + a * step[:, -1],
-                                          self.time_floor), self.horizon * 1.05)
-
-        outcome = lockstep_newton(len(us), linearize, move, tol=self.tol,
-                                  max_sweeps=_POLISH_SWEEPS,
-                                  blowup=_POLISH_BLOWUP)
-        outside = (ts < self.time_floor) | (ts > self.horizon)
-        outcome[(outcome == CONVERGED) & outside] = OUTSIDE_WINDOW
-        return us, ts, outcome
+    outcome = lockstep_newton(len(us), linearize, move, tol=tol,
+                              max_sweeps=_POLISH_SWEEPS, blowup=_POLISH_BLOWUP)
+    outside = (ts < time_floor) | (ts > horizon)
+    outcome[(outcome == CONVERGED) & outside] = OUTSIDE_WINDOW
+    return us, ts, outcome
 
 
 def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
@@ -288,8 +274,9 @@ def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
     time) blob.
 
     Within a deck, candidates go in order of (distance, time, seed); one is
-    kept unless a kept one lies within ``t_tol`` in time and ``angle`` in
-    direction.  Returns the kept indices, by deck and then in that order.
+    kept unless a kept one lies within ``t_tol`` in time and less than
+    ``angle`` away in direction (u . v > cos(angle), on circle and sphere).
+    Returns the kept indices, by deck and then in that order.
     """
     deck_keys = tuple(decks.T[::-1])     # lexsort's last key is primary
     order = np.lexsort((seeds, times, dists) + deck_keys)
@@ -311,13 +298,8 @@ def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
             break
         pairs.append((by_time[pos], by_time[pos + gap]))
     a, b = (np.concatenate(x) for x in zip(*pairs))
-    if dirs.shape[1] == 2:
-        theta = np.array([math.atan2(u[1], u[0]) for u in dirs])
-        dtheta = np.abs(theta[seeds[a]] - theta[seeds[b]])
-        close = np.minimum(dtheta, 2 * math.pi - dtheta) <= angle
-    else:
-        ua, ub = dirs[seeds[a]], dirs[seeds[b]]
-        close = (ua[:, None, :] @ ub[:, :, None])[:, 0, 0] > math.cos(angle)
+    ua, ub = dirs[seeds[a]], dirs[seeds[b]]
+    close = (ua[:, None, :] @ ub[:, :, None])[:, 0, 0] > math.cos(angle)
     a, b = a[close], b[close]
     swap = rank[a] > rank[b]
     later, earlier = np.where(swap, a, b), np.where(swap, b, a)
@@ -333,8 +315,7 @@ def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
 
 def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                  resolution: int, *,
-                 cfg: IntegratorConfig = None,
-                 sample_dt: float = None,
+                 cfg: IntegratorConfig = IntegratorConfig(),
                  coarse_threshold: float = 0.25,
                  newton_tol: float = 1e-8,
                  time_floor: float = 1e-6,
@@ -350,8 +331,6 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
         raise ValueError("census resolution must be at least 64")
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
-                                  max_step=min(0.05, horizon / 40))
     d = manifold.dim
     dirs = circle_directions(resolution) if d == 2 else fibonacci_sphere(resolution)
     P0_all = surface_map(dirs)
@@ -360,8 +339,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     # sample spacing tied to the fastest seed so arrivals cannot be stepped over
     v0 = field.velocity(Q0_all, P0_all)
     vmax = float(np.sqrt(np.max(manifold.norm_sq(Q0_all, v0))))
-    if sample_dt is None:
-        sample_dt = min(coarse_threshold / max(vmax, 1e-9) / 2.0, horizon / 50)
+    sample_dt = min(coarse_threshold / max(vmax, 1e-9) / 2.0, horizon / 50)
     n_samples = int(math.ceil(horizon / sample_dt)) + 1
     t_grid = np.linspace(0.0, horizon, n_samples)
 
@@ -399,16 +377,17 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                      2.2 * mesh_spacing)
 
     # Newton polish against the fixed lift of each representative
-    polisher = _LockstepPolisher(field, q0, surface_map, cfg, horizon,
-                                 time_floor, newton_tol, counts)
+    endpoints = partial(_endpoints, field, q0, surface_map, cfg, counts)
     lifts0 = np.array([manifold.deck_apply(g, q1)
                        for g in decks[reps]]).reshape(len(reps), d)
-    us, ts, outcome = polisher.polish(dirs[seeds[reps]], times[reps], lifts0)
+    us, ts, outcome = _polish(field, endpoints, dirs[seeds[reps]],
+                              times[reps], lifts0, horizon, time_floor,
+                              newton_tol)
     # fresh re-integration of every accepted root, batched; a root counts
     # only if it arrives within newton_tol again
     good = np.nonzero(outcome == CONVERGED)[0]
     us, ts = us[good], ts[good]
-    q_end, _ = polisher._endpoints(us, ts)
+    q_end, _ = endpoints(us, ts)
     decks_end, dists_end, _ = manifold.nearest_lift(q_end, q1)
     hit = np.nonzero(dists_end <= newton_tol)[0]
     misses = len(good) - len(hit)
@@ -581,7 +560,9 @@ class VolumeGrowthResult:
 
 def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
                   n_max: int, refine_threshold: float, vertex_budget: int, *,
-                  surface_map, cfg: IntegratorConfig = None,
+                  surface_map,
+                  cfg: IntegratorConfig = IntegratorConfig(
+                      rel_tol=1e-8, abs_tol=1e-10, max_step=0.25),
                   fit_window: int = 6) -> VolumeGrowthResult:
     """Volumes of the evolved mesh at integer times 0..n_max with refinement.
 
@@ -596,7 +577,6 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
     """
     if vertex_budget <= mesh.vertex_count():
         raise ValueError("vertex budget must exceed the initial vertex count")
-    cfg = cfg or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=0.25)
     q0 = mesh.q[0].copy()
     mesh = replace(mesh)     # the levels rebind its arrays, not the caller's
 

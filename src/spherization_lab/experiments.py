@@ -255,15 +255,11 @@ def _field_and_surface(cfg, manifold):
 
 
 def _census_kwargs(cfg):
-    kw = dict(coarse_threshold=cfg.get("census", "coarse_threshold"),
-              newton_tol=cfg.get("census", "newton_tol"),
-              time_floor=cfg.get("census", "time_floor"),
-              max_candidates=cfg.get("census", "max_candidates"),
-              cfg=integrator_from(cfg))
-    sample_dt = cfg.get("census", "sample_dt")
-    if sample_dt > 0:
-        kw["sample_dt"] = sample_dt
-    return kw
+    return dict(coarse_threshold=cfg.get("census", "coarse_threshold"),
+                newton_tol=cfg.get("census", "newton_tol"),
+                time_floor=cfg.get("census", "time_floor"),
+                max_candidates=cfg.get("census", "max_candidates"),
+                cfg=integrator_from(cfg))
 
 
 def _run_chord_census(cfg, out: Path, rng):
@@ -388,23 +384,6 @@ def _run_action_check(cfg, out: Path, rng):
     n_values = cfg.get("action", "n_values")
     int_cfg = integrator_from(cfg, max_step=0.01)
 
-    # (a) inverse scaling of the action under H -> cH on analytic chords
-    scaling_rows = []
-    max_scaling = 0.0
-    geo = geodesic_field(manifold)
-    # the chord_count translates of q1 - q0 nearest to the origin; ties keep
-    # the lattice order
-    count = cfg.get("action", "chord_count")
-    radius = 1.0
-    while len(translates := manifold.lattice_translates(q1 - q0, radius)) < count:
-        radius *= 2.0
-    targets = sorted(translates, key=np.linalg.norm)[:count]
-    for i, w in enumerate(targets):
-        chord = integrate(geo, CotangentPoint(q0, w), 1.0, int_cfg)
-        for c in scales:
-            rel, res = verify_scaling_law(geo, chord, c)
-            scaling_rows.append(("geodesic", i, c, rel, res))
-            max_scaling = max(max_scaling, rel)
     # torus calibration is deterministic: one sandwich per profile serves
     # both the scaling law and the shot chords
     profiles = {"round": RadialProfile.round(),
@@ -413,15 +392,29 @@ def _run_action_check(cfg, out: Path, rng):
                                   safety=cfg.get("cutoff", "safety"),
                                   eps=cfg.get("cutoff", "epsilon"))
                   for name, profile in profiles.items()}
-    ell = gauge_field(sandwiches["ellipse"])
+
+    # (a) inverse scaling of the action under H -> cH on analytic chords:
+    # the chord_count translates of q1 - q0 nearest to the origin (ties keep
+    # the lattice order) under the geodesic flow, and the first three under
+    # the ellipse gauge's
+    count = cfg.get("action", "chord_count")
+    radius = 1.0
+    while len(translates := manifold.lattice_translates(q1 - q0, radius)) < count:
+        radius *= 2.0
+    targets = sorted(translates, key=np.linalg.norm)[:count]
     axes = np.asarray(profiles["ellipse"].axes)
-    for i, w in enumerate(targets[:3]):
-        p0 = w * axes ** 2 / 2.0
-        chord = integrate(ell, CotangentPoint(q0, p0), 1.0, int_cfg)
-        for c in scales:
-            rel, res = verify_scaling_law(ell, chord, c)
-            scaling_rows.append(("ellipse-gauge", i, c, rel, res))
-            max_scaling = max(max_scaling, rel)
+    scaling_rows = []
+    max_scaling = 0.0
+    for label, field, starts in (
+            ("geodesic", geodesic_field(manifold), targets),
+            ("ellipse-gauge", gauge_field(sandwiches["ellipse"]),
+             [w * axes ** 2 / 2.0 for w in targets[:3]])):
+        for i, p0 in enumerate(starts):
+            chord = integrate(field, CotangentPoint(q0, p0), 1.0, int_cfg)
+            for c in scales:
+                rel, res = verify_scaling_law(field, chord, c)
+                scaling_rows.append((label, i, c, rel, res))
+                max_scaling = max(max_scaling, rel)
     write_csv(out / "action-scaling.csv",
               ("hamiltonian", "chord", "scale", "rel_error", "field_residual"),
               scaling_rows)

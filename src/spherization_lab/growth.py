@@ -43,14 +43,22 @@ def int_mat_vec(m: tuple[int, int, int, int], v: tuple[int, int]) -> tuple[int, 
     return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
 
 
-def multiply(a: Element, b: Element, monodromy) -> Element:
-    """Group product; exact, with an int64-range guard on the result."""
-    al = int_mat_pow(tuple(int(v) for v in np.asarray(monodromy).ravel()), a[2])
+def _matrix(monodromy) -> tuple[int, int, int, int]:
+    return tuple(int(v) for v in np.asarray(monodromy).ravel())
+
+
+def _product(a: Element, b: Element, al) -> Element:
+    """a * b given al = A^(a's l); exact, with an int64-range guard."""
     w = int_mat_vec(al, (b[0], b[1]))
     out = (a[0] + w[0], a[1] + w[1], a[2] + b[2])
     if max(abs(out[0]), abs(out[1])) >= _INT64_GUARD:
         raise OverflowError("group element left the guarded integer range")
     return out
+
+
+def multiply(a: Element, b: Element, monodromy) -> Element:
+    """Group product; exact, with an int64-range guard on the result."""
+    return _product(a, b, int_mat_pow(_matrix(monodromy), a[2]))
 
 
 def generators(include_vertical: bool = True) -> list[Element]:
@@ -75,7 +83,9 @@ def ball_counts(monodromy, n_max: int, *, include_vertical: bool = True,
     cap = 16 if include_vertical else 64
     if n_max > cap:
         raise BudgetExceededError(f"ball counts are budgeted up to n_max = {cap}")
-    a = tuple(int(v) for v in np.asarray(monodromy).ravel())
+    a = _matrix(monodromy)
+    # A^l of every layer a frontier element can reach before its last step
+    powers = {l: int_mat_pow(a, l) for l in range(-n_max, n_max + 1)}
     gens = generators(include_vertical)
     seen = {IDENTITY}
     frontier = [IDENTITY]
@@ -83,8 +93,9 @@ def ball_counts(monodromy, n_max: int, *, include_vertical: bool = True,
     for _ in range(n_max):
         new_frontier = []
         for g in frontier:
+            al = powers[g[2]]
             for s in gens:
-                h = multiply(g, s, a)
+                h = _product(g, s, al)
                 if h not in seen:
                     seen.add(h)
                     new_frontier.append(h)

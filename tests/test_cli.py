@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from spherization_lab.cli import main
-from spherization_lab.config import load_config
+from spherization_lab.config import SCHEMA, load_config
 from spherization_lab.errors import ConfigError
 
 
@@ -156,3 +158,24 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass=true" in proc.stdout
+
+
+def _readme_config_keys():
+    # the INI sections and keys the README's configuration block lists,
+    # with its parenthetical notes dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration format", 1)[1]
+    block = block.split("```", 2)[1]
+    while "(" in block:     # innermost notes first: they may nest
+        block = re.sub(r"\([^()]*\)", "", block)
+    sections = {}
+    for name, body in re.findall(r"\[(\w+)\]([^\[]*)", block):
+        sections[name] = {k.strip() for k in body.split(",")}
+    return sections
+
+
+def test_readme_lists_exactly_the_schema_keys():
+    documented = _readme_config_keys()
+    assert list(documented) == list(SCHEMA)
+    for section, keys in SCHEMA.items():
+        assert documented[section] == set(keys), section

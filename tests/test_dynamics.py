@@ -638,7 +638,7 @@ def test_solve_rejects_a_grid_off_its_span():
 def test_read_at_own_sample_matches_full_read_bitwise(kind, rows, scheme):
     # each row read at its own sample only, against the full-grid read:
     # samples that many rows share, a row at t = 0, and the [0, 1e-9] grid
-    # the census polisher builds when every arrival time is 0
+    # entropy._endpoints builds when every arrival time is 0
     rng = np.random.default_rng(rows)
     man = ModelManifold.sol() if kind == "sol" else ModelManifold.torus()
     field = (sol_mod.sol_field(man) if kind == "sol"

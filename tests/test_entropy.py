@@ -126,8 +126,8 @@ def test_census_rejects_low_resolution(torus_census_ctx):
 
 def test_midpoint_census_reads_endpoints_as_the_full_grid(torus_census_ctx,
                                                          monkeypatch):
-    # the polisher's per-row read keeps the configured scheme and gives the
-    # records of the full-grid read picked out by hand
+    # the per-row read of entropy._endpoints keeps the configured scheme
+    # and gives the records of the full-grid read picked out by hand
     torus, geo, q0, q1, smap = torus_census_ctx
     cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.05)
 

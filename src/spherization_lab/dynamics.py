@@ -31,9 +31,13 @@ quadratures, equal to scipy's bit for bit.
 
 Both chord finders, the census polish ``entropy._polish`` and the fixed-time
 chords here, polish with one damped Newton driver, ``lockstep_newton``
-(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).  The
-fixed-time chords solve the flat torus's closed-form time-1 map and
-integrate only the chords they accept, which re-verifies them.
+(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).  On a
+flat model (``ModelManifold.flat``, the torus) a field of p alone keeps p
+and translates q, and both evaluate that flow in closed form,
+``flat_flow``: the fixed-time chords solve its time-1 map, and the census
+seeds and polishes on it.  Each integrates only the chords it accepts,
+which re-verifies them; an integrated endpoint off its lift (a field with
+dH/dq != 0) raises InvariantFailureError.
 """
 
 from __future__ import annotations
@@ -687,33 +691,41 @@ _SHOOT_TOL = 1e-10         # Newton residual of an accepted chord
 _SHOOT_SWEEPS, _SHOOT_FD_STEP, _SHOOT_MAX_RECORDS = 40, 1e-7, 4000
 
 
+def flat_flow(field: HamiltonianField, q0, P, t):
+    """The time-t map (q0 + t dH/dp(q0, P), P) of a field that depends on p
+    alone on a flat model, whose flow keeps p and translates q; ``t`` is one
+    time, or one per row of ``P``."""
+    P = np.asarray(P, dtype=float)
+    v = field.grads(np.broadcast_to(q0, P.shape), P)[1]
+    return q0 + np.asarray(t, dtype=float)[..., None] * v, P
+
+
 def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                             p_max: float = 3.2, grid: int = 48,
                             cfg: IntegratorConfig):
     """Find solutions x(0) in the fiber over q0 with base(x(1)) on a lift of
-    q1, for a torus field that depends on p alone (the action experiments).
+    q1, for a field on a flat model that depends on p alone (the action
+    experiments).
 
-    p is then constant and the time-1 map is q0 + dH/dp(p0): grid covectors
-    landing within ``_SHOOT_COARSE`` of a lift seed ``lockstep_newton`` on
-    that closed form.  The accepted chords are integrated densely, and an
-    endpoint more than ``10 * _SHOOT_TOL`` off its lift (dH/dq != 0)
-    raises InvariantFailureError.  Returns (trajectory, deck) pairs,
-    deduplicated in (covector, deck) and sorted by (deck, covector).
+    p is then constant and the time-1 map is ``flat_flow``'s
+    q0 + dH/dp(p0): grid covectors landing within ``_SHOOT_COARSE`` of a
+    lift seed ``lockstep_newton`` on that closed form.  The accepted chords
+    are integrated densely, and an endpoint more than ``10 * _SHOOT_TOL``
+    off its lift (dH/dq != 0) raises InvariantFailureError.  Returns
+    (trajectory, deck) pairs, deduplicated in (covector, deck) and sorted
+    by (deck, covector).
     """
     manifold = field.manifold
-    if manifold.kind != "torus":
-        raise ValueError("fixed-time chord shooting expects the torus model")
+    if not manifold.flat:
+        raise ValueError("fixed-time chord shooting expects a flat model")
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     axis = np.linspace(-p_max, p_max, grid)
     px, py = np.meshgrid(axis, axis)
     P0 = np.stack([px.ravel(), py.ravel()], axis=-1)
 
-    def endpoints(P):
-        return q0 + _SHOOT_DURATION * field.grads(
-            np.broadcast_to(q0, P.shape), P)[1]
-
-    deck0, dist, lift = manifold.nearest_lift(endpoints(P0), q1)
+    deck0, dist, lift = manifold.nearest_lift(
+        flat_flow(field, q0, P0, _SHOOT_DURATION)[0], q1)
     near = np.nonzero(dist < _SHOOT_COARSE)[0]
 
     # lockstep damped Newton in the covector against each seed's fixed lift
@@ -722,9 +734,9 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
 
     def linearize(idx):
         k = len(idx)
-        ends = endpoints(np.concatenate([P[idx],
-                                         P[idx] + np.array([h, 0.0]),
-                                         P[idx] + np.array([0.0, h])]))
+        ends, _ = flat_flow(field, q0, np.concatenate(
+            [P[idx], P[idx] + np.array([h, 0.0]), P[idx] + np.array([0.0, h])]),
+            _SHOOT_DURATION)
 
         def jacobian(rows):
             return np.stack([(ends[k + rows] - ends[rows]) / h,

@@ -5,9 +5,15 @@ The census solves the shooting problem "start on the fiber surface over q0,
 arrive on the fiber over q1 (any deck translate) before the horizon" by
 seeding a mesh on (surface parameter) x (time), detecting near-arrivals on
 dense trajectory samples, and polishing each candidate with damped Newton in
-(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The polish
-and the re-verification of its roots read their endpoints from one batched
-integration, ``_endpoints``.  Arrivals are tagged with
+(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The
+re-verification of the polished roots reads their endpoints from one
+batched integration, ``_endpoints``, and so do the mesh and the polish on
+sol.  On a flat model (``ModelManifold.flat``, the torus) the flow of a
+field of p alone translates q, so the mesh samples are q0 + t v0 and the
+polish evaluates ``dynamics.flat_flow``; only the re-verification
+integrates there, and an integrated root more than 10 ``newton_tol`` off
+the lift it was polished against (a field with dH/dq != 0) raises
+InvariantFailureError.  Arrivals are tagged with
 the deck element of the lift they hit, which identifies the homotopy class
 of the projected path; one vectorized ``ModelManifold.nearest_lift`` call
 finds the lifts for each mesh batch, and one more for all re-verified
@@ -34,9 +40,9 @@ from functools import partial
 import numpy as np
 
 from .dynamics import (CONVERGED, NEWTON_OUTCOMES, OUTSIDE_WINDOW,
-                       HamiltonianField, IntegratorConfig, integrate_batch,
-                       lockstep_newton)
-from .errors import BudgetExceededError
+                       HamiltonianField, IntegratorConfig, flat_flow,
+                       integrate_batch, lockstep_newton)
+from .errors import BudgetExceededError, InvariantFailureError
 from .geometry import Deck, ModelManifold
 
 # -- rate fitting -------------------------------------------------------------
@@ -324,7 +330,9 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
 
     ``surface_map`` sends unit coordinate directions (N, d) to starting
     covectors (N, d) on the surface over q0.  Resolution is the number of
-    seed directions (>= 64).
+    seed directions (>= 64).  ``diagnostics["integrator"]`` sums the
+    counters of the solves: on a flat model those of the re-verification
+    alone.
     """
     manifold = field.manifold
     if resolution < 64:
@@ -346,15 +354,19 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     mesh_spacing = (2.0 * np.pi / resolution if d == 2
                     else math.sqrt(4.0 * np.pi / resolution))
 
-    # integrator counters of the mesh, polish and re-verification solves
+    # integrator counters of the mesh, polish and re-verification solves;
+    # on a flat model the mesh and the polish evaluate the closed form
     counts = {"nfev": 0, "steps": 0, "rejected": 0}
     # candidates: deck, seed index, time and distance of each near-arrival
     raw = ([], [], [], [])
     n_raw = 0
     for lo in range(0, resolution, _MESH_BATCH):
         hi = min(lo + _MESH_BATCH, resolution)
-        _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
-                                  horizon, cfg, t_eval=t_grid, stats=counts)
+        if manifold.flat:
+            Q = q0 + t_grid[:, None] * v0[lo:hi, None]
+        else:
+            _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
+                                      horizon, cfg, t_eval=t_grid, stats=counts)
         deck, dist, _ = manifold.nearest_lift(Q, q1)
         near = dist < coarse_threshold
         interior = np.zeros_like(near)
@@ -377,17 +389,28 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
                      2.2 * mesh_spacing)
 
     # Newton polish against the fixed lift of each representative
-    endpoints = partial(_endpoints, field, q0, surface_map, cfg, counts)
+    integrated = partial(_endpoints, field, q0, surface_map, cfg, counts)
+
+    def flat_endpoints(us, ts):
+        return flat_flow(field, q0, surface_map(us), ts)
+
     lifts0 = np.array([manifold.deck_apply(g, q1)
                        for g in decks[reps]]).reshape(len(reps), d)
-    us, ts, outcome = _polish(field, endpoints, dirs[seeds[reps]],
-                              times[reps], lifts0, horizon, time_floor,
-                              newton_tol)
+    us, ts, outcome = _polish(
+        field, flat_endpoints if manifold.flat else integrated,
+        dirs[seeds[reps]], times[reps], lifts0, horizon, time_floor,
+        newton_tol)
     # fresh re-integration of every accepted root, batched; a root counts
     # only if it arrives within newton_tol again
     good = np.nonzero(outcome == CONVERGED)[0]
     us, ts = us[good], ts[good]
-    q_end, _ = endpoints(us, ts)
+    q_end, _ = integrated(us, ts)
+    if manifold.flat:
+        miss = _row_norms(manifold.frame_displacement(q_end, lifts0[good]))
+        if np.any(miss > 10 * newton_tol):
+            raise InvariantFailureError(
+                f"integrated chord misses its lift by {np.max(miss):.3e}: the "
+                f"closed-form flow needs a field that depends on p alone")
     decks_end, dists_end, _ = manifold.nearest_lift(q_end, q1)
     hit = np.nonzero(dists_end <= newton_tol)[0]
     misses = len(good) - len(hit)

@@ -66,9 +66,13 @@ class ModelManifold:
     """A model base manifold together with its covering data.
 
     Each model is a frozen dataclass that holds only its own covering data
-    and sets the class attributes ``kind`` and ``dim``; it compares and
-    hashes by identity, since its fields are arrays.  It implements,
-    vectorized over leading axes:
+    and sets the class attributes ``kind``, ``dim`` and ``flat``; it compares
+    and hashes by identity, since its fields are arrays.  ``flat`` says that
+    the metric is constant in the cover coordinates, so that every shipped
+    Hamiltonian depends on p alone and its flow keeps p and translates q:
+    the chord finders then evaluate ``dynamics.flat_flow`` in closed form
+    and integrate only to re-verify.  It implements, vectorized over
+    leading axes:
 
     * ``random_point(rng)``: a uniform sample of the fundamental domain;
     * ``conorm_sq(q, p)`` and ``conorm_grads(q, p)``: |p|^2 in the dual
@@ -163,6 +167,7 @@ class FlatTorus(ModelManifold):
 
     kind = "torus"
     dim = 2
+    flat = True
     lattice: np.ndarray
     lattice_inv: np.ndarray
 
@@ -232,6 +237,7 @@ class SolQuotient(ModelManifold):
 
     kind = "sol"
     dim = 3
+    flat = False
     monodromy: tuple[int, int, int, int]
     basis_mat: np.ndarray
     basis_inv: np.ndarray

@@ -1,10 +1,10 @@
 """Constructions on a calibrated sandwich that only the tests use: the
-blend and cutoff-gauge fields, the fiber-scaling residual of criterion 5 and
-the slope check of criterion 6."""
+blend, cutoff-gauge and core-plus-potential fields, the fiber-scaling
+residual of criterion 5 and the slope check of criterion 6."""
 
 import numpy as np
 
-from spherization_lab.dynamics import HamiltonianField
+from spherization_lab.dynamics import HamiltonianField, core_field
 from spherization_lab.starshape import _SLOPE_GRID
 
 
@@ -37,6 +37,23 @@ def cutoff_gauge_field(sandwich) -> HamiltonianField:
 
     return HamiltonianField(name="cutoff-gauge", manifold=sandwich.manifold,
                             value=value, grads=grads)
+
+
+def potential_field(sandwich, amplitude: float = 0.05) -> HamiltonianField:
+    """The core Hamiltonian plus the torus potential a sum(cos(2 pi q)): its
+    dH/dq != 0 bends the flow off the closed form of a field of p alone."""
+    core = core_field(sandwich)
+    k = 2.0 * np.pi
+
+    def grads(q, p):
+        gq, gp = core.grads(q, p)
+        return gq - amplitude * k * np.sin(k * q), gp
+
+    return HamiltonianField(
+        name="core+potential", manifold=core.manifold,
+        value=lambda q, p: (core.value(q, p)
+                            + amplitude * np.sum(np.cos(k * q), -1)),
+        grads=grads)
 
 
 def time_change_residual(sandwich, x_on_surface, s: float) -> float:

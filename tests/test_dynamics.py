@@ -16,7 +16,7 @@ from spherization_lab.geometry import CotangentPoint, ModelManifold
 from spherization_lab.starshape import SandwichedHamiltonians
 
 from sandwich_helpers import (blend_field, cutoff_gauge_field,
-                              time_change_residual)
+                              potential_field, time_change_residual)
 
 
 def test_convention_lock_straight_geodesics(torus, rng):
@@ -443,17 +443,7 @@ def test_shot_chords_do_not_depend_on_the_seed_order(monkeypatch, torus,
 def test_shot_chords_refuse_a_field_that_depends_on_q(round_sandwich):
     # a potential bends the flow off the closed form; the dense
     # re-verification must catch it instead of returning wrong chords
-    core = dyn.core_field(round_sandwich)
-    k = 2.0 * np.pi
-
-    def grads(q, p):
-        gq, gp = core.grads(q, p)
-        return gq - 0.05 * k * np.sin(k * q), gp
-
-    field = dyn.HamiltonianField(
-        name="core+potential", manifold=core.manifold,
-        value=lambda q, p: core.value(q, p) + 0.05 * np.sum(np.cos(k * q), -1),
-        grads=grads)
+    field = potential_field(round_sandwich)
     with pytest.raises(InvariantFailureError, match="misses its lift"):
         dyn.shoot_fixed_time_chords(field, np.zeros(2), np.array([0.5, 0.5]),
                                     p_max=2.6, grid=16,

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from spherization_lab import dynamics as dyn
-from spherization_lab import entropy
+from spherization_lab import entropy, experiments
 from spherization_lab import sol as sol_mod
-from spherization_lab.geometry import CotangentPoint
+from spherization_lab.config import load_config
+from spherization_lab.errors import InvariantFailureError
+from spherization_lab.geometry import CotangentPoint, FlatTorus
 from spherization_lab.entropy import (ChordRecord, _dedup_roots, _suppress,
                                       _tangent_frames, chord_census,
                                       circle_directions, fiber_mesh,
                                       fibonacci_sphere, fit_exponential_rate,
                                       fit_growth, mpp_estimate,
                                       torus_chord_count, volume_growth)
+
+from sandwich_helpers import potential_field
 
 
 # -- rate fitting ---------------------------------------------------------------
@@ -124,18 +128,16 @@ def test_census_rejects_low_resolution(torus_census_ctx):
         chord_census(geo, q0, q1, smap, 2.0, 32)
 
 
-def test_midpoint_census_reads_endpoints_as_the_full_grid(torus_census_ctx,
-                                                         monkeypatch):
+def _assert_per_row_read_is_full_grid(monkeypatch, census):
     # the per-row read of entropy._endpoints keeps the configured scheme
     # and gives the records of the full-grid read picked out by hand
-    torus, geo, q0, q1, smap = torus_census_ctx
     cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.05)
 
     def no_rk(*args):
         raise AssertionError("a midpoint census ran DOP853")
 
     monkeypatch.setattr(dyn, "_dop853", no_rk)
-    read = chord_census(geo, q0, q1, smap, 3.0, 64, cfg=cfg)
+    read = census(cfg)
     full_batch = entropy.integrate_batch
 
     def by_hand(field, Q0, P0, T, cfg, t0=0.0, t_eval=None, at=None,
@@ -148,11 +150,103 @@ def test_midpoint_census_reads_endpoints_as_the_full_grid(torus_census_ctx,
         return Q[rows, at], P[rows, at]
 
     monkeypatch.setattr(entropy, "integrate_batch", by_hand)
-    full = chord_census(geo, q0, q1, smap, 3.0, 64, cfg=cfg)
+    full = census(cfg)
     assert len(read.records) > 0 and read.records == full.records
     assert read.diagnostics == full.diagnostics
     counts = read.diagnostics["integrator"]
     assert counts["rejected"] == 0 and counts["steps"] > 0
+
+
+def test_midpoint_census_reads_endpoints_as_the_full_grid(torus_census_ctx,
+                                                         monkeypatch):
+    # on the torus the mesh and the polish run in closed form, so this
+    # reaches the re-verification's read only
+    torus, geo, q0, q1, smap = torus_census_ctx
+    _assert_per_row_read_is_full_grid(
+        monkeypatch,
+        lambda cfg: chord_census(geo, q0, q1, smap, 3.0, 64, cfg=cfg))
+
+
+def test_midpoint_sol_census_reads_polish_rows_as_the_full_grid(sol,
+                                                               monkeypatch):
+    # the sol polish integrates every Newton row, so this reaches its read
+    field = sol_mod.sol_field(sol)
+    rng = np.random.default_rng(3)
+    q0 = sol.random_point(rng)
+    q1 = sol.random_point(rng) + 1e-3 * rng.standard_normal(3)
+    smap = lambda u: sol_mod.level_covector(1.0, q0, u)
+    _assert_per_row_read_is_full_grid(
+        monkeypatch,
+        lambda cfg: chord_census(field, q0, q1, smap, 1.5, 64, cfg=cfg,
+                                 coarse_threshold=0.35))
+
+
+def test_torus_census_refuses_a_field_that_depends_on_q(round_sandwich):
+    # a potential bends the flow off the closed form the torus census seeds
+    # and polishes on; the re-verification must catch it instead of
+    # counting the closed form's chords
+    field = potential_field(round_sandwich)
+    q0, q1 = np.zeros(2), np.array([0.5, 0.5])
+    smap = lambda u: round_sandwich.surface_covector(q0, u)
+    with pytest.raises(InvariantFailureError, match="misses its lift"):
+        chord_census(field, q0, q1, smap, 2.0, 64)
+
+
+CENSUS_C07 = """
+[experiment]
+name = chord-census
+seed = 107
+
+[census]
+horizon = 8.0
+resolution = 1024
+"""
+
+CENSUS_ELLIPSE = """
+[experiment]
+name = chord-census
+seed = 117
+
+[profile]
+kind = ellipse
+axes = 1 2
+
+[census]
+horizon = 6.0
+resolution = 1024
+"""
+
+
+@pytest.mark.parametrize("text", [CENSUS_C07, CENSUS_ELLIPSE],
+                         ids=["round", "ellipse"])
+def test_closed_form_torus_census_matches_the_integrating_one(
+        tmp_path, monkeypatch, text):
+    # criterion 07's pair and the ellipse chord test's, at a short horizon:
+    # the same chords whether the mesh and the polish read the closed form
+    # or integrate, as they do on a model that is not flat
+    config = tmp_path / "census.ini"
+    config.write_text(text)
+    found = []
+
+    def census(*args, **kwargs):
+        found.append(chord_census(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(experiments, "chord_census", census)
+    experiments.run(load_config(str(config)), out_dir=tmp_path / "closed")
+    monkeypatch.setattr(FlatTorus, "flat", False)
+    experiments.run(load_config(str(config)), out_dir=tmp_path / "integrated")
+    closed, integrated = found
+    assert list(closed.nu_series) == list(integrated.nu_series)
+    assert len(closed.records) == len(integrated.records) > 0
+    assert ([r.deck for r in closed.records]
+            == [r.deck for r in integrated.records])
+    for a, b in zip(closed.records, integrated.records):
+        assert abs(a.arrival_time - b.arrival_time) <= 1e-9
+        assert np.max(np.abs(np.subtract(a.direction, b.direction))) <= 1e-9
+    # only the integrating census ran the mesh and the polish solves
+    assert (closed.diagnostics["integrator"]["nfev"]
+            < integrated.diagnostics["integrator"]["nfev"])
 
 
 def test_sol_census_finds_verified_chords(sol):

@@ -32,25 +32,52 @@ horizon = 3.0
 resolution = 64
 """
 
+TINY_SOL_CENSUS = """
+[experiment]
+name = chord-census
+seed = 1
 
-def test_benchmark_sees_census_stages(tmp_path):
-    # the tracer files integrate_batch rows under a census stage by the name
-    # of the function that calls it; a refactor that moves those calls
-    # elsewhere would hide mesh or polish time from the benchmark
-    config = tmp_path / "census.ini"
-    config.write_text(TINY_TORUS_CENSUS)
+[manifold]
+kind = sol
+
+[sol]
+k = 1.0
+
+[census]
+horizon = 2.0
+resolution = 64
+coarse_threshold = 0.35
+pairs = 1
+"""
+
+
+def _census_stage_rows(tmp_path, name, text):
+    config = tmp_path / f"{name}.ini"
+    config.write_text(text)
     done = _traced(f"""
 import json, layers
 tracer = layers.Tracer()
 layers.install(tracer)
 from spherization_lab import experiments
 from spherization_lab.config import load_config
-experiments.run(load_config({str(config)!r}), out_dir={str(tmp_path / "out")!r})
+experiments.run(load_config({str(config)!r}), out_dir={str(tmp_path / name)!r})
 print(json.dumps({{k: v.rows for k, v in tracer.stages.items()}}))
 """)
     assert done.returncode == 0, done.stderr
-    rows = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_benchmark_sees_census_stages(tmp_path):
+    # the tracer files integrate_batch rows under a census stage by the name
+    # of the function that calls it; a refactor that moves those calls
+    # elsewhere would hide mesh or polish time from the benchmark.  The sol
+    # census integrates both stages; the torus census evaluates its mesh and
+    # polish in closed form and integrates only the re-verification, which
+    # the tracer files under the polish
+    rows = _census_stage_rows(tmp_path, "sol", TINY_SOL_CENSUS)
     assert rows.get("census.mesh", 0) > 0 and rows.get("census.polish", 0) > 0
+    rows = _census_stage_rows(tmp_path, "torus", TINY_TORUS_CENSUS)
+    assert "census.mesh" not in rows and rows.get("census.polish", 0) > 0
 
 
 TINY_SOL_VOLUME = """

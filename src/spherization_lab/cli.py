@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import SCHEMA, _parse_value, load_config
 from .errors import SpherizationError
 from .experiments import run
 
@@ -31,9 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to the experiment config file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", default=None,
                        help="override the configured seed")
-    p_run.add_argument("--workers", type=int, default=None,
+    p_run.add_argument("--workers", default=None,
                        help="worker-count hint; never changes results")
 
     p_val = sub.add_parser("validate", help="check a config file and exit")
@@ -58,12 +58,12 @@ def main(argv=None) -> int:
         sys.stdout.write("ok\n")
         return 0
 
-    if args.seed is not None:
-        cfg.sections["experiment"]["seed"] = int(args.seed)
-    if args.workers is not None:
-        cfg.sections["experiment"]["workers"] = int(args.workers)
     out_dir = args.out or os.environ.get(OUT_ENV) or None
     try:
+        for key in ("seed", "workers"):
+            if getattr(args, key) is not None:
+                cfg.sections["experiment"][key] = _parse_value(
+                    getattr(args, key), SCHEMA["experiment"][key], f"--{key}")
         manifest = run(cfg, out_dir=out_dir)
     except SpherizationError as exc:
         return _fail(exc)

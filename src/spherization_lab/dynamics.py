@@ -724,12 +724,12 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
     px, py = np.meshgrid(axis, axis)
     P0 = np.stack([px.ravel(), py.ravel()], axis=-1)
 
-    deck0, dist, lift = manifold.nearest_lift(
+    deck0, dist = manifold.nearest_lift(
         flat_flow(field, q0, P0, _SHOOT_DURATION)[0], q1)
     near = np.nonzero(dist < _SHOOT_COARSE)[0]
 
     # lockstep damped Newton in the covector against each seed's fixed lift
-    P, lifts = P0[near], lift[near]
+    P, lifts = P0[near], manifold.deck_apply(deck0[near], q1)
     h = _SHOOT_FD_STEP
 
     def linearize(idx):
@@ -751,35 +751,35 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                               max_sweeps=_SHOOT_SWEEPS)
     # a root within _SHOOT_TOL of its seed's lift keeps the seed's deck; in
     # (deck, covector) order the first of each 1e-6 cluster wins
-    by_deck = {}
-    for deck, p in sorted((tuple(int(v) for v in deck0[near[i]]), tuple(P[i]))
-                          for i in np.nonzero(outcome == CONVERGED)[0]):
-        roots = by_deck.setdefault(deck, [])
+    clusters = {}
+    for deck, p, i in sorted((tuple(deck0[near[i]].tolist()), tuple(P[i]), i)
+                             for i in np.nonzero(outcome == CONVERGED)[0]):
+        roots = clusters.setdefault(deck, {})
         if all(math.dist(p, r) >= 1e-6 for r in roots):
-            roots.append(p)
-    selected = [(deck, p) for deck, roots in by_deck.items()
-                for p in roots][:_SHOOT_MAX_RECORDS]
-    if not selected:
+            roots[p] = i
+    sel = [i for roots in clusters.values()
+           for i in roots.values()][:_SHOOT_MAX_RECORDS]
+    if not sel:
         return []
     # dense chords in one batch, for the quadrature and as re-verification
-    P_sel = np.array([p for _, p in selected])
+    P_sel = P[sel]
     Q_sel = np.broadcast_to(q0, P_sel.shape).copy()
     t_grid = _sample_grid(0.0, _SHOOT_DURATION, cfg.max_step)
     _, Q, Pt = integrate_batch(field, Q_sel, P_sel, _SHOOT_DURATION, cfg,
                                t_eval=t_grid)
-    targets = np.array([manifold.deck_apply(deck, q1) for deck, _ in selected])
-    miss = np.linalg.norm(Q[:, -1] - targets, axis=-1)
+    miss = np.linalg.norm(Q[:, -1] - lifts[sel], axis=-1)
     if not np.all(miss <= 10 * _SHOOT_TOL):
         raise InvariantFailureError(
             f"integrated chord misses its lift by {np.max(miss):.3e}: the "
             f"closed-form time-1 map needs a field that depends on p alone")
     records = []
-    for j, (deck_star, _) in enumerate(selected):
+    for j, i in enumerate(sel):
         energy = field.value(Q[j], Pt[j])
         records.append((Trajectory(times=t_grid, q=Q[j], p=Pt[j],
                                    energy=energy,
                                    energy_drift=energy_drift(energy),
-                                   stats={}, manifold=manifold), deck_star))
+                                   stats={}, manifold=manifold),
+                        tuple(deck0[near[i]].tolist())))
     return records
 
 

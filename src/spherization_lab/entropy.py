@@ -11,14 +11,16 @@ batched integration, ``_endpoints``, and so do the mesh and the polish on
 sol.  On a flat model (``ModelManifold.flat``, the torus) the flow of a
 field of p alone translates q, so the mesh samples are q0 + t v0 and the
 polish evaluates ``dynamics.flat_flow``; only the re-verification
-integrates there, and an integrated root more than 10 ``newton_tol`` off
-the lift it was polished against (a field with dH/dq != 0) raises
-InvariantFailureError.  Arrivals are tagged with
-the deck element of the lift they hit, which identifies the homotopy class
-of the projected path; one vectorized ``ModelManifold.nearest_lift`` call
-finds the lifts for each mesh batch, and one more for all re-verified
-endpoints.  One per-deck suppression, ``_suppress``, keeps one mesh
-candidate per blob before the polish and one root per chord after it.
+integrates there.  Arrivals are tagged with the deck element of the lift
+they hit, which identifies the homotopy class of the projected path: one
+vectorized ``ModelManifold.nearest_lift`` call per mesh batch picks each
+candidate's deck, one ``ModelManifold.deck_apply`` call places the lifts of
+all representatives, and each root is polished toward its lift and
+re-verified by its residual against that same lift.  On a flat model an
+integrated root more than 10 ``newton_tol`` off its lift (a field with
+dH/dq != 0) raises InvariantFailureError.  One per-deck suppression,
+``_suppress``, keeps one mesh candidate per blob before the polish and one
+root per chord after it.
 
 Volume growth evolves the fiber mesh of ``fiber_mesh`` (a circle over a
 surface, a sphere over a 3-manifold) by time-1 maps and keeps edges below a
@@ -367,7 +369,7 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
         else:
             _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
                                       horizon, cfg, t_eval=t_grid, stats=counts)
-        deck, dist, _ = manifold.nearest_lift(Q, q1)
+        deck, dist = manifold.nearest_lift(Q, q1)
         near = dist < coarse_threshold
         interior = np.zeros_like(near)
         interior[:, 1:-1] = (near[:, 1:-1]
@@ -394,35 +396,31 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
     def flat_endpoints(us, ts):
         return flat_flow(field, q0, surface_map(us), ts)
 
-    lifts0 = np.array([manifold.deck_apply(g, q1)
-                       for g in decks[reps]]).reshape(len(reps), d)
+    decks = decks[reps]
+    lifts = manifold.deck_apply(decks, q1)
     us, ts, outcome = _polish(
         field, flat_endpoints if manifold.flat else integrated,
-        dirs[seeds[reps]], times[reps], lifts0, horizon, time_floor,
+        dirs[seeds[reps]], times[reps], lifts, horizon, time_floor,
         newton_tol)
     # fresh re-integration of every accepted root, batched; a root counts
-    # only if it arrives within newton_tol again
+    # only if it arrives again within newton_tol of the lift it was
+    # polished toward
     good = np.nonzero(outcome == CONVERGED)[0]
-    us, ts = us[good], ts[good]
+    us, ts, decks = us[good], ts[good], decks[good]
     q_end, _ = integrated(us, ts)
-    if manifold.flat:
-        miss = _row_norms(manifold.frame_displacement(q_end, lifts0[good]))
-        if np.any(miss > 10 * newton_tol):
-            raise InvariantFailureError(
-                f"integrated chord misses its lift by {np.max(miss):.3e}: the "
-                f"closed-form flow needs a field that depends on p alone")
-    decks_end, dists_end, _ = manifold.nearest_lift(q_end, q1)
-    hit = np.nonzero(dists_end <= newton_tol)[0]
+    res = _row_norms(manifold.frame_displacement(q_end, lifts[good]))
+    if manifold.flat and np.any(res > 10 * newton_tol):
+        raise InvariantFailureError(
+            f"integrated chord misses its lift by {np.max(res):.3e}: the "
+            f"closed-form flow needs a field that depends on p alone")
+    hit = np.nonzero(res <= newton_tol)[0]
     misses = len(good) - len(hit)
-    hit = hit[_dedup_roots(decks_end[hit], ts[hit], dists_end[hit], us[hit],
-                           horizon)]
-    p_start = surface_map(us[hit])
-    records = [ChordRecord(direction=tuple(float(v) for v in us[j]),
-                           arrival_time=float(ts[j]),
-                           deck=tuple(int(v) for v in decks_end[j]),
-                           residual=float(dists_end[j]),
-                           start_covector=tuple(float(v) for v in p_row))
-               for j, p_row in zip(hit.tolist(), p_start)]
+    hit = hit[_dedup_roots(decks[hit], ts[hit], res[hit], us[hit], horizon)]
+    records = [ChordRecord(direction=tuple(u), arrival_time=t, deck=tuple(g),
+                           residual=r, start_covector=tuple(p))
+               for u, t, g, r, p in zip(
+                   us[hit].tolist(), ts[hit].tolist(), decks[hit].tolist(),
+                   res[hit].tolist(), surface_map(us[hit]).tolist())]
     records.sort(key=lambda r: (r.arrival_time, r.deck))
     n_int = int(math.floor(horizon + 1e-12))
     nu = np.searchsorted([r.arrival_time for r in records],

@@ -18,9 +18,10 @@ gradients of |p|^2 / 2), which the geodesic field, the sandwich energy G
 and the round gauge all scale.
 
 Coordinates always live in the universal cover, so trajectories stay
-smooth.  Arrivals are found by one vectorized search, ``nearest_lift``,
-which tags each probe with the deck element of its closest lift; the torus
-lattice translates within a radius come from ``lattice_translates``.
+smooth.  ``deck_apply`` places every lift; one vectorized search,
+``nearest_lift``, only tags each probe with the deck element of its closest
+lift; the torus lattice translates within a radius come from
+``lattice_translates``.
 
 Deck elements are plain integer tuples: (m, n) for the torus, (m, n, l) for
 the sol quotient.  Their group law, ``multiply``, lives in ``growth``.
@@ -131,9 +132,11 @@ class ModelManifold:
 
     # -- the shared covering interface --------------------------------------
 
-    def deck_apply(self, g: Deck, q) -> np.ndarray:
-        """Left action of the lattice element ``g`` on a cover point."""
-        return self._deck_apply(g, np.asarray(q, dtype=float))
+    def deck_apply(self, g, q) -> np.ndarray:
+        """Left action of the lattice element ``g``, one deck (k,) or a stack
+        (..., k) with the bits of each deck's own call, on a cover point."""
+        return self._deck_apply(np.asarray(g, dtype=float),
+                                np.asarray(q, dtype=float))
 
     def frame_displacement(self, q_probe, q_ref):
         """Displacement of ``q_probe`` from ``q_ref`` in an orthonormal frame
@@ -154,8 +157,9 @@ class ModelManifold:
         the three nearest layers).  That is exact on an orthogonal lattice
         and for probes close to a lift; farther from every lift on sol, where
         the frame stretches the cell, it is a heuristic.  Returns
-        ``(deck, dist, lift)`` of shapes (..., k), (...) and (..., d), with
-        ``deck`` the int64 lattice coordinates of the winning lift.
+        ``(deck, dist)`` of shapes (..., k) and (...), with ``deck`` the
+        int64 lattice coordinates of the winning lift; ``deck_apply`` places
+        that lift.
         """
         return self._nearest_lift(np.asarray(q_probe, dtype=float),
                                   np.asarray(q_base, dtype=float))
@@ -172,7 +176,7 @@ class FlatTorus(ModelManifold):
     lattice_inv: np.ndarray
 
     def _deck_apply(self, g, q):
-        return q + self.lattice @ np.asarray(g, dtype=float)
+        return q + (self.lattice @ g[..., None])[..., 0]
 
     def random_point(self, rng) -> np.ndarray:
         return self.lattice @ rng.uniform(0.0, 1.0, size=2)
@@ -210,8 +214,7 @@ class FlatTorus(ModelManifold):
             better = dist < best_d
             best_d = np.where(better, dist, best_d)
             best_k[better] = k[better]
-        lift = q_base + best_k @ self.lattice.T
-        return best_k.astype(np.int64), best_d, lift
+        return best_k.astype(np.int64), best_d
 
     def lattice_translates(self, delta, radius: float) -> np.ndarray:
         """Translates ``w = delta + B k`` with ``|w| <= radius``.
@@ -244,12 +247,11 @@ class SolQuotient(ModelManifold):
     period: float
 
     def _deck_apply(self, g, q):
-        m, n, l = g
-        shift = self.basis_mat @ np.array([float(m), float(n)])
-        zg = l * self.period
-        return np.array([shift[0] + np.exp(zg) * q[0],
-                         shift[1] + np.exp(-zg) * q[1],
-                         zg + q[2]])
+        shift = (self.basis_mat @ g[..., :2, None])[..., 0]
+        zg = g[..., 2] * self.period
+        return np.stack([shift[..., 0] + np.exp(zg) * q[..., 0],
+                         shift[..., 1] + np.exp(-zg) * q[..., 1],
+                         zg + q[..., 2]], axis=-1)
 
     def random_point(self, rng) -> np.ndarray:
         frac = rng.uniform(0.0, 1.0, size=3)
@@ -315,11 +317,6 @@ class SolQuotient(ModelManifold):
     def _nearest_lift(self, q_probe, q_base):
         best_d = np.full(q_probe.shape[:-1], np.inf)
         bm, bi = self.basis_mat, self.basis_inv
-
-        def lift_xy(k0, k1, ez):
-            return (bm[0, 0] * k0 + bm[0, 1] * k1 + ez * q_base[0],
-                    bm[1, 0] * k0 + bm[1, 1] * k1 + q_base[1] / ez)
-
         x, y, z = q_probe[..., 0], q_probe[..., 1], q_probe[..., 2]
         l0 = np.round((z - q_base[2]) / self.period)
         k0_best, k1_best, l_best = (np.zeros_like(best_d) for _ in range(3))
@@ -337,7 +334,8 @@ class SolQuotient(ModelManifold):
             for dm, dn in _CORNERS:
                 k0 = kf0 + dm
                 k1 = kf1 + dn
-                lift_x, lift_y = lift_xy(k0, k1, ez)
+                lift_x = bm[0, 0] * k0 + bm[0, 1] * k1 + ez * q_base[0]
+                lift_y = bm[1, 0] * k0 + bm[1, 1] * k1 + q_base[1] / ez
                 fx = (x - lift_x) * shrink
                 fy = (y - lift_y) * grow
                 dist = np.sqrt(fx * fx + fy * fy + fz * fz)
@@ -346,8 +344,5 @@ class SolQuotient(ModelManifold):
                 k0_best[better] = k0[better]
                 k1_best[better] = k1[better]
                 l_best[better] = l[better]
-        zg = l_best * self.period
-        lift = np.stack([*lift_xy(k0_best, k1_best, np.exp(zg)),
-                         zg + q_base[2]], axis=-1)
         deck = np.stack([k0_best, k1_best, l_best], axis=-1).astype(np.int64)
-        return deck, best_d, lift
+        return deck, best_d

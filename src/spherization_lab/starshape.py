@@ -318,7 +318,7 @@ def calibrate(profile: RadialProfile, manifold: ModelManifold, *,
         if np.any(r <= 0.0):
             raise CalibrationError("profile radius is not positive")
         ratios.append(r)
-        if manifold.kind == "torus":
+        if manifold.flat:
             break  # flat metric: directions are base-independent
     r_all = np.concatenate(ratios)
     r_max = float(np.max(r_all))

@@ -106,6 +106,22 @@ def test_seed_override_changes_hash_echo(tmp_path):
     assert m1["config_hash"] != m2["config_hash"]
 
 
+@pytest.mark.parametrize("override", [
+    ["--seed", "-1"],
+    ["--seed", "99999999999999999999"],     # above the schema's 2^63 - 1
+    ["--seed", "seven"],
+    ["--workers", "0"],                     # below the schema's minimum 1
+])
+def test_cli_overrides_obey_the_schema(tmp_path, capsys, override):
+    path = write_config(tmp_path / "c.ini", GOOD)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)] + override) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-invalid"
+    assert err["message"].startswith(override[0])
+    assert not out.exists()
+
+
 def test_manifest_written_on_failure(tmp_path, capsys):
     body = GOOD.replace("horizon = 3.0\nresolution = 128",
                         "horizon = 9.0\nresolution = 3000\n"

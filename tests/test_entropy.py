@@ -8,7 +8,8 @@ from spherization_lab import entropy, experiments
 from spherization_lab import sol as sol_mod
 from spherization_lab.config import load_config
 from spherization_lab.errors import InvariantFailureError
-from spherization_lab.geometry import CotangentPoint, FlatTorus
+from spherization_lab.geometry import (CotangentPoint, FlatTorus,
+                                       ModelManifold)
 from spherization_lab.entropy import (ChordRecord, _dedup_roots, _suppress,
                                       _tangent_frames, chord_census,
                                       circle_directions, fiber_mesh,
@@ -111,6 +112,27 @@ def test_census_matches_lattice_oracle(torus_census_ctx):
     assert max(r.residual for r in census.records) <= 1e-8
     decks = [r.deck for r in census.records]
     assert len(decks) == len(set(decks))
+
+
+@pytest.mark.parametrize("resolution", [128, entropy._MESH_BATCH])
+def test_torus_census_makes_one_lift_search(monkeypatch, torus_census_ctx,
+                                            resolution):
+    # one mesh batch, one search: it picks every candidate's deck, and the
+    # polish and the re-verification measure against deck_apply's lift of
+    # that deck, so no search ever sees a re-verified endpoint
+    torus, geo, q0, q1, smap = torus_census_ctx
+    probe_shapes = []
+    search = ModelManifold.nearest_lift
+
+    def counted(self, q_probe, q_base):
+        probe_shapes.append(np.shape(q_probe))
+        return search(self, q_probe, q_base)
+
+    monkeypatch.setattr(ModelManifold, "nearest_lift", counted)
+    census = chord_census(geo, q0, q1, smap, 3.0, resolution)
+    n_samples = math.ceil(3.0 / census.diagnostics["sample_dt"]) + 1
+    assert census.records
+    assert probe_shapes == [(resolution, n_samples, 2)]
 
 
 def test_census_resolution_refinement_is_superset(torus_census_ctx):

@@ -8,7 +8,11 @@ omega(X_H, .) = -dH, the equations of motion are
 so the flow of half the squared conorm is the geodesic flow (tested, not
 assumed).  Every Hamiltonian carries one analytic gradient kernel
 ``grads(q, p) -> (dH/dq, dH/dp)``; the integrator calls it once per field
-evaluation.  The tests cross-check it against central finite differences.
+evaluation, through a generic adapter to its stacked vector
+``[Q.ravel(), P.ravel()]``.  A field may instead hand the integrator its own
+flat kernel in that layout (``HamiltonianField.flat_rhs``), with the bits of
+the ``(q, p)`` form: the sol field does.  The tests cross-check the
+gradients against central finite differences.
 
 The geodesic field's kernel is ``ModelManifold.conorm_grads``.  The lower,
 upper and blended sandwich Hamiltonians are one scalar profile of G, the
@@ -62,13 +66,18 @@ class HamiltonianField:
 
     ``value(q, p)`` and ``grads(q, p) -> (dH/dq, dH/dp)`` accept arrays of
     shape (..., d); one ``grads`` call yields both gradients, so shared
-    subexpressions are computed once per field evaluation.
+    subexpressions are computed once per field evaluation.  ``flat_rhs``,
+    when given, is the field's own kernel in the integrator's layout,
+    ``(t, y) -> dy/dt`` on the stacked ``[Q.ravel(), P.ravel()]``, with the
+    bits of ``(dH/dp, -dH/dq)``; ``integrate_batch`` calls it in place of the
+    generic adapter over ``grads``.
     """
 
     name: str
     manifold: ModelManifold
     value: callable
     grads: callable
+    flat_rhs: callable = None
 
     def dq(self, q, p):
         return self.grads(q, p)[0]
@@ -174,6 +183,10 @@ def _sample_grid(t0: float, t1: float, max_step: float) -> np.ndarray:
 
 
 def _flat_rhs(field: HamiltonianField, d: int):
+    """The field's flat kernel, or the generic adapter over ``grads``."""
+    if field.flat_rhs is not None:
+        return field.flat_rhs
+
     def rhs(t, y):
         n = y.size // (2 * d)
         q = y[: n * d].reshape(n, d)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +89,8 @@ def _pmap(fn, tasks, workers: int):
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here, so a one-worker run loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 

@@ -24,7 +24,10 @@ M(0) = momentum_map(q0, p0), with one more component z, z' = M_z, z(0) = 0
 covers, so no dense sample grid and no quadrature are needed.  The energy
 and the first integral read off M(t) on a unit sample grid.  The full field
 on the cotangent bundle serves the chord census, volume growth and the
-conservation checks.
+conservation checks.  Its formula lives once, in ``flat_rhs``, the kernel
+the field hands the integrator in its own stacked layout (other fields go
+through the generic adapter over ``grads``); ``grads(q, p)`` reads its
+result from that kernel, with the bits of the ``(q, p)`` form.
 """
 
 from __future__ import annotations
@@ -62,6 +65,28 @@ def euler_field(t, y):
     return np.array([mx * mz, -my * mz, my * my - mx * (mx + 1.0), mz])
 
 
+def flat_rhs(t, y):
+    """The magnetic field in the integrator's layout: dy/dt of the stacked
+    vector y = [Q.ravel(), P.ravel()] of n rows, written as (dH/dp, -dH/dq)
+    into one output on its stride-3 column views.  e^z and the momenta
+    M_x, M_y are shared by both gradients; of dH/dq only the z-derivative
+    (at fixed p) survives, so dp_x = dp_y = -0.0."""
+    half = y.size // 2
+    out = np.empty_like(y)
+    ez = np.exp(y[2:half:3])
+    mx = ez * y[half::3]
+    my = y[half + 1::3] / ez
+    mx1 = mx + 1.0
+    np.multiply(mx1, ez, out[0:half:3])
+    np.divide(my, ez, out[1:half:3])
+    out[2:half:3] = y[half + 2::3]
+    out[half:] = -0.0
+    mx *= mx1
+    mx -= my * my
+    np.negative(mx, out[half + 2::3])
+    return out
+
+
 def sol_field(manifold: ModelManifold) -> HamiltonianField:
     if manifold.kind != "sol":
         raise ValueError("the magnetic Hamiltonian lives on the sol quotient")
@@ -70,24 +95,17 @@ def sol_field(manifold: ModelManifold) -> HamiltonianField:
         return sol_hamiltonian(q, p)
 
     def grads(q, p):
-        # e^z and the momenta M_x, M_y are shared by both gradients; of
-        # dH/dq only the z-derivative (at fixed p) survives
+        # the flat kernel on the stacked rows, read back as (dH/dq, dH/dp)
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        ez = np.exp(q[..., 2])
-        mx = ez * p[..., 0]
-        my = p[..., 1] / ez
-        mx1 = mx + 1.0
-        gq = np.zeros_like(q)
-        gq[..., 2] = mx1 * mx - my ** 2
-        gp = np.empty_like(p)
-        gp[..., 0] = mx1 * ez
-        gp[..., 1] = my / ez
-        gp[..., 2] = p[..., 2]
-        return gq, gp
+        if q.shape != p.shape:
+            q, p = np.broadcast_arrays(q, p)
+        dy = flat_rhs(None, np.concatenate((q.ravel(), p.ravel())))
+        dy = dy.reshape((2,) + q.shape)
+        return np.negative(dy[1]), dy[0]
 
     return HamiltonianField(name="sol-magnetic", manifold=manifold,
-                            value=value, grads=grads)
+                            value=value, grads=grads, flat_rhs=flat_rhs)
 
 
 def level_covector(k: float, q, u):

@@ -706,6 +706,9 @@ def test_lab_imports_no_scipy_submodule():
         assert dyn.shoot_fixed_time_chords(dyn.core_field(sw), q0, q1,
                                            grid=12, cfg=dyn.IntegratorConfig())
         print(' '.join(m for m in sys.modules if m.startswith('scipy')))
+        # workers = 1 loads no process pool
+        assert 'concurrent.futures.process' not in sys.modules
+        assert 'multiprocessing' not in sys.modules
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)

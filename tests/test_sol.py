@@ -71,6 +71,78 @@ def test_full_field_consistent_with_euler(sol, rng):
         assert got.tobytes() == np.append(ri, qdot_z).tobytes()
 
 
+def _reference_grads(q, p):
+    """The (q, p) form of the sol gradients, operation for operation as
+    before the field had a flat kernel."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    ez = np.exp(q[..., 2])
+    mx = ez * p[..., 0]
+    my = p[..., 1] / ez
+    mx1 = mx + 1.0
+    gq = np.zeros_like(q)
+    gq[..., 2] = mx1 * mx - my ** 2
+    gp = np.empty_like(p)
+    gp[..., 0] = mx1 * ez
+    gp[..., 1] = my / ez
+    gp[..., 2] = p[..., 2]
+    return gq, gp
+
+
+def _reference_adapter(t, y):
+    """The generic flat adapter over ``_reference_grads``."""
+    n = y.size // 6
+    gq, gp = _reference_grads(y[: 3 * n].reshape(n, 3), y[3 * n:].reshape(n, 3))
+    out = np.empty_like(y)
+    out[: 3 * n] = gp.ravel()
+    np.negative(gq.ravel(), out=out[3 * n:])
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 3, 192, 2048])
+def test_flat_kernel_matches_reference_bitwise(sol, rows):
+    # the integrator's kernel and the field's (q, p) gradients keep the bits
+    # of the reference formula, the signs of zero included (dp_x = dp_y =
+    # -0.0, and -0.0 for dp_z where M_x (M_x + 1) = M_y^2)
+    f = sol_mod.sol_field(sol)
+    rng = np.random.default_rng(rows)
+    q = rng.normal(size=(rows, 3))
+    p = rng.normal(size=(rows, 3)) * 1.5
+    p[1::2, :2] = 0.0
+    p[2::3] = 0.0
+    y = np.concatenate([q.ravel(), p.ravel()])
+    got = dyn._flat_rhs(f, 3)(0.0, y)
+    assert got.tobytes() == _reference_adapter(0.0, y).tobytes()
+    assert np.signbit(got[3 * rows:].reshape(rows, 3)[2::3]).all()
+    gq, gp = f.grads(q, p)
+    ref_q, ref_p = _reference_grads(q, p)
+    assert gq.tobytes() == ref_q.tobytes() and gp.tobytes() == ref_p.tobytes()
+
+
+def test_flat_kernel_integrates_like_reference(sol, rng):
+    # a census-like batch read at its own arrival times: the same endpoints
+    # and the same step sequence through the kernel and the generic adapter
+    f = sol_mod.sol_field(sol)
+    ref = dyn.HamiltonianField(name="sol-reference", manifold=sol,
+                               value=f.value, grads=_reference_grads)
+    assert ref.flat_rhs is None and f.flat_rhs is sol_mod.flat_rhs
+    q0 = sol.random_point(rng)
+    us = rng.normal(size=(192, 3))
+    us /= np.linalg.norm(us, axis=-1, keepdims=True)
+    P0 = sol_mod.level_covector(1.0, q0, us)
+    ts = rng.uniform(0.3, 6.0, size=192)
+    grid = np.unique(np.concatenate([[0.0], ts]))
+    at = np.searchsorted(grid, ts)
+    results = []
+    for field in (f, ref):
+        stats = {}
+        q, p = dyn.integrate_batch(field, np.broadcast_to(q0, P0.shape).copy(),
+                                   P0, float(grid[-1]), dyn.IntegratorConfig(),
+                                   t_eval=grid, at=at, stats=stats)
+        results.append((q.tobytes(), p.tobytes(), stats))
+    assert results[0] == results[1]
+
+
 def test_lyapunov_at_fixed_point(sol):
     f = sol_mod.sol_field(sol)
     q0 = np.array([0.1, 0.2, 0.3])

@@ -30,6 +30,12 @@ row of a batch at its own sample only: the steps, stages and interpolant
 coefficients stay those of the whole batch, and the interpolant (or the
 midpoint scheme's step endpoint) fills only the samples kept, with the bits
 of the full read; the census's ``entropy._endpoints`` reads this way.
+``integrate_batch(..., sizes=...)`` integrates consecutive row groups as
+independent systems in one call: ``_dop853`` advances them in lockstep,
+one RHS call per stage over the rows of every live group, while each group
+keeps its own steps, error norm and counters.  A row's bits depend on its
+group-mates and on the chunk sizes of the caller, never on the other groups
+of a call, nor on which census pairs share one.
 ``simpson`` is the composite Simpson rule of the action and Lyapunov
 quadratures, equal to scipy's bit for bit.
 
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import bisect
 import importlib.util
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -129,11 +136,13 @@ def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
         return sandwich.sandwich_eval(q, p)[1]
 
     def grads(q, p):
-        # (1 - tau) f(F) + tau sigma G, with tau the far-field step of G
-        cut, slope = sandwich.cutoff.eval(sandwich.gauge(q, p))
-        dq_f, dp_f = sandwich.gauge_grads(q, p)
+        # (1 - tau) f(F) + tau sigma G, with tau the far-field step of G;
+        # the metric's conorm kernels run once, inside G and its gradients
         g = sandwich.energy(q, p)
         g_dq, g_dp = sandwich.energy_grads(q, p)
+        gauge, (dq_f, dp_f) = sandwich.profile.gauge_terms(
+            sandwich, q, p, g, (g_dq, g_dp))
+        cut, slope = sandwich.cutoff.eval(gauge)
         rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
         tau = sandwich.far_step(rho)
         dtau = sandwich.far_step_slope(rho) / rho  # d tau / d g
@@ -227,10 +236,12 @@ def energy_drift(energy, abort: float = math.inf) -> float:
     return drift
 
 
-def integrate_batch(field: HamiltonianField, Q0, P0, T: float,
+def integrate_batch(field: HamiltonianField, Q0, P0, T,
                     cfg: IntegratorConfig = IntegratorConfig(),
-                    t0: float = 0.0, t_eval=None, at=None, stats=None):
-    """Integrate many initial conditions as one stacked system.
+                    t0: float = 0.0, t_eval=None, at=None, stats=None,
+                    sizes=None):
+    """Integrate many initial conditions as one stacked system, or as
+    several independent ones in lockstep.
 
     Returns (times, Q, P) with Q, P of shape (n, samples, d).  With ``at``,
     one index into ``t_eval`` per row, returns (q, p) of shape (n, d) instead:
@@ -238,27 +249,48 @@ def integrate_batch(field: HamiltonianField, Q0, P0, T: float,
     ``P[r, at[r]]`` of the full read, with no other sample interpolated.  A
     ``stats`` dict gains the solve's ``nfev``, ``steps`` and ``rejected``.
 
-    The batch shares one step sequence.  Each component has its own error
-    scale, but one RMS norm over the whole stack accepts or rejects every
-    step, so a row's result depends on its batch-mates and on the chunk
-    sizes of the caller.
+    With ``sizes``, the rows are consecutive groups of those sizes, each its
+    own system: ``T``, ``t_eval``, ``at`` and ``stats`` then hold one entry
+    per group (None for all, an entry None for one, and several groups may
+    share a stats dict), and the result is the list of what one call per
+    group returns, with its bits and counters.  The groups advance in
+    lockstep, one RHS call per stage over the rows of all of them.
+
+    The rows of a group share one step sequence.  Each component has its own
+    error scale, but one RMS norm over the group's stack accepts or rejects
+    every step, so a row's bits depend on its group-mates and on the chunk
+    sizes of the caller, never on the other groups of the call.
     """
     Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     n, d = Q0.shape
-    reads = None if at is None else np.tile(np.repeat(at, d), 2)
-    times, ys, counts = solve(_flat_rhs(field, d),
-                              np.concatenate([Q0.ravel(), P0.ravel()]),
-                              t0, t0 + T, cfg, t_eval, reads=reads)
-    if stats is not None:
-        for key in ("nfev", "steps", "rejected"):
-            stats[key] = stats.get(key, 0) + counts[key]
-    if at is not None:
-        return ys[: n * d].reshape(n, d), ys[n * d:].reshape(n, d)
-    S = len(times)
-    Q = ys[: n * d].reshape(n, d, S).transpose(0, 2, 1)
-    P = ys[n * d:].reshape(n, d, S).transpose(0, 2, 1)
-    return times, Q, P
+    grouped = sizes is not None
+    if not grouped:
+        sizes, T, t_eval, at, stats = [n], [T], [t_eval], [at], [stats]
+    t_eval, at, stats = ([None] * len(sizes) if x is None else x
+                         for x in (t_eval, at, stats))
+    if sum(sizes) != n or min(sizes) < 1:
+        raise ValueError("group sizes must be positive and sum to the rows")
+    ends = list(itertools.accumulate(sizes))
+    spans = list(zip([0] + ends[:-1], ends))
+    systems = [(np.concatenate([Q0[lo:hi].ravel(), P0[lo:hi].ravel()]),
+                t0, t0 + T_g, grid,
+                None if pos is None else np.tile(np.repeat(pos, d), 2))
+               for (lo, hi), T_g, grid, pos in zip(spans, T, t_eval, at)]
+    out = []
+    for (lo, hi), pos, counter, (times, ys, counts) in zip(
+            spans, at, stats, _solve_groups(_flat_rhs(field, d), systems, cfg)):
+        if counter is not None:
+            for key in ("nfev", "steps", "rejected"):
+                counter[key] = counter.get(key, 0) + counts[key]
+        m = hi - lo
+        if pos is not None:
+            out.append((ys[: m * d].reshape(m, d), ys[m * d:].reshape(m, d)))
+            continue
+        S = len(times)
+        out.append((times, ys[: m * d].reshape(m, d, S).transpose(0, 2, 1),
+                    ys[m * d:].reshape(m, d, S).transpose(0, 2, 1)))
+    return out if grouped else out[0]
 
 
 def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
@@ -272,19 +304,31 @@ def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
     not change.  ``stats`` counts RHS calls (``nfev``), accepted and
     rejected steps and samples.
     """
-    t_eval = np.asarray(_sample_grid(t0, t1, cfg.max_step) if t_eval is None
-                        else t_eval, dtype=float)
-    if (t_eval.ndim != 1 or len(t_eval) < 2 or t_eval[0] != t0
-            or t_eval[-1] != t1 or np.any(np.diff(t_eval) <= 0)):
-        raise ValueError("t_eval must increase strictly from t0 to t1")
-    if reads is not None:
-        reads = np.asarray(reads)
-        if (reads.shape != (len(y0),) or reads.dtype.kind not in "iu"
-                or np.any(reads < 0) or np.any(reads >= len(t_eval))):
-            raise ValueError("reads must hold one sample index per component")
-        reads = _SampleReads(reads, len(t_eval))
-    scheme = _implicit_midpoint if cfg.scheme == "midpoint" else _dop853
-    return scheme(rhs, y0, t_eval, cfg, reads)
+    return _solve_groups(rhs, [(y0, t0, t1, t_eval, reads)], cfg)[0]
+
+
+def _solve_groups(rhs, systems, cfg: IntegratorConfig):
+    """``solve`` of each system (y0, t0, t1, t_eval, reads), in one call:
+    DOP853 advances them in lockstep, the midpoint scheme one by one."""
+    groups = []
+    for y0, t0, t1, t_eval, reads in systems:
+        t_eval = np.asarray(_sample_grid(t0, t1, cfg.max_step)
+                            if t_eval is None else t_eval, dtype=float)
+        if (t_eval.ndim != 1 or len(t_eval) < 2 or t_eval[0] != t0
+                or t_eval[-1] != t1 or np.any(np.diff(t_eval) <= 0)):
+            raise ValueError("t_eval must increase strictly from t0 to t1")
+        if reads is not None:
+            reads = np.asarray(reads)
+            if (reads.shape != (len(y0),) or reads.dtype.kind not in "iu"
+                    or np.any(reads < 0) or np.any(reads >= len(t_eval))):
+                raise ValueError(
+                    "reads must hold one sample index per component")
+            reads = _SampleReads(reads, len(t_eval))
+        groups.append((y0, t_eval, reads))
+    if cfg.scheme == "midpoint":
+        return [_implicit_midpoint(rhs, y0, t_eval, cfg, reads)
+                for y0, t_eval, reads in groups]
+    return _dop853(rhs, groups, cfg)
 
 
 class _SampleReads:
@@ -328,15 +372,229 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dop853(rhs, y0, t_eval, cfg, reads=None):
-    """DOP853 over [t_eval[0], t_eval[-1]] with one step for all components,
-    sampled on ``t_eval`` by the 7th-order interpolant, or with ``reads``
-    (a ``_SampleReads``) each component at its own sample only.
+class _Group:
+    """One system of a lockstep DOP853 solve: its grid, reads, output, step
+    state and counters, and its offset ``o`` in the solve's flat buffers."""
 
-    This is scipy 1.17's ``solve_ivp(method="DOP853")`` operation for
-    operation, so that its results are the same bits: the initial step
-    guess, the stage sums as ``np.dot`` on the rows of one (16, n) stage
-    buffer, the RMS error norm of the 5th- and 3rd-order estimators, the step
+    __slots__ = ("times", "t_eval", "reads", "n", "out", "t", "t_bound",
+                 "h_abs", "h", "t_new", "min_step", "step_rejected",
+                 "new_step", "sampled", "sample_to", "nfev", "steps",
+                 "rejected", "o")
+
+    def __init__(self, y0, t_eval, reads):
+        self.t_eval, self.reads, self.n = t_eval, reads, len(y0)
+        self.times = t_eval.tolist()
+        self.t, self.t_bound = self.times[0], self.times[-1]
+        self.out = np.empty((self.n, len(self.times)) if reads is None
+                            else self.n)
+        self.sampled = self.steps = self.rejected = 0
+        self.nfev = 2                   # f and the initial step's probe
+        self.new_step = True
+
+
+class _Stack:
+    """The live groups of a lockstep DOP853 solve at their offsets ``g.o``
+    in its flat buffers: ``y``, ``y_new`` and ``dy`` hold each group's own
+    vector, ``h`` its step per component, ``z`` the kernels' vector, and
+    ``K`` each group's (16, n) stage block, whose row 0 is its f.
+
+    Consecutive groups of one size form a run: one ``np.matmul`` per stage
+    reads the run's blocks as one (k, 16, m) stack, with each block's own
+    ``np.dot`` bits (``np.dot`` itself for a run of one).  The RHS reads the
+    rows of all groups as one vector in the kernels' layout, all first
+    halves (q) and then all second halves (p), copied from and to the runs'
+    strided views.  Elementwise work runs once over the flat buffers.  A
+    one-group stack is the one-system solve: its own vector is the kernels'
+    vector, read and written in place with no copy, and its ``y`` and
+    ``y_new`` trade places when a step is accepted.
+    """
+
+    def __init__(self, groups, bufs, K):
+        self.groups = groups
+        self.single = len(groups) == 1
+        self.size = size = sum(g.n for g in groups)
+        self.half = size // 2
+        self.flat = {name: buf[:size] for name, buf in bufs.items()}
+        self.y, self.y_new, self.dy, self.h, self.z = (
+            self.flat[name] for name in ("y", "y_new", "dy", "h", "z"))
+        self.runs = []
+        i = lo = 0
+        while i < len(groups):
+            o, m = groups[i].o, groups[i].n
+            j = i + 1
+            while (j < len(groups) and groups[j].n == m
+                   and groups[j].o == o + (j - i) * m):
+                j += 1
+            self.runs.append(_Run(groups[i:j], o, m, lo, self, K))
+            lo += (j - i) * (m // 2)
+            i = j
+        self.K, self.KT = ((self.runs[0].K3[0], self.runs[0].KT)
+                           if self.single else (None, None))
+
+    def set_steps(self):
+        """Each component's step, from its group's ``h``."""
+        self.h[...] = np.repeat([g.h for g in self.groups],
+                                [g.n for g in self.groups])
+
+    def stages(self, rhs, first, last):
+        """Stage rows first..last-1 of every block: the RHS at ``y + h *
+        (K[:s].T @ _WEIGHTS[s])``, formed in ``dy``, each group with its own
+        step h, at its t + c_s h."""
+        y, dy, K, KT = self.y, self.dy, self.K, self.KT
+        if self.single:
+            g = self.groups[0]
+            t, h = g.t, g.h
+            for s in range(first, last):
+                np.dot(KT[s], _WEIGHTS[s], out=dy)
+                dy *= h
+                dy += y
+                K[s] = rhs(t + _NODES[s] * h, dy)
+            return
+        runs, steps = self.runs, self.h
+        for s in range(first, last):
+            for run in runs:
+                run.sums(run.KT[s], _WEIGHTS[s], out=run.own["dy"])
+            dy *= steps
+            dy += y
+            self.scatter(rhs(None, self.gather("dy")), s)
+
+    def gather(self, name):
+        """The flat buffer ``name`` in the kernels' layout (of more than
+        one group)."""
+        for run in self.runs:
+            run.z[...] = run.halves[name]
+        return self.z
+
+    def scatter(self, fz, s):
+        """A vector in the kernels' layout (of more than one group) into
+        stage row ``s``."""
+        fz = fz.reshape(2, self.half)
+        for run in self.runs:
+            run.rows[s][...] = fz[:, run.lo:run.hi].reshape(run.halves_shape)
+
+    def attempt(self, rhs, atol, rtol):
+        """One step of every group with its own h: stage rows 1..12, y_new,
+        and per group the squared norms of ``(K[:13].T @ E) / scale`` for
+        E5 and E3 (scale = atol + max(|y|, |y_new|) rtol), each the ddot of
+        the group's own contiguous vector."""
+        if not self.single:
+            self.set_steps()
+        self.stages(rhs, 1, _STAGES)
+        # y_new, and f_new as stage row 12
+        y, y_new = self.y, self.y_new
+        if self.single:
+            g = self.groups[0]
+            np.dot(self.KT[_STAGES], _B, out=y_new)
+            y_new *= g.h
+            y_new += y
+            self.K[_STAGES] = rhs(g.t + g.h, y_new)
+        else:
+            for run in self.runs:
+                run.sums(run.KT[_STAGES], _B, out=run.own["y_new"])
+            y_new *= self.h
+            y_new += y
+            self.scatter(rhs(None, self.gather("y_new")), _STAGES)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err = self.dy
+        if self.single:
+            KT = self.KT[_STAGES + 1]
+            np.dot(KT, _E5, out=err)
+            err /= scale
+            sq5 = err.dot(err)
+            np.dot(KT, _E3, out=err)
+            err /= scale
+            return ((sq5, err.dot(err)),)
+        sq = []
+        for weights in (_E5, _E3):
+            for run in self.runs:
+                run.sums(run.KT[_STAGES + 1], weights, out=run.own["dy"])
+            err /= scale
+            sq.append([])
+            for run in self.runs:
+                e = run.own["dy"]
+                if e.ndim == 1:
+                    sq[-1].append(e.dot(e))
+                else:
+                    sq[-1] += np.matmul(e[:, None, :],
+                                        e[:, :, None])[:, 0, 0].tolist()
+        return zip(*sq)
+
+    def accept(self):
+        """Move the groups whose step was accepted to t_new, y_new and f
+        (stage row 12 into row 0)."""
+        if self.single:         # its buffers are its own: swap, no copy
+            g = self.groups[0]
+            if g.new_step:
+                self.y, self.y_new = self.y_new, self.y
+                self.K[0] = self.K[_STAGES]
+                g.t = g.t_new
+            return
+        taken = [g.new_step for g in self.groups]
+        if all(taken):
+            self.y[...] = self.y_new
+        elif any(taken):
+            np.copyto(self.y, self.y_new,
+                      where=np.repeat(taken, [g.n for g in self.groups]))
+        for run in self.runs:
+            done = [g.new_step for g in run.groups]
+            if all(done):
+                run.K3[:, 0] = run.K3[:, _STAGES]
+            elif any(done):
+                np.copyto(run.K3[:, 0], run.K3[:, _STAGES],
+                          where=np.array(done)[:, None])
+        for g in self.groups:
+            if g.new_step:
+                g.t = g.t_new
+
+
+class _Run:
+    """Consecutive groups of one size m in a ``_Stack``: their stage blocks
+    as one (k, 16, m) stack with ``KT[s]`` the operand of stage s's sums,
+    their part ``own[name]`` of each flat buffer (one vector for a run of
+    one), and for the kernels' layout their halves ``halves[name]`` and
+    ``rows[s]`` of stage row s, (2, k, m / 2) each, and their rows
+    [lo, hi) of each half of ``z``."""
+
+    __slots__ = ("groups", "K3", "KT", "sums", "own", "halves", "rows", "z",
+                 "lo", "hi", "halves_shape")
+
+    def __init__(self, groups, o, m, lo, stack, K):
+        k, hm = len(groups), m // 2
+        self.groups, self.lo, self.hi = groups, lo, lo + k * hm
+        self.K3 = K[_EXTENDED * o:_EXTENDED * (o + k * m)].reshape(
+            k, _EXTENDED, m)
+        span, shape = slice(o, o + k * m), (k, m)
+        if k == 1:
+            self.sums, shape = np.dot, (m,)
+            self.KT = [self.K3[0, :s].T for s in range(_EXTENDED + 1)]
+        else:
+            self.sums = np.matmul
+            self.KT = [self.K3[:, :s].transpose(0, 2, 1)
+                       for s in range(_EXTENDED + 1)]
+        if stack.single:       # its own vector is the kernels' vector
+            return
+        self.own = {name: buf[span].reshape(shape)
+                    for name, buf in stack.flat.items() if name != "z"}
+        self.halves_shape = (2, k, hm)
+        self.halves = {name: stack.flat[name][span].reshape(
+            k, 2, hm).transpose(1, 0, 2) for name in ("y", "y_new", "dy")}
+        self.rows = [self.K3[:, s].reshape(k, 2, hm).transpose(1, 0, 2)
+                     for s in range(_EXTENDED)]
+        self.z = stack.z.reshape(2, stack.half)[:, lo:self.hi].reshape(
+            2, k, hm)
+
+
+def _dop853(rhs, groups, cfg):
+    """DOP853 of independent systems in lockstep: each ``(y0, t_eval,
+    reads)`` of ``groups`` over [t_eval[0], t_eval[-1]] with one step for
+    all its components, sampled on ``t_eval`` by the 7th-order interpolant,
+    or with ``reads`` (a ``_SampleReads``) each component at its own
+    sample only.  Returns one (t_eval, ys, stats) per group.
+
+    Each group runs scipy 1.17's ``solve_ivp(method="DOP853")`` operation
+    for operation, so that its results are the same bits: the initial step
+    guess, the stage sums as ``np.dot`` on the rows of its own (16, n) stage
+    block, the RMS error norm of the 5th- and 3rd-order estimators, the step
     controller (safety 0.9, factors in [0.2, 10], no growth right after a
     rejection) and its 10-ulp minimum step, and the three extra stages of
     the interpolant on those steps only that hold a sample.  ``rel_tol`` is
@@ -344,128 +602,210 @@ def _dop853(rhs, y0, t_eval, cfg, reads=None):
     and a step below the minimum (where a non-finite RHS ends up, and also a
     non-finite step, which would loop in scipy) raises StiffnessError.
     ``reads`` narrows the interpolant's elementwise Horner loop alone: the
-    steps, stages and the ``_D`` product still run over the whole stack, as
-    BLAS on a column subset need not give the same bits.
+    steps, stages and the ``_D`` product still run over the group's whole
+    stack, as BLAS on a column subset need not give the same bits.
+
+    The groups share the loop: per iteration every live group attempts one
+    step of its own size, and each stage is one RHS call over the rows of
+    all of them (``_Stack``), so with more than one group each vector must
+    be ``[Q.ravel(), P.ravel()]`` of its rows and ``rhs`` must not read t.
+    A group's error norm, steps and counters never see another group.
     """
-    y = np.asarray(y0, dtype=float)
-    if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
-        raise ValueError("the initial state must be a finite, non-empty vector")
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     if rtol < _RTOL_FLOOR:
         warnings.warn(f"rel_tol {rtol:.3g} is below 100 eps; using "
-                      f"{_RTOL_FLOOR:.3g}", stacklevel=3)
+                      f"{_RTOL_FLOOR:.3g}", stacklevel=4)
         rtol = _RTOL_FLOOR
-    times = t_eval.tolist()
-    t, t_bound = times[0], times[-1]
-    n = y.size
-    f = rhs(t, y)
-    nfev, steps, rejected = 1, 0, 0
+    starts = [np.asarray(y0, dtype=float) for y0, _, _ in groups]
+    if not all(y0.ndim == 1 and y0.size and np.isfinite(y0).all()
+               for y0 in starts):
+        raise ValueError("the initial state must be a finite, non-empty vector")
+    everyone = [_Group(y0, t_eval, reads)
+                for y0, (_, t_eval, reads) in zip(starts, groups)]
+    # equal sizes side by side, so that they form runs
+    live = sorted(everyone, key=lambda g: g.n)
+    size = sum(g.n for g in live)
+    # a one-group solve needs no steps per component, nor the kernels' vector
+    bufs = {name: np.empty(size if len(live) > 1 or name in ("y", "y_new", "dy")
+                           else 0) for name in ("y", "y_new", "dy", "h", "z")}
+    K = np.empty(_EXTENDED * size)
+    o = 0
+    for g in live:
+        g.o, o = o, o + g.n
+    for g, y0 in zip(everyone, starts):
+        bufs["y"][g.o:g.o + g.n] = y0
+    stack = _Stack(live, bufs, K)
 
-    # initial step (Hairer, Norsett and Wanner, Sec. II.4)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    f1 = rhs(t + h0, y + h0 * f)
-    nfev += 1
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+    # initial step (Hairer, Norsett and Wanner, Sec. II.4): f into stage
+    # row 0, the probe's f1 into row 1
+    y = stack.y
+    if stack.single:
+        g = live[0]
+        stack.K[0] = rhs(g.t, y)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.125
-    h_abs = float(min(100 * h0, h1, t_bound - t))
+        stack.scatter(rhs(None, stack.gather("y")), 0)
+    guesses = []
+    for run in stack.runs:
+        for i, g in enumerate(run.groups):
+            y0, f = y[g.o:g.o + g.n], run.K3[i, 0]
+            scale = atol + np.abs(y0) * rtol
+            d0, d1 = _rms(y0 / scale), _rms(f / scale)
+            g.h = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+                      g.t_bound - g.t)
+            guesses.append((run, i, scale, d1))
+    if stack.single:
+        g = live[0]
+        stack.K[1] = rhs(g.t + g.h, y + g.h * stack.K[0])
+    else:
+        stack.set_steps()
+        for run in stack.runs:
+            np.multiply(run.K3[:, 0].reshape(run.own["h"].shape),
+                        run.own["h"], out=run.own["dy"])
+        stack.dy += y
+        stack.scatter(rhs(None, stack.gather("dy")), 1)
+    for run, i, scale, d1 in guesses:
+        g = run.groups[i]
+        d2 = _rms((run.K3[i, 1] - run.K3[i, 0]) / scale) / g.h
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, g.h * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.125
+        g.h_abs = float(min(100 * g.h, h1, g.t_bound - g.t))
 
-    K = np.empty((_EXTENDED, n))
-    KT = [K[:s].T for s in range(_EXTENDED + 1)]   # stage sums read K[:s].T
-    out = np.empty((n, len(times)) if reads is None else n)
-    dy = np.empty(n)
-    sampled = 0
-    while t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        step_rejected = False
-        while True:
-            if not h_abs >= min_step:
+    while live:
+        for g in live:
+            if g.new_step:
+                g.min_step = 10 * abs(math.nextafter(g.t, math.inf) - g.t)
+                g.h_abs = max(g.h_abs, g.min_step)
+                g.step_rejected = g.new_step = False
+            if not g.h_abs >= g.min_step:
                 raise StiffnessError("integrator failed: Required step size "
                                      "is less than spacing between numbers.")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = f
-            for s in range(1, _STAGES):
-                np.dot(KT[s], _WEIGHTS[s], out=dy)
-                dy *= h
-                dy += y
-                K[s] = rhs(t + _NODES[s] * h, dy)
-            y_new = y + h * np.dot(KT[_STAGES], _B)
-            f_new = rhs(t + h, y_new)
-            K[_STAGES] = f_new
-            nfev += _STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(KT[_STAGES + 1], h, scale)
+            g.t_new = min(g.t + g.h_abs, g.t_bound)
+            g.h = g.t_new - g.t
+            g.h_abs = abs(g.h)
+        sampling = finished = False
+        # the runs hold the live groups in order
+        for g, (sq5, sq3) in zip(live, stack.attempt(rhs, atol, rtol)):
+            g.nfev += _STAGES
+            error_norm = _error_norm(g.h, sq5, sq3, g.n)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR,
                               _SAFETY * error_norm ** _ERROR_EXPONENT))
-                if step_rejected:
+                if g.step_rejected:
                     factor = min(1, factor)
-                h_abs *= factor
+                g.h_abs *= factor
+                g.new_step = True
+                g.steps += 1
+                g.sample_to = bisect.bisect_right(g.times, g.t_new, g.sampled)
+                sampling |= g.sample_to > g.sampled
+                finished |= g.t_new >= g.t_bound
+            else:
+                g.h_abs *= max(_MIN_FACTOR,
+                               _SAFETY * error_norm ** _ERROR_EXPONENT)
+                g.step_rejected = True
+                g.rejected += 1
+        if sampling:
+            _dense_output(rhs, stack)
+        stack.accept()
+        if finished:
+            live = [g for g in live if g.t < g.t_bound]
+            if not live:
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            step_rejected = True
-            rejected += 1
-        steps += 1
-        t_old, y_old, f_old = t, y, f
-        t, y, f = t_new, y_new, f_new
-        hi = bisect.bisect_right(times, t, sampled)
-        if hi > sampled:
-            # the three extra stages and the interpolant, as scipy's
-            # Dop853DenseOutput evaluates it
-            for s in range(_STAGES + 1, _EXTENDED):
-                K[s] = rhs(t_old + _NODES[s] * h,
-                           y_old + np.dot(KT[s], _WEIGHTS[s]) * h)
-            nfev += _EXTENDED - _STAGES - 1
-            delta_y = y - y_old
-            F = np.empty((_DOP853.INTERPOLATOR_POWER, n))
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f + f_old)
-            F[3:] = h * np.dot(_D, K)
-            x = (t_eval[sampled:hi] - t_old) / (t - t_old)
-            if reads is None:
-                x, base = x[:, None], y_old
-                ys = np.zeros((hi - sampled, n))
-            else:
-                comps = reads.components(sampled, hi)
-                x = x[reads.index[comps] - sampled]
-                F, base = F[:, comps], y_old[comps]
-                ys = np.zeros(len(comps))
-            one_minus_x = 1 - x
-            for i, row in enumerate(F[::-1]):
-                ys += row
-                ys *= one_minus_x if i % 2 else x
-            ys += base
-            if reads is None:
-                out[:, sampled:hi] = ys.T
-            else:
-                out[comps] = ys
-            sampled = hi
-    return t_eval, out, {"nfev": nfev, "steps": steps, "rejected": rejected,
-                         "samples": len(times)}
+            # the others move down, in order, so that no move overwrites a
+            # group: their y and f (stage row 0) go along
+            y, o = stack.y, 0
+            for g in live:
+                y[o:o + g.n] = y[g.o:g.o + g.n]
+                K[_EXTENDED * o:_EXTENDED * o + g.n] = K[
+                    _EXTENDED * g.o:_EXTENDED * g.o + g.n]
+                g.o, o = o, o + g.n
+            stack = _Stack(live, bufs, K)
+    return [(g.t_eval, g.out, {"nfev": g.nfev, "steps": g.steps,
+                               "rejected": g.rejected,
+                               "samples": len(g.times)})
+            for g in everyone]
 
 
-def _error_norm(KT, h, scale):
-    """scipy's DOP853 error norm: the RMS of the 5th-order estimate, damped
-    by the 3rd-order one."""
-    err5 = np.dot(KT, _E5) / scale
-    err3 = np.dot(KT, _E3) / scale
-    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+def _dense_output(rhs, stack):
+    """The interpolant of every group whose accepted step holds a sample of
+    its grid, as scipy's Dop853DenseOutput evaluates it: the three extra
+    stages (run over the whole stack, read by those groups only), the
+    interpolant's coefficients (one stacked evaluation per run) and each
+    group's Horner sum on its samples in (t, t_new]."""
+    stack.stages(rhs, _STAGES + 1, _EXTENDED)
+    for run in stack.runs:
+        wanted = [(i, g) for i, g in enumerate(run.groups)
+                  if g.new_step and g.sample_to > g.sampled]
+        if not wanted:
+            continue
+        if len(run.groups) == 1:
+            # a one-group stack's y and y_new swap places, so read its own
+            y_old, y = ((stack.y, stack.y_new) if stack.single
+                        else (run.own["y"], run.own["y_new"]))
+            g = run.groups[0]
+            _interpolate(g, _coefficients(g.h, run.K3[0], y_old, y), y_old)
+            continue
+        y_old = run.own["y"]
+        F = _coefficients(run.own["h"][:, :1], run.K3, y_old, run.own["y_new"])
+        for i, g in wanted:
+            _interpolate(g, F[:, i], y_old[i])
+
+
+def _coefficients(h, K, y_old, y):
+    """The interpolant's 7 coefficient rows of a step of size h from y_old
+    to y with stage block K (16, n), or of a stack of them: K (k, 16, n)
+    with h (k, 1), each group's rows the bits of its own evaluation."""
+    delta_y = y - y_old
+    F = np.empty((_DOP853.INTERPOLATOR_POWER,) + delta_y.shape)
+    f_old, f = K[..., 0, :], K[..., _STAGES, :]
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    if K.ndim == 2:
+        F[3:] = h * np.dot(_D, K)
+    else:
+        F[3:] = (h[..., None] * np.matmul(_D, K)).transpose(1, 0, 2)
+    return F
+
+
+def _interpolate(g, F, y_old):
+    """Group g's samples in (t, t_new] from its coefficient rows F."""
+    g.nfev += _EXTENDED - _STAGES - 1
+    lo, hi = g.sampled, g.sample_to
+    x = (g.t_eval[lo:hi] - g.t) / (g.t_new - g.t)
+    if g.reads is None:
+        x, base = x[:, None], y_old
+        ys = np.zeros((hi - lo, g.n))
+    else:
+        comps = g.reads.components(lo, hi)
+        x = x[g.reads.index[comps] - lo]
+        F, base = F[:, comps], y_old[comps]
+        ys = np.zeros(len(comps))
+    one_minus_x = 1 - x
+    for i, row in enumerate(F[::-1]):
+        ys += row
+        ys *= one_minus_x if i % 2 else x
+    ys += base
+    if g.reads is None:
+        g.out[:, lo:hi] = ys.T
+    else:
+        g.out[comps] = ys
+    g.sampled = hi
+
+
+def _error_norm(h, sq5, sq3, size):
+    """scipy's DOP853 error norm from the squared norms of the 5th- and
+    3rd-order estimates: their RMS, the 5th damped by the 3rd."""
+    err5_norm_2 = math.sqrt(sq5) ** 2
+    err3_norm_2 = math.sqrt(sq3) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
     if denom == 0:   # an underflow, 0 / 0 in scipy's numpy scalars
         return math.nan
-    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * size)
 
 
 def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):

@@ -8,7 +8,10 @@ dense trajectory samples, and polishing each candidate with damped Newton in
 (parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The
 re-verification of the polished roots reads their endpoints from one
 batched integration, ``_endpoints``, and so do the mesh and the polish on
-sol.  On a flat model (``ModelManifold.flat``, the torus) the flow of a
+sol.  One census counts every pair of base points of a config: the
+chunks of all pairs integrate as groups of lockstep ``integrate_batch``
+calls, and one polish moves all their candidates, while each pair keeps the
+records, counts and diagnostics of its census alone.  On a flat model (``ModelManifold.flat``, the torus) the flow of a
 field of p alone translates q, so the mesh samples are q0 + t v0 and the
 polish evaluates ``dynamics.flat_flow``; only the re-verification
 integrates there.  Arrivals are tagged with the deck element of the lift
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -189,30 +191,82 @@ def _row_norms(v):
 # direction, the sweep cap and the blow-up guard (times the seed residual)
 _POLISH_CHUNK, _POLISH_FD_STEP = 192, 1e-6
 _POLISH_SWEEPS, _POLISH_BLOWUP = 36, 6.0
+# rows per lockstep integrate_batch call of the mesh and the endpoints,
+# which bounds the call's buffers and outputs
+_LOCKSTEP_ROWS = 2048
 
 
-def _endpoints(field, q0, surface_map, cfg, stats, us, ts):
-    """Endpoints of trajectories from surface points us at times ts.
+def _lockstep_calls(chunks):
+    """Consecutive runs of ``chunks`` (each with its rows ``chunk[-1]``) of
+    at most ``_LOCKSTEP_ROWS`` rows, or of one larger chunk."""
+    call, rows = [], 0
+    for chunk in chunks:
+        if call and rows + chunk[-1] > _LOCKSTEP_ROWS:
+            yield call
+            call, rows = [], 0
+        call.append(chunk)
+        rows += chunk[-1]
+    if call:
+        yield call
 
-    The rows go in order of time, ``_POLISH_CHUNK`` at a time, into one
-    batch integration over the union of their times; the interpolant fills
-    each row at its own arrival time only (``integrate_batch``'s ``at``),
-    with the bits of the full read.  ``stats`` sums the integrator counters.
+
+def _by_owner(owner, count):
+    """The rows of each of ``count`` owners, in order."""
+    order = np.argsort(owner, kind="stable")
+    return np.split(order, np.searchsorted(owner[order], np.arange(1, count)))
+
+
+def _endpoints(field, cfg, starts, stats, us, ts, owner):
+    """Endpoints of trajectories from surface points us at times ts, row r
+    from the fiber of pair ``owner[r]``: ``starts[i]`` is its (q0,
+    surface_map), and ``stats[i]`` sums the integrator counters of its rows.
+
+    The rows of each pair go in order of time, ``_POLISH_CHUNK`` at a time,
+    into one group of a lockstep ``integrate_batch`` over the union of their
+    times; the interpolant fills each row at its own arrival time only
+    (``at``), with the bits of the full read.  The groups of all pairs
+    advance together, ``_LOCKSTEP_ROWS`` rows per call; a row's bits depend
+    on its own pair's chunk alone.
     """
-    n = us.shape[0]
-    q_out = np.empty((n, field.manifold.dim))
-    p_out = np.empty((n, field.manifold.dim))
-    order = np.argsort(ts, kind="stable")
-    for lo in range(0, n, _POLISH_CHUNK):
-        sel = order[lo:lo + _POLISH_CHUNK]
-        t_sel = ts[sel]
-        grid = np.unique(np.concatenate([[0.0], t_sel]))
-        if len(grid) < 2:
-            grid = np.array([0.0, max(t_sel[0], 1e-9)])
-        p0 = surface_map(us[sel])
-        q_out[sel], p_out[sel] = integrate_batch(
-            field, np.broadcast_to(q0, p0.shape).copy(), p0, float(grid[-1]),
-            cfg, t_eval=grid, at=np.searchsorted(grid, t_sel), stats=stats)
+    q_out = np.empty((len(us), field.manifold.dim))
+    p_out = np.empty((len(us), field.manifold.dim))
+    chunks = []
+    for i, rows in enumerate(_by_owner(owner, len(starts))):
+        rows = rows[np.argsort(ts[rows], kind="stable")]
+        chunks += [(i, sel, len(sel)) for sel in
+                   np.split(rows, np.arange(_POLISH_CHUNK, len(rows),
+                                            _POLISH_CHUNK))
+                   if len(sel)]
+    for call in _lockstep_calls(chunks):
+        Q0, P0, grids, at = [], [], [], []
+        for i, sel, _ in call:
+            q0, surface_map = starts[i]
+            t_sel = ts[sel]
+            grid = np.unique(np.concatenate([[0.0], t_sel]))
+            if len(grid) < 2:
+                grid = np.array([0.0, max(t_sel[0], 1e-9)])
+            p0 = surface_map(us[sel])
+            Q0.append(np.broadcast_to(q0, p0.shape))
+            P0.append(p0)
+            grids.append(grid)
+            at.append(np.searchsorted(grid, t_sel))
+        ends = integrate_batch(
+            field, np.concatenate(Q0), np.concatenate(P0),
+            [float(grid[-1]) for grid in grids], cfg, t_eval=grids, at=at,
+            stats=[stats[i] for i, _, _ in call],
+            sizes=[rows for _, _, rows in call])
+        for (_, sel, _), (q, p) in zip(call, ends):
+            q_out[sel], p_out[sel] = q, p
+    return q_out, p_out
+
+
+def _flat_endpoints(field, starts, us, ts, owner):
+    """``_endpoints`` on a flat model, from the closed-form flow."""
+    q_out = np.empty((len(us), field.manifold.dim))
+    p_out = np.empty((len(us), field.manifold.dim))
+    for (q0, surface_map), rows in zip(starts, _by_owner(owner, len(starts))):
+        q_out[rows], p_out[rows] = flat_flow(field, q0, surface_map(us[rows]),
+                                             ts[rows])
     return q_out, p_out
 
 
@@ -223,9 +277,9 @@ def _polish(field, endpoints, us, ts, lifts, horizon, time_floor, tol):
 
     One sweep of ``lockstep_newton`` advances every live candidate by a
     single proposed step; all endpoint evaluations of a sweep (current point
-    plus finite-difference perturbations) ride in one ``endpoints(us, ts)``
-    call, which amortizes the solver overhead that would dominate a
-    per-candidate polish.
+    plus finite-difference perturbations) ride in one ``endpoints(us, ts,
+    candidates)`` call, which amortizes the solver overhead that would
+    dominate a per-candidate polish.
     """
     manifold = field.manifold
     d = manifold.dim
@@ -242,7 +296,7 @@ def _polish(field, endpoints, us, ts, lifts, horizon, time_floor, tol):
             pert = us[idx] + _POLISH_FD_STEP * dirs[:, j]
             eval_us.append(pert / np.linalg.norm(pert, axis=1, keepdims=True))
         q_end, p_end = endpoints(np.concatenate(eval_us, axis=0),
-                                 np.tile(ts[idx], d))
+                                 np.tile(ts[idx], d), np.tile(idx, d))
         res = manifold.frame_displacement(q_end[:k], lifts[idx])
 
         def jacobian(rows):
@@ -321,55 +375,62 @@ def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
     return order[np.array(keep, dtype=bool)[order]]
 
 
-def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
+def chord_census(field: HamiltonianField, pairs, horizon: float,
                  resolution: int, *,
                  cfg: IntegratorConfig = IntegratorConfig(),
                  coarse_threshold: float = 0.25,
                  newton_tol: float = 1e-8,
                  time_floor: float = 1e-6,
-                 max_candidates: int = 500_000) -> ChordCensus:
-    """Count flow lines from the fiber surface over q0 to lifts of q1.
+                 max_candidates: int = 500_000) -> list:
+    """Count flow lines from the fiber surface over q0 to lifts of q1, for
+    each ``(q0, q1, surface_map)`` of ``pairs``; returns one ChordCensus per
+    pair.
 
     ``surface_map`` sends unit coordinate directions (N, d) to starting
     covectors (N, d) on the surface over q0.  Resolution is the number of
     seed directions (>= 64).  ``diagnostics["integrator"]`` sums the
-    counters of the solves: on a flat model those of the re-verification
-    alone.
+    counters of the pair's solves: on a flat model those of the
+    re-verification alone.  The pairs share each stage: one lockstep
+    integration of every pair's mesh chunks, one ``_polish`` of every
+    pair's representatives, one re-verification.  Each mesh chunk and
+    endpoint chunk is a group of its own pair's rows, so a pair's records,
+    counts and diagnostics are those of its census alone.
     """
     manifold = field.manifold
     if resolution < 64:
         raise ValueError("census resolution must be at least 64")
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
     d = manifold.dim
     dirs = circle_directions(resolution) if d == 2 else fibonacci_sphere(resolution)
-    P0_all = surface_map(dirs)
-    Q0_all = np.broadcast_to(q0, P0_all.shape).copy()
-
-    # sample spacing tied to the fastest seed so arrivals cannot be stepped over
-    v0 = field.velocity(Q0_all, P0_all)
-    vmax = float(np.sqrt(np.max(manifold.norm_sq(Q0_all, v0))))
-    sample_dt = min(coarse_threshold / max(vmax, 1e-9) / 2.0, horizon / 50)
-    n_samples = int(math.ceil(horizon / sample_dt)) + 1
-    t_grid = np.linspace(0.0, horizon, n_samples)
-
     mesh_spacing = (2.0 * np.pi / resolution if d == 2
                     else math.sqrt(4.0 * np.pi / resolution))
+    starts, targets, P0s, v0s, sample_dts, grids = [], [], [], [], [], []
+    for q0, q1, surface_map in pairs:
+        q0 = np.asarray(q0, dtype=float)
+        starts.append((q0, surface_map))
+        targets.append(np.asarray(q1, dtype=float))
+        P0_all = surface_map(dirs)
+        Q0_all = np.broadcast_to(q0, P0_all.shape).copy()
+        # sample spacing tied to the fastest seed so arrivals cannot be
+        # stepped over
+        v0 = field.velocity(Q0_all, P0_all)
+        vmax = float(np.sqrt(np.max(manifold.norm_sq(Q0_all, v0))))
+        sample_dt = min(coarse_threshold / max(vmax, 1e-9) / 2.0, horizon / 50)
+        n_samples = int(math.ceil(horizon / sample_dt)) + 1
+        P0s.append(P0_all)
+        v0s.append(v0)
+        sample_dts.append(sample_dt)
+        grids.append(np.linspace(0.0, horizon, n_samples))
 
     # integrator counters of the mesh, polish and re-verification solves;
     # on a flat model the mesh and the polish evaluate the closed form
-    counts = {"nfev": 0, "steps": 0, "rejected": 0}
+    counts = [{"nfev": 0, "steps": 0, "rejected": 0} for _ in pairs]
     # candidates: deck, seed index, time and distance of each near-arrival
-    raw = ([], [], [], [])
-    n_raw = 0
-    for lo in range(0, resolution, _MESH_BATCH):
-        hi = min(lo + _MESH_BATCH, resolution)
-        if manifold.flat:
-            Q = q0 + t_grid[:, None] * v0[lo:hi, None]
-        else:
-            _, Q, _ = integrate_batch(field, Q0_all[lo:hi], P0_all[lo:hi],
-                                      horizon, cfg, t_eval=t_grid, stats=counts)
-        deck, dist = manifold.nearest_lift(Q, q1)
+    raw = [([], [], [], []) for _ in pairs]
+    n_raw = [0] * len(pairs)
+
+    def near_arrivals(i, lo, Q):
+        t_grid = grids[i]
+        deck, dist = manifold.nearest_lift(Q, targets[i])
         near = dist < coarse_threshold
         interior = np.zeros_like(near)
         interior[:, 1:-1] = (near[:, 1:-1]
@@ -379,65 +440,104 @@ def chord_census(field: HamiltonianField, q0, q1, surface_map, horizon: float,
         interior[:, 0] = False
         interior[:, t_grid < time_floor] = False
         idx_i, idx_j = np.nonzero(interior)
-        for part, value in zip(raw, (deck[idx_i, idx_j], lo + idx_i,
-                                     t_grid[idx_j], dist[idx_i, idx_j])):
+        for part, value in zip(raw[i], (deck[idx_i, idx_j], lo + idx_i,
+                                        t_grid[idx_j], dist[idx_i, idx_j])):
             part.append(value)
-        n_raw += len(idx_i)
-        if n_raw > max_candidates:
+        n_raw[i] += len(idx_i)
+        if n_raw[i] > max_candidates:
             raise BudgetExceededError(
                 f"census mesh produced more than {max_candidates} candidates")
-    decks, seeds, times, dists = (np.concatenate(part) for part in raw)
-    reps = _suppress(decks, seeds, times, dists, dirs, 2.5 * sample_dt,
-                     2.2 * mesh_spacing)
+
+    chunks = [(i, lo, min(lo + _MESH_BATCH, resolution) - lo)
+              for i in range(len(pairs))
+              for lo in range(0, resolution, _MESH_BATCH)]
+    for call in _lockstep_calls(chunks):
+        if manifold.flat:
+            for i, lo, rows in call:
+                near_arrivals(i, lo, starts[i][0] + grids[i][:, None]
+                              * v0s[i][lo:lo + rows, None])
+            continue
+        ends = integrate_batch(
+            field, np.concatenate([np.broadcast_to(starts[i][0], (rows, d))
+                                   for i, _, rows in call]),
+            np.concatenate([P0s[i][lo:lo + rows] for i, lo, rows in call]),
+            [horizon] * len(call), cfg, t_eval=[grids[i] for i, _, _ in call],
+            stats=[counts[i] for i, _, _ in call],
+            sizes=[rows for _, _, rows in call])
+        for (i, lo, _), (_, Q, _) in zip(call, ends):
+            near_arrivals(i, lo, Q)
+
+    # one representative per blob, and its lift; every pair's in one stack
+    decks, seeds, times, lifts, owner = [], [], [], [], []
+    reps_per_pair = []
+    for i, part in enumerate(raw):
+        deck, seed, time, dist = (np.concatenate(p) for p in part)
+        reps = _suppress(deck, seed, time, dist, dirs,
+                         2.5 * sample_dts[i], 2.2 * mesh_spacing)
+        reps_per_pair.append(len(reps))
+        decks.append(deck[reps])
+        seeds.append(seed[reps])
+        times.append(time[reps])
+        lifts.append(manifold.deck_apply(deck[reps], targets[i]))
+        owner.append(np.full(len(reps), i))
+    decks, seeds, times, lifts, owner = (
+        np.concatenate(x) for x in (decks, seeds, times, lifts, owner))
 
     # Newton polish against the fixed lift of each representative
-    integrated = partial(_endpoints, field, q0, surface_map, cfg, counts)
-
-    def flat_endpoints(us, ts):
-        return flat_flow(field, q0, surface_map(us), ts)
-
-    decks = decks[reps]
-    lifts = manifold.deck_apply(decks, q1)
-    us, ts, outcome = _polish(
-        field, flat_endpoints if manifold.flat else integrated,
-        dirs[seeds[reps]], times[reps], lifts, horizon, time_floor,
-        newton_tol)
+    if manifold.flat:
+        def endpoints(us, ts, cand):
+            return _flat_endpoints(field, starts, us, ts, owner[cand])
+    else:
+        def endpoints(us, ts, cand):
+            return _endpoints(field, cfg, starts, counts, us, ts, owner[cand])
+    us, ts, outcome = _polish(field, endpoints, dirs[seeds], times, lifts,
+                              horizon, time_floor, newton_tol)
     # fresh re-integration of every accepted root, batched; a root counts
     # only if it arrives again within newton_tol of the lift it was
     # polished toward
     good = np.nonzero(outcome == CONVERGED)[0]
-    us, ts, decks = us[good], ts[good], decks[good]
-    q_end, _ = integrated(us, ts)
+    q_end, _ = _endpoints(field, cfg, starts, counts, us[good], ts[good],
+                          owner[good])
     res = _row_norms(manifold.frame_displacement(q_end, lifts[good]))
     if manifold.flat and np.any(res > 10 * newton_tol):
         raise InvariantFailureError(
             f"integrated chord misses its lift by {np.max(res):.3e}: the "
             f"closed-form flow needs a field that depends on p alone")
-    hit = np.nonzero(res <= newton_tol)[0]
-    misses = len(good) - len(hit)
-    hit = hit[_dedup_roots(decks[hit], ts[hit], res[hit], us[hit], horizon)]
-    records = [ChordRecord(direction=tuple(u), arrival_time=t, deck=tuple(g),
-                           residual=r, start_covector=tuple(p))
-               for u, t, g, r, p in zip(
-                   us[hit].tolist(), ts[hit].tolist(), decks[hit].tolist(),
-                   res[hit].tolist(), surface_map(us[hit]).tolist())]
-    records.sort(key=lambda r: (r.arrival_time, r.deck))
     n_int = int(math.floor(horizon + 1e-12))
-    nu = np.searchsorted([r.arrival_time for r in records],
-                         np.arange(1, n_int + 1), side="right").astype(np.int64)
-    outcomes = dict(zip(NEWTON_OUTCOMES, np.bincount(
-        outcome, minlength=len(NEWTON_OUTCOMES)).tolist()))
-    return ChordCensus(q0=q0, q1=q1, horizon=horizon, records=records,
-                       nu_series=nu,
-                       diagnostics={"candidates": n_raw,
-                                    "representatives": len(reps),
-                                    "newton_failures":
-                                        len(reps) - outcomes["converged"],
-                                    "reverify_misses": misses,
-                                    "sample_dt": sample_dt,
-                                    "resolution": resolution,
-                                    "newton_outcomes": outcomes,
-                                    "integrator": counts})
+    censuses = []
+    for i, (cand, rows) in enumerate(zip(_by_owner(owner, len(pairs)),
+                                         _by_owner(owner[good], len(pairs)))):
+        q0, surface_map = starts[i]
+        hit = rows[res[rows] <= newton_tol]
+        misses = len(rows) - len(hit)
+        hit = hit[_dedup_roots(decks[good[hit]], ts[good[hit]], res[hit],
+                               us[good[hit]], horizon)]
+        g = good[hit]
+        records = [ChordRecord(direction=tuple(u), arrival_time=t,
+                               deck=tuple(k), residual=r,
+                               start_covector=tuple(p))
+                   for u, t, k, r, p in zip(
+                       us[g].tolist(), ts[g].tolist(), decks[g].tolist(),
+                       res[hit].tolist(), surface_map(us[g]).tolist())]
+        records.sort(key=lambda r: (r.arrival_time, r.deck))
+        nu = np.searchsorted([r.arrival_time for r in records],
+                             np.arange(1, n_int + 1),
+                             side="right").astype(np.int64)
+        outcomes = dict(zip(NEWTON_OUTCOMES, np.bincount(
+            outcome[cand], minlength=len(NEWTON_OUTCOMES)).tolist()))
+        censuses.append(ChordCensus(
+            q0=q0, q1=targets[i], horizon=horizon, records=records,
+            nu_series=nu,
+            diagnostics={"candidates": n_raw[i],
+                         "representatives": reps_per_pair[i],
+                         "newton_failures":
+                             reps_per_pair[i] - outcomes["converged"],
+                         "reverify_misses": misses,
+                         "sample_dt": sample_dts[i],
+                         "resolution": resolution,
+                         "newton_outcomes": outcomes,
+                         "integrator": counts[i]}))
+    return censuses
 
 
 def _dedup_roots(decks, times, residuals, dirs, horizon):
@@ -728,15 +828,11 @@ def mpp_estimate(field: HamiltonianField, surface_map_at, grid: int,
         raise ValueError("grid must be at least 1")
     starts = [manifold.random_point(rng) for _ in range(grid)]
     targets = [manifold.random_point(rng) for _ in range(grid)]
-    counts = []
-    pairs = []
-    for qa in starts:
-        for qb in targets:
-            q1 = qb + jitter * rng.standard_normal(manifold.dim)
-            census = chord_census(field, qa, q1, surface_map_at(qa), horizon,
-                                  resolution, **census_kwargs)
-            counts.append(census.nu_series)
-            pairs.append((qa.copy(), q1.copy()))
+    pairs = [(qa.copy(), qb + jitter * rng.standard_normal(manifold.dim))
+             for qa in starts for qb in targets]
+    counts = [census.nu_series for census in chord_census(
+        field, [(qa, q1, surface_map_at(qa)) for qa, q1 in pairs], horizon,
+        resolution, **census_kwargs)]
     avg = np.mean(counts, axis=0)
     fit = fit_growth(avg, start_index=1) or INCONCLUSIVE
     return MppResult(fit=fit, averaged_counts=avg, pairs=pairs)

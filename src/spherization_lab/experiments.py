@@ -284,14 +284,15 @@ def _run_chord_census(cfg, out: Path, rng):
             pairs.append((manifold.random_point(rng),
                           manifold.random_point(rng)))
 
+    jits = [jitter * rng.standard_normal(manifold.dim) for _ in pairs]
+    pairs = [(qa, qb + jit, jit) for (qa, qb), jit in zip(pairs, jits)]
+    censuses = chord_census(field, [(qa, q1, surface_at(qa))
+                                    for qa, q1, _ in pairs],
+                            horizon, resolution, **kwargs)
     results = {"pairs": []}
     checks = {}
     files = []
-    for idx, (qa, qb) in enumerate(pairs):
-        jit = jitter * rng.standard_normal(manifold.dim)
-        q1 = qb + jit
-        census = chord_census(field, qa, q1, surface_at(qa), horizon,
-                              resolution, **kwargs)
+    for idx, ((qa, q1, jit), census) in enumerate(zip(pairs, censuses)):
         name = "chord-census.csv" if idx == 0 else f"chord-census_{idx + 1}.csv"
         write_csv(out / name, ("t", "nu"),
                   [(t + 1, int(v)) for t, v in enumerate(census.nu_series)])

@@ -79,6 +79,13 @@ class RadialProfile:
         return FourierProfile(float(base), tuple(map(float, cos_coeffs)),
                               tuple(map(float, sin_coeffs)))
 
+    def gauge_terms(self, sandwich, q, p, energy, energy_grads):
+        """(F, (dF/dq, dF/dp)) at (q, p), given the sandwich's G there and
+        its gradients: the profile's own gauge, unless it can read them
+        off G."""
+        return (self.gauge(sandwich.manifold, q, p),
+                self.gauge_grads(sandwich.manifold, q, p))
+
 
 @dataclass(frozen=True)
 class RoundProfile(RadialProfile):
@@ -93,6 +100,12 @@ class RoundProfile(RadialProfile):
     def gauge_grads(self, manifold, q, p):
         gq, gp = manifold.conorm_grads(q, p)
         return 2.0 * gq, 2.0 * gp
+
+    def gauge_terms(self, sandwich, q, p, energy, energy_grads):
+        # F = 2 c G with the metric scale c, which calibrate sets to 1 on a
+        # round profile: the conorm's own bits, from G's evaluation of it
+        scale = 2.0 * sandwich.metric_scale
+        return scale * energy, tuple(scale * g for g in energy_grads)
 
 
 @dataclass(frozen=True)

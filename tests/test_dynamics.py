@@ -146,6 +146,54 @@ def test_sandwich_fields_evaluate_energy_once(round_sandwich,
             assert calls == {"energy": 1, "energy_grads": 1}, field.name
 
 
+def _core_grads_from_gauge_and_energy(sandwich, q, p):
+    # the core field's gradients with F and G each evaluated on its own
+    cut, slope = sandwich.cutoff.eval(sandwich.gauge(q, p))
+    dq_f, dp_f = sandwich.gauge_grads(q, p)
+    g = sandwich.energy(q, p)
+    g_dq, g_dp = sandwich.energy_grads(q, p)
+    rho = np.sqrt(np.maximum(2.0 * g, 1e-300))
+    tau = sandwich.far_step(rho)
+    dtau = sandwich.far_step_slope(rho) / rho
+    sigma = sandwich.upper_scale
+    inner = (1.0 - tau)[..., None]
+    outer = (tau * sigma + dtau * (sigma * g - cut))[..., None]
+    return (inner * (slope[..., None] * dq_f) + outer * g_dq,
+            inner * (slope[..., None] * dp_f) + outer * g_dp)
+
+
+def test_round_core_field_evaluates_the_metric_once(round_sandwich,
+                                                    sol_round_sandwich,
+                                                    monkeypatch):
+    # on a round profile F and G are both the conorm: one grads call of the
+    # core runs conorm_sq and conorm_grads once each, with the bits of F and
+    # G evaluated apart
+    rng = np.random.default_rng(16)
+    for sandwich in (round_sandwich, sol_round_sandwich):
+        man = sandwich.manifold
+        q = np.stack([man.random_point(rng) for _ in range(64)])
+        # the cutoff's three branches: F below eps^2, within, above eps
+        p = rng.normal(size=q.shape) * np.geomspace(1e-3, 3.0, 64)[:, None]
+        want = _core_grads_from_gauge_and_energy(sandwich, q, p)
+        field = dyn.core_field(sandwich)
+        calls = {"conorm_sq": 0, "conorm_grads": 0}
+        for name in calls:
+            method = getattr(type(man), name)
+
+            def counted(self, q, p, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, q, p)
+
+            monkeypatch.setattr(type(man), name, counted)
+        got = field.grads(q, p)
+        monkeypatch.undo()
+        assert calls == {"conorm_sq": 1, "conorm_grads": 1}, man.kind
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert field.value(q, p).tobytes() == sandwich.sandwich_eval(
+            q, p)[1].tobytes()
+
+
 def test_sol_fixed_point_momenta_constant(sol):
     f = sol_mod.sol_field(sol)
     q0 = np.array([0.1, 0.2, 0.3])
@@ -651,6 +699,65 @@ def test_read_at_own_sample_matches_full_read_bitwise(kind, rows, scheme):
         assert q.tobytes() == Q[r, pos].tobytes()
         assert p.tobytes() == P[r, pos].tobytes()
         assert read_stats == full_stats and full_stats["nfev"] > 0
+
+
+@pytest.mark.parametrize("scheme", ["rk", "midpoint"])
+@pytest.mark.parametrize("kind", ["sol", "torus"])
+def test_grouped_batch_matches_one_call_per_group(kind, scheme):
+    # groups of 1, 2, 191, 192 and 193 rows, two of each of 1, 2 and 192
+    # rows apart in the stack, each with its own horizon and grid, read at
+    # its rows' samples or in full, and two sharing one stats dict: every
+    # group gets the bytes and counters of its own one-group call
+    rng = np.random.default_rng(23)
+    man = ModelManifold.sol() if kind == "sol" else ModelManifold.torus()
+    field = (sol_mod.sol_field(man) if kind == "sol"
+             else dyn.geodesic_field(man))
+    cfg = dyn.IntegratorConfig(scheme=scheme)
+    sizes = [192, 1, 191, 2, 192, 193, 1, 2]
+    n = sum(sizes)
+    Q0 = np.stack([man.random_point(rng) for _ in range(n)])
+    P0 = rng.normal(size=(n, man.dim))
+    T, grids, at = [], [], []
+    for i, m in enumerate(sizes):
+        T.append(float(rng.uniform(0.2, 1.5)))
+        grid = np.unique(np.concatenate(
+            [[0.0], rng.uniform(0.0, T[-1], size=5), [T[-1]]]))
+        grids.append(None if i == 2 else grid)
+        at.append(None if i % 3 == 0 or i == 2
+                  else rng.integers(0, len(grid), size=m))
+    stats = [{} for _ in sizes]
+    stats[7] = stats[6]
+    grouped = dyn.integrate_batch(field, Q0, P0, T, cfg, t_eval=grids, at=at,
+                                  stats=stats, sizes=sizes)
+    assert len(grouped) == len(sizes)
+    lo, shared = 0, {}
+    for i, m in enumerate(sizes):
+        alone = {} if i < 6 else shared
+        want = dyn.integrate_batch(field, Q0[lo:lo + m], P0[lo:lo + m], T[i],
+                                   cfg, t_eval=grids[i], at=at[i], stats=alone)
+        assert len(grouped[i]) == len(want)
+        for got, ref in zip(grouped[i], want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        if i < 6:
+            assert stats[i] == alone and alone["nfev"] > 0
+        lo += m
+    assert stats[6] == shared
+
+
+def test_grouped_batch_raises_for_a_group_that_goes_non_finite(sol):
+    # exp(z) overflows in the sol field at z = 800: its group cannot take a
+    # step, and the whole call fails as that group's own call does
+    field = sol_mod.sol_field(sol)
+    rng = np.random.default_rng(8)
+    Q0 = np.stack([sol.random_point(rng) for _ in range(5)])
+    P0 = rng.normal(size=(5, 3))
+    Q0[3, 2] = 800.0
+    cfg = dyn.IntegratorConfig()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(StiffnessError):
+            dyn.integrate_batch(field, Q0[3:], P0[3:], 1.0, cfg)
+        with pytest.raises(StiffnessError):
+            dyn.integrate_batch(field, Q0, P0, [1.0, 1.0], cfg, sizes=[3, 2])
 
 
 def test_solve_rejects_reads_off_the_grid():

@@ -98,13 +98,13 @@ def test_census_zero_before_first_arrival(torus_census_ctx):
     torus, geo, q0, q1, smap = torus_census_ctx
     # horizon below the fiber distance: no chords can arrive
     dist = float(torus.nearest_lift(q1, q0)[1])
-    census = chord_census(geo, q0, q1, smap, 0.5 * dist, 64)
+    [census] = chord_census(geo, [(q0, q1, smap)], 0.5 * dist, 64)
     assert len(census.records) == 0
 
 
 def test_census_matches_lattice_oracle(torus_census_ctx):
     torus, geo, q0, q1, smap = torus_census_ctx
-    census = chord_census(geo, q0, q1, smap, 4.0, 128)
+    [census] = chord_census(geo, [(q0, q1, smap)], 4.0, 128)
     oracle = [torus_chord_count(torus, q0, q1, float(t)) for t in (1, 2, 3, 4)]
     assert list(census.nu_series) == oracle
     # monotone counts, clean residuals, one record per deck
@@ -129,7 +129,7 @@ def test_torus_census_makes_one_lift_search(monkeypatch, torus_census_ctx,
         return search(self, q_probe, q_base)
 
     monkeypatch.setattr(ModelManifold, "nearest_lift", counted)
-    census = chord_census(geo, q0, q1, smap, 3.0, resolution)
+    [census] = chord_census(geo, [(q0, q1, smap)], 3.0, resolution)
     n_samples = math.ceil(3.0 / census.diagnostics["sample_dt"]) + 1
     assert census.records
     assert probe_shapes == [(resolution, n_samples, 2)]
@@ -137,8 +137,8 @@ def test_torus_census_makes_one_lift_search(monkeypatch, torus_census_ctx,
 
 def test_census_resolution_refinement_is_superset(torus_census_ctx):
     torus, geo, q0, q1, smap = torus_census_ctx
-    coarse = chord_census(geo, q0, q1, smap, 2.5, 128)
-    fine = chord_census(geo, q0, q1, smap, 2.5, 256)
+    [coarse] = chord_census(geo, [(q0, q1, smap)], 2.5, 128)
+    [fine] = chord_census(geo, [(q0, q1, smap)], 2.5, 256)
     fine_keys = {(r.deck, round(r.arrival_time, 6)) for r in fine.records}
     for r in coarse.records:
         assert (r.deck, round(r.arrival_time, 6)) in fine_keys
@@ -147,7 +147,7 @@ def test_census_resolution_refinement_is_superset(torus_census_ctx):
 def test_census_rejects_low_resolution(torus_census_ctx):
     torus, geo, q0, q1, smap = torus_census_ctx
     with pytest.raises(ValueError):
-        chord_census(geo, q0, q1, smap, 2.0, 32)
+        chord_census(geo, [(q0, q1, smap)], 2.0, 32)
 
 
 def _assert_per_row_read_is_full_grid(monkeypatch, census):
@@ -163,13 +163,20 @@ def _assert_per_row_read_is_full_grid(monkeypatch, census):
     full_batch = entropy.integrate_batch
 
     def by_hand(field, Q0, P0, T, cfg, t0=0.0, t_eval=None, at=None,
-                stats=None):
-        times, Q, P = full_batch(field, Q0, P0, T, cfg, t0=t0, t_eval=t_eval,
-                                 stats=stats)
-        if at is None:
-            return times, Q, P
-        rows = np.arange(len(at))
-        return Q[rows, at], P[rows, at]
+                stats=None, sizes=None):
+        # every group read on its full grid, then at its rows' samples
+        full = full_batch(field, Q0, P0, T, cfg, t0=t0, t_eval=t_eval,
+                          stats=stats, sizes=sizes)
+        if sizes is None:
+            full, at = [full], [at]
+        elif at is None:
+            at = [None] * len(full)
+        out = []
+        for (times, Q, P), pos in zip(full, at):
+            rows = np.arange(len(Q))
+            out.append((times, Q, P) if pos is None
+                       else (Q[rows, pos], P[rows, pos]))
+        return out if sizes is not None else out[0]
 
     monkeypatch.setattr(entropy, "integrate_batch", by_hand)
     full = census(cfg)
@@ -186,7 +193,8 @@ def test_midpoint_census_reads_endpoints_as_the_full_grid(torus_census_ctx,
     torus, geo, q0, q1, smap = torus_census_ctx
     _assert_per_row_read_is_full_grid(
         monkeypatch,
-        lambda cfg: chord_census(geo, q0, q1, smap, 3.0, 64, cfg=cfg))
+        lambda cfg: chord_census(geo, [(q0, q1, smap)], 3.0, 64,
+                                 cfg=cfg)[0])
 
 
 def test_midpoint_sol_census_reads_polish_rows_as_the_full_grid(sol,
@@ -199,8 +207,8 @@ def test_midpoint_sol_census_reads_polish_rows_as_the_full_grid(sol,
     smap = lambda u: sol_mod.level_covector(1.0, q0, u)
     _assert_per_row_read_is_full_grid(
         monkeypatch,
-        lambda cfg: chord_census(field, q0, q1, smap, 1.5, 64, cfg=cfg,
-                                 coarse_threshold=0.35))
+        lambda cfg: chord_census(field, [(q0, q1, smap)], 1.5, 64, cfg=cfg,
+                                 coarse_threshold=0.35)[0])
 
 
 def test_torus_census_refuses_a_field_that_depends_on_q(round_sandwich):
@@ -211,7 +219,7 @@ def test_torus_census_refuses_a_field_that_depends_on_q(round_sandwich):
     q0, q1 = np.zeros(2), np.array([0.5, 0.5])
     smap = lambda u: round_sandwich.surface_covector(q0, u)
     with pytest.raises(InvariantFailureError, match="misses its lift"):
-        chord_census(field, q0, q1, smap, 2.0, 64)
+        chord_census(field, [(q0, q1, smap)], 2.0, 64)
 
 
 CENSUS_C07 = """
@@ -258,7 +266,7 @@ def test_closed_form_torus_census_matches_the_integrating_one(
     experiments.run(load_config(str(config)), out_dir=tmp_path / "closed")
     monkeypatch.setattr(FlatTorus, "flat", False)
     experiments.run(load_config(str(config)), out_dir=tmp_path / "integrated")
-    closed, integrated = found
+    [closed], [integrated] = found
     assert list(closed.nu_series) == list(integrated.nu_series)
     assert len(closed.records) == len(integrated.records) > 0
     assert ([r.deck for r in closed.records]
@@ -271,14 +279,82 @@ def test_closed_form_torus_census_matches_the_integrating_one(
             < integrated.diagnostics["integrator"]["nfev"])
 
 
+CENSUS_SOL_TWO_PAIRS = """
+[experiment]
+name = chord-census
+seed = 2
+
+[manifold]
+kind = sol
+
+[sol]
+k = 1.0
+
+[census]
+horizon = 3.0
+resolution = 192
+coarse_threshold = 0.35
+pairs = 2
+"""
+
+
+def _assert_each_pair_as_alone(field, pairs, *args, **kwargs):
+    together = chord_census(field, pairs, *args, **kwargs)
+    assert len(together) == len(pairs)
+    for census, pair in zip(together, pairs):
+        [alone] = chord_census(field, [pair], *args, **kwargs)
+        assert census.records == alone.records and census.records
+        assert list(census.nu_series) == list(alone.nu_series)
+        assert census.diagnostics == alone.diagnostics
+        assert (census.q0.tobytes(), census.q1.tobytes()) == (
+            alone.q0.tobytes(), alone.q1.tobytes())
+    return together
+
+
+@pytest.mark.parametrize("lockstep_rows", [entropy._LOCKSTEP_ROWS, 300])
+def test_multi_pair_sol_census_is_each_pair_alone(tmp_path, monkeypatch,
+                                                  lockstep_rows):
+    # test_sol_census_pinned_counts' two pairs: censused together, as the
+    # experiment runs them, or one by one, each pair has the same records,
+    # counts and diagnostics, also when fewer rows fit into one call
+    monkeypatch.setattr(entropy, "_LOCKSTEP_ROWS", lockstep_rows)
+    config = tmp_path / "census.ini"
+    config.write_text(CENSUS_SOL_TWO_PAIRS)
+    calls = []
+
+    def census(*args, **kwargs):
+        calls.append((args, kwargs))
+        return chord_census(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "chord_census", census)
+    manifest = experiments.run(load_config(str(config)),
+                               out_dir=tmp_path / "out")
+    [((field, pairs, *args), kwargs)] = calls
+    assert len(pairs) == 2
+    together = _assert_each_pair_as_alone(field, pairs, *args, **kwargs)
+    assert [list(c.nu_series) for c in together] == [
+        p["nu"] for p in manifest["results"]["pairs"]]
+
+
+def test_multi_pair_torus_census_is_each_pair_alone(round_sandwich):
+    # the closed-form mesh and polish, and the integrated re-verification,
+    # of two torus pairs together, one of them the census fixture's
+    geo = dyn.geodesic_field(round_sandwich.manifold)
+    smap = lambda q0: (lambda u: round_sandwich.surface_covector(q0, u))
+    q0, q0b = np.zeros(2), np.array([0.3, 0.1])
+    _assert_each_pair_as_alone(
+        geo, [(q0, np.array([0.5, 0.5]), smap(q0)),
+              (q0b, np.array([0.8, 0.35]), smap(q0b))], 5.0, 256)
+
+
 def test_sol_census_finds_verified_chords(sol):
     field = sol_mod.sol_field(sol)
     rng = np.random.default_rng(3)
     q0 = sol.random_point(rng)
     q1 = sol.random_point(rng) + 1e-3 * rng.standard_normal(3)
     smap = lambda u: sol_mod.level_covector(1.0, q0, u)
-    census = chord_census(field, q0, q1, smap, 3.0, 256,
-                          coarse_threshold=0.35)
+    [census] = chord_census(field, [(q0, q1, smap)], 3.0, 256,
+                            coarse_threshold=0.35)
     assert len(census.records) > 0
     assert max(r.residual for r in census.records) <= 1e-8
     assert all(np.diff(census.nu_series) >= 0)
@@ -550,7 +626,7 @@ def test_mpp_single_pair_matches_census_fit(torus_census_ctx):
     rng = np.random.default_rng(9)
     result = mpp_estimate(geo, surface_at, 1, 6.0, 128, rng, jitter=1e-3)
     qa, qb = result.pairs[0]
-    census = chord_census(geo, qa, qb, surface_at(qa), 6.0, 128)
+    [census] = chord_census(geo, [(qa, qb, surface_at(qa))], 6.0, 128)
     assert np.allclose(result.averaged_counts, census.nu_series)
     first = int(np.nonzero(census.nu_series > 0)[0][0])
     fit = fit_exponential_rate(census.nu_series[first:].astype(float),

@@ -3,8 +3,10 @@
 Files use INI syntax (section headers, ``key = value`` lines).  Every key is
 declared once, in the schema below, with its type, default and admissible
 range; unknown sections or keys are rejected, as are out-of-range values.
-Vector values are space-separated numbers.  The parsed configuration echoes
-into the run manifest so a run is reproducible from its manifest alone.
+Vector values are space-separated numbers, each within the key's range.
+Values are literal UTF-8 text, with no ``%`` interpolation.  The parsed
+configuration echoes into the run manifest so a run is reproducible from
+its manifest alone.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ SCHEMA = {
         "count": _typed("int", 50, lo=1, hi=10000),
         "horizon": _typed("float", 2000.0, lo=0.1, hi=1e6),
         "burn_in": _typed("float", 0.1, lo=0.0, hi=0.9),
-        "k_values": _typed("floats", (0.75, 1.0, 1.5)),
+        "k_values": _typed("floats", (0.75, 1.0, 1.5), lo=1e-6, hi=100.0),
     },
     "census": {
         "horizon": _typed("float", 10.0, lo=0.1, hi=1000.0),
@@ -90,14 +92,14 @@ SCHEMA = {
         "rel_tol": _typed("float", 1e-8, lo=1e-14, hi=1e-2),
     },
     "action": {
-        "n_values": _typed("ints", (1, 2, 3)),
-        "scales": _typed("floats", (2.0, 3.0)),
+        "n_values": _typed("ints", (1, 2, 3), lo=1),
+        "scales": _typed("floats", (2.0, 3.0), lo=1e-6),
         "chord_count": _typed("int", 10, lo=1, hi=1000),
         "grid": _typed("int", 40, lo=8, hi=512),
         "p_max": _typed("float", 2.6, lo=0.1, hi=16.0),
     },
     "noncrossing": {
-        "n_values": _typed("ints", (1, 2, 3)),
+        "n_values": _typed("ints", (1, 2, 3), lo=1),
         "s_points": _typed("int", 32, lo=2, hi=1024),
         "exclusion": _typed("float", 1e-4, lo=0.0, hi=1.0),
     },
@@ -171,19 +173,20 @@ def _parse_value(raw: str, spec: dict, where: str):
         raise ConfigError(f"{where}: {val!r} not one of {spec['choices']}")
     if spec["length"] is not None and len(val) != spec["length"]:
         raise ConfigError(f"{where}: expected {spec['length']} entries")
-    if kind in ("int", "float"):
-        if spec["lo"] is not None and val < spec["lo"]:
-            raise ConfigError(f"{where}: {val} below minimum {spec['lo']}")
-        if spec["hi"] is not None and val > spec["hi"]:
-            raise ConfigError(f"{where}: {val} above maximum {spec['hi']}")
+    for entry in val if kind in ("ints", "floats") else (val,):
+        if spec["lo"] is not None and entry < spec["lo"]:
+            raise ConfigError(f"{where}: {entry} below minimum {spec['lo']}")
+        if spec["hi"] is not None and entry > spec["hi"]:
+            raise ConfigError(f"{where}: {entry} above maximum {spec['hi']}")
     return val
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # values are literal: a '%' is a character, not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")

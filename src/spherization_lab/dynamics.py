@@ -390,6 +390,7 @@ class _Group:
         self.sampled = self.steps = self.rejected = 0
         self.nfev = 2                   # f and the initial step's probe
         self.new_step = True
+        self.h = -0.0                   # f's time t + 0 h is then t, even -0.0
 
 
 class _Stack:
@@ -400,18 +401,16 @@ class _Stack:
 
     Consecutive groups of one size form a run: one ``np.matmul`` per stage
     reads the run's blocks as one (k, 16, m) stack, with each block's own
-    ``np.dot`` bits (``np.dot`` itself for a run of one).  The RHS reads the
-    rows of all groups as one vector in the kernels' layout, all first
-    halves (q) and then all second halves (p), copied from and to the runs'
-    strided views.  Elementwise work runs once over the flat buffers.  A
-    one-group stack is the one-system solve: its own vector is the kernels'
-    vector, read and written in place with no copy, and its ``y`` and
-    ``y_new`` trade places when a step is accepted.
+    ``np.dot`` bits (``np.dot`` itself for a run of one).  Elementwise work
+    runs once over the flat buffers, for one group as for several.  Only
+    ``evaluate`` tells them apart: one group's RHS reads its own vector in
+    place, while several meet the RHS as one vector in the kernels' layout,
+    all first halves (q) and then all second halves (p), copied from and to
+    the runs' strided views.
     """
 
     def __init__(self, groups, bufs, K):
         self.groups = groups
-        self.single = len(groups) == 1
         self.size = size = sum(g.n for g in groups)
         self.half = size // 2
         self.flat = {name: buf[:size] for name, buf in bufs.items()}
@@ -428,82 +427,56 @@ class _Stack:
             self.runs.append(_Run(groups[i:j], o, m, lo, self, K))
             lo += (j - i) * (m // 2)
             i = j
-        self.K, self.KT = ((self.runs[0].K3[0], self.runs[0].KT)
-                           if self.single else (None, None))
+        self.K0 = self.runs[0].K3[0]        # the first group's stage block
 
     def set_steps(self):
         """Each component's step, from its group's ``h``."""
-        self.h[...] = np.repeat([g.h for g in self.groups],
-                                [g.n for g in self.groups])
+        for g in self.groups:
+            self.h[g.o:g.o + g.n] = g.h
+
+    def evaluate(self, rhs, name, s, c):
+        """Stage row ``s`` of every block: the RHS at the flat buffer
+        ``name``.  One group hands over its own vector in place, at its
+        t + c h; several go into the kernels' layout and back, at t None."""
+        if len(self.groups) == 1:
+            g = self.groups[0]
+            self.K0[s] = rhs(g.t + c * g.h, self.flat[name])
+            return
+        for run in self.runs:
+            run.z[...] = run.halves[name]
+        fz = rhs(None, self.z).reshape(2, self.half)
+        for run in self.runs:
+            run.rows[s][...] = fz[:, run.lo:run.hi].reshape(run.halves_shape)
 
     def stages(self, rhs, first, last):
         """Stage rows first..last-1 of every block: the RHS at ``y + h *
         (K[:s].T @ _WEIGHTS[s])``, formed in ``dy``, each group with its own
         step h, at its t + c_s h."""
-        y, dy, K, KT = self.y, self.dy, self.K, self.KT
-        if self.single:
-            g = self.groups[0]
-            t, h = g.t, g.h
-            for s in range(first, last):
-                np.dot(KT[s], _WEIGHTS[s], out=dy)
-                dy *= h
-                dy += y
-                K[s] = rhs(t + _NODES[s] * h, dy)
-            return
-        runs, steps = self.runs, self.h
+        y, dy, steps = self.y, self.dy, self.h
+        sums = [(run.sums, run.KT, run.own["dy"]) for run in self.runs]
         for s in range(first, last):
-            for run in runs:
-                run.sums(run.KT[s], _WEIGHTS[s], out=run.own["dy"])
+            for dot, KT, out in sums:
+                dot(KT[s], _WEIGHTS[s], out=out)
             dy *= steps
             dy += y
-            self.scatter(rhs(None, self.gather("dy")), s)
-
-    def gather(self, name):
-        """The flat buffer ``name`` in the kernels' layout (of more than
-        one group)."""
-        for run in self.runs:
-            run.z[...] = run.halves[name]
-        return self.z
-
-    def scatter(self, fz, s):
-        """A vector in the kernels' layout (of more than one group) into
-        stage row ``s``."""
-        fz = fz.reshape(2, self.half)
-        for run in self.runs:
-            run.rows[s][...] = fz[:, run.lo:run.hi].reshape(run.halves_shape)
+            self.evaluate(rhs, "dy", s, _NODES[s])
 
     def attempt(self, rhs, atol, rtol):
         """One step of every group with its own h: stage rows 1..12, y_new,
         and per group the squared norms of ``(K[:13].T @ E) / scale`` for
         E5 and E3 (scale = atol + max(|y|, |y_new|) rtol), each the ddot of
         the group's own contiguous vector."""
-        if not self.single:
-            self.set_steps()
+        self.set_steps()
         self.stages(rhs, 1, _STAGES)
         # y_new, and f_new as stage row 12
         y, y_new = self.y, self.y_new
-        if self.single:
-            g = self.groups[0]
-            np.dot(self.KT[_STAGES], _B, out=y_new)
-            y_new *= g.h
-            y_new += y
-            self.K[_STAGES] = rhs(g.t + g.h, y_new)
-        else:
-            for run in self.runs:
-                run.sums(run.KT[_STAGES], _B, out=run.own["y_new"])
-            y_new *= self.h
-            y_new += y
-            self.scatter(rhs(None, self.gather("y_new")), _STAGES)
+        for run in self.runs:
+            run.sums(run.KT[_STAGES], _B, out=run.own["y_new"])
+        y_new *= self.h
+        y_new += y
+        self.evaluate(rhs, "y_new", _STAGES, 1.0)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = self.dy
-        if self.single:
-            KT = self.KT[_STAGES + 1]
-            np.dot(KT, _E5, out=err)
-            err /= scale
-            sq5 = err.dot(err)
-            np.dot(KT, _E3, out=err)
-            err /= scale
-            return ((sq5, err.dot(err)),)
         sq = []
         for weights in (_E5, _E3):
             for run in self.runs:
@@ -522,13 +495,6 @@ class _Stack:
     def accept(self):
         """Move the groups whose step was accepted to t_new, y_new and f
         (stage row 12 into row 0)."""
-        if self.single:         # its buffers are its own: swap, no copy
-            g = self.groups[0]
-            if g.new_step:
-                self.y, self.y_new = self.y_new, self.y
-                self.K[0] = self.K[_STAGES]
-                g.t = g.t_new
-            return
         taken = [g.new_step for g in self.groups]
         if all(taken):
             self.y[...] = self.y_new
@@ -551,9 +517,9 @@ class _Run:
     """Consecutive groups of one size m in a ``_Stack``: their stage blocks
     as one (k, 16, m) stack with ``KT[s]`` the operand of stage s's sums,
     their part ``own[name]`` of each flat buffer (one vector for a run of
-    one), and for the kernels' layout their halves ``halves[name]`` and
-    ``rows[s]`` of stage row s, (2, k, m / 2) each, and their rows
-    [lo, hi) of each half of ``z``."""
+    one), and, when the stack holds several groups, for the kernels' layout
+    their halves ``halves[name]`` and ``rows[s]`` of stage row s, (2, k,
+    m / 2) each, and their rows [lo, hi) of each half of ``z``."""
 
     __slots__ = ("groups", "K3", "KT", "sums", "own", "halves", "rows", "z",
                  "lo", "hi", "halves_shape")
@@ -571,10 +537,10 @@ class _Run:
             self.sums = np.matmul
             self.KT = [self.K3[:, :s].transpose(0, 2, 1)
                        for s in range(_EXTENDED + 1)]
-        if stack.single:       # its own vector is the kernels' vector
-            return
         self.own = {name: buf[span].reshape(shape)
                     for name, buf in stack.flat.items() if name != "z"}
+        if len(stack.groups) == 1:      # its RHS reads its own vector
+            return
         self.halves_shape = (2, k, hm)
         self.halves = {name: stack.flat[name][span].reshape(
             k, 2, hm).transpose(1, 0, 2) for name in ("y", "y_new", "dy")}
@@ -606,9 +572,11 @@ def _dop853(rhs, groups, cfg):
     stack, as BLAS on a column subset need not give the same bits.
 
     The groups share the loop: per iteration every live group attempts one
-    step of its own size, and each stage is one RHS call over the rows of
-    all of them (``_Stack``), so with more than one group each vector must
-    be ``[Q.ravel(), P.ravel()]`` of its rows and ``rhs`` must not read t.
+    step of its own size, with the same arithmetic for one group as for
+    several (``_Stack``), and each stage is one RHS call.  A lone live group
+    hands ``rhs`` its own vector in place at its stage time; several hand
+    it the rows of all of them at t None, so each vector must then be
+    ``[Q.ravel(), P.ravel()]`` of its rows and ``rhs`` must not read t.
     A group's error norm, steps and counters never see another group.
     """
     rtol, atol = cfg.rel_tol, cfg.abs_tol
@@ -625,9 +593,7 @@ def _dop853(rhs, groups, cfg):
     # equal sizes side by side, so that they form runs
     live = sorted(everyone, key=lambda g: g.n)
     size = sum(g.n for g in live)
-    # a one-group solve needs no steps per component, nor the kernels' vector
-    bufs = {name: np.empty(size if len(live) > 1 or name in ("y", "y_new", "dy")
-                           else 0) for name in ("y", "y_new", "dy", "h", "z")}
+    bufs = {name: np.empty(size) for name in ("y", "y_new", "dy", "h", "z")}
     K = np.empty(_EXTENDED * size)
     o = 0
     for g in live:
@@ -639,11 +605,7 @@ def _dop853(rhs, groups, cfg):
     # initial step (Hairer, Norsett and Wanner, Sec. II.4): f into stage
     # row 0, the probe's f1 into row 1
     y = stack.y
-    if stack.single:
-        g = live[0]
-        stack.K[0] = rhs(g.t, y)
-    else:
-        stack.scatter(rhs(None, stack.gather("y")), 0)
+    stack.evaluate(rhs, "y", 0, 0.0)
     guesses = []
     for run in stack.runs:
         for i, g in enumerate(run.groups):
@@ -653,16 +615,12 @@ def _dop853(rhs, groups, cfg):
             g.h = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
                       g.t_bound - g.t)
             guesses.append((run, i, scale, d1))
-    if stack.single:
-        g = live[0]
-        stack.K[1] = rhs(g.t + g.h, y + g.h * stack.K[0])
-    else:
-        stack.set_steps()
-        for run in stack.runs:
-            np.multiply(run.K3[:, 0].reshape(run.own["h"].shape),
-                        run.own["h"], out=run.own["dy"])
-        stack.dy += y
-        stack.scatter(rhs(None, stack.gather("dy")), 1)
+    stack.set_steps()
+    for run in stack.runs:
+        np.multiply(run.K3[:, 0].reshape(run.own["h"].shape), run.own["h"],
+                    out=run.own["dy"])
+    stack.dy += y
+    stack.evaluate(rhs, "dy", 1, 1.0)
     for run, i, scale, d1 in guesses:
         g = run.groups[i]
         d2 = _rms((run.K3[i, 1] - run.K3[i, 0]) / scale) / g.h
@@ -740,15 +698,12 @@ def _dense_output(rhs, stack):
                   if g.new_step and g.sample_to > g.sampled]
         if not wanted:
             continue
+        y_old, y = run.own["y"], run.own["y_new"]
         if len(run.groups) == 1:
-            # a one-group stack's y and y_new swap places, so read its own
-            y_old, y = ((stack.y, stack.y_new) if stack.single
-                        else (run.own["y"], run.own["y_new"]))
             g = run.groups[0]
             _interpolate(g, _coefficients(g.h, run.K3[0], y_old, y), y_old)
             continue
-        y_old = run.own["y"]
-        F = _coefficients(run.own["h"][:, :1], run.K3, y_old, run.own["y_new"])
+        F = _coefficients(run.own["h"][:, :1], run.K3, y_old, y)
         for i, g in wanted:
             _interpolate(g, F[:, i], y_old[i])
 

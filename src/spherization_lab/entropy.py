@@ -11,10 +11,11 @@ batched integration, ``_endpoints``, and so do the mesh and the polish on
 sol.  One census counts every pair of base points of a config: the
 chunks of all pairs integrate as groups of lockstep ``integrate_batch``
 calls, and one polish moves all their candidates, while each pair keeps the
-records, counts and diagnostics of its census alone.  On a flat model (``ModelManifold.flat``, the torus) the flow of a
-field of p alone translates q, so the mesh samples are q0 + t v0 and the
-polish evaluates ``dynamics.flat_flow``; only the re-verification
-integrates there.  Arrivals are tagged with the deck element of the lift
+records, counts and diagnostics of its census alone.  On a flat model
+(``ModelManifold.flat``, the torus) the flow of a field of p alone
+translates q, so the mesh samples and the polish evaluate its time-t map
+q0 + t v0, ``dynamics.flat_flow``; only the re-verification integrates
+there.  Arrivals are tagged with the deck element of the lift
 they hit, which identifies the homotopy class of the projected path: one
 vectorized ``ModelManifold.nearest_lift`` call per mesh batch picks each
 candidate's deck, one ``ModelManifold.deck_apply`` call places the lifts of
@@ -403,7 +404,7 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
     dirs = circle_directions(resolution) if d == 2 else fibonacci_sphere(resolution)
     mesh_spacing = (2.0 * np.pi / resolution if d == 2
                     else math.sqrt(4.0 * np.pi / resolution))
-    starts, targets, P0s, v0s, sample_dts, grids = [], [], [], [], [], []
+    starts, targets, P0s, sample_dts, grids = [], [], [], [], []
     for q0, q1, surface_map in pairs:
         q0 = np.asarray(q0, dtype=float)
         starts.append((q0, surface_map))
@@ -417,7 +418,6 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
         sample_dt = min(coarse_threshold / max(vmax, 1e-9) / 2.0, horizon / 50)
         n_samples = int(math.ceil(horizon / sample_dt)) + 1
         P0s.append(P0_all)
-        v0s.append(v0)
         sample_dts.append(sample_dt)
         grids.append(np.linspace(0.0, horizon, n_samples))
 
@@ -454,8 +454,9 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
     for call in _lockstep_calls(chunks):
         if manifold.flat:
             for i, lo, rows in call:
-                near_arrivals(i, lo, starts[i][0] + grids[i][:, None]
-                              * v0s[i][lo:lo + rows, None])
+                near_arrivals(i, lo, flat_flow(
+                    field, starts[i][0], P0s[i][lo:lo + rows, None],
+                    grids[i])[0])
             continue
         ends = integrate_batch(
             field, np.concatenate([np.broadcast_to(starts[i][0], (rows, d))

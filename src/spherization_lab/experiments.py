@@ -345,9 +345,13 @@ def _run_volume_growth(cfg, out: Path, rng):
     surface_map = surface_at(q0)
     mesh = fiber_mesh(manifold, q0, surface_map,
                       cfg.get("volume", "resolution"))
+    budget = cfg.get("volume", "vertex_budget")
+    if budget <= mesh.vertex_count():
+        raise ConfigError(f"[volume] vertex_budget {budget} must exceed the "
+                          f"initial mesh's {mesh.vertex_count()} vertices")
     result = volume_growth(
         field, mesh, n_max, cfg.get("volume", "refine_threshold"),
-        cfg.get("volume", "vertex_budget"), surface_map=surface_map,
+        budget, surface_map=surface_map,
         cfg=IntegratorConfig(rel_tol=cfg.get("volume", "rel_tol"),
                              abs_tol=cfg.get("volume", "rel_tol") * 1e-2,
                              max_step=0.25),

@@ -195,3 +195,48 @@ def test_readme_lists_exactly_the_schema_keys():
     assert list(documented) == list(SCHEMA)
     for section, keys in SCHEMA.items():
         assert documented[section] == set(keys), section
+
+
+
+def test_percent_sign_in_a_value_is_literal(tmp_path, capsys):
+    body = GOOD.replace("seed = 7", "seed = 7\nout_dir = runs/100%")
+    path = write_config(tmp_path / "c.ini", body)
+    assert main(["validate", path]) == 0
+    assert load_config(path).get("experiment", "out_dir") == "runs/100%"
+
+
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_bytes(GOOD.encode() + b"# caf\xe9\n")
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
+
+
+@pytest.mark.parametrize("section, line", [
+    ("action", "scales = 2.0 -2.0"),
+    ("sol", "k_values = 0.75 -1.0"),
+    ("action", "n_values = 1 0"),
+    ("noncrossing", "n_values = -1"),
+])
+def test_every_vector_entry_obeys_the_range(tmp_path, capsys, section, line):
+    path = write_config(tmp_path / "c.ini", GOOD + f"\n[{section}]\n{line}\n")
+    assert main(["validate", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-invalid"
+    assert err["message"].startswith(f"[{section}] {line.split()[0]}")
+
+
+def test_vertex_budget_below_the_initial_mesh_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path / "c.ini", """
+[experiment]
+name = volume-growth
+
+[volume]
+resolution = 200
+vertex_budget = 100
+""")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["category"] == "config-invalid"

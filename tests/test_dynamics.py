@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -758,6 +759,34 @@ def test_grouped_batch_raises_for_a_group_that_goes_non_finite(sol):
             dyn.integrate_batch(field, Q0[3:], P0[3:], 1.0, cfg)
         with pytest.raises(StiffnessError):
             dyn.integrate_batch(field, Q0, P0, [1.0, 1.0], cfg, sizes=[3, 2])
+
+
+def test_solves_leave_no_reference_cycles(sol):
+    # a cycle through the stepper's buffers (a stack bound into a closure,
+    # say) outlives its call until the collector runs, and adds to the
+    # peak memory of the calls that follow
+    field = sol_mod.sol_field(sol)
+    rng = np.random.default_rng(5)
+    Q0 = np.stack([sol.random_point(rng) for _ in range(10)])
+    P0 = rng.normal(size=(10, 3))
+    cfg = dyn.IntegratorConfig()
+    solves = [
+        lambda: dyn.integrate_batch(field, Q0, P0, 1.0, cfg),
+        lambda: dyn.integrate_batch(field, Q0, P0, [0.5, 1.0], cfg,
+                                    sizes=[4, 6]),
+        lambda: dyn.solve(sol_mod.euler_field,
+                          np.array([0.6, -0.64, 0.48, 0.0]), 0.0, 20.0, cfg),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        unreachable = []
+        for run in solves:
+            run()
+            unreachable.append(gc.collect())
+    finally:
+        gc.enable()
+    assert unreachable == [0, 0, 0]
 
 
 def test_solve_rejects_reads_off_the_grid():

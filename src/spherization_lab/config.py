@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -174,6 +175,10 @@ def _parse_value(raw: str, spec: dict, where: str):
     if spec["length"] is not None and len(val) != spec["length"]:
         raise ConfigError(f"{where}: expected {spec['length']} entries")
     for entry in val if kind in ("ints", "floats") else (val,):
+        # nan compares false with every bound, and inf passes a one-sided
+        # range
+        if kind in ("float", "floats") and not math.isfinite(entry):
+            raise ConfigError(f"{where}: {entry} is not finite")
         if spec["lo"] is not None and entry < spec["lo"]:
             raise ConfigError(f"{where}: {entry} below minimum {spec['lo']}")
         if spec["hi"] is not None and entry > spec["hi"]:

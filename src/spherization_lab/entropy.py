@@ -17,8 +17,11 @@ translates q, so the mesh samples and the polish evaluate its time-t map
 q0 + t v0, ``dynamics.flat_flow``; only the re-verification integrates
 there.  Arrivals are tagged with the deck element of the lift
 they hit, which identifies the homotopy class of the projected path: one
-vectorized ``ModelManifold.nearest_lift`` call per mesh batch picks each
-candidate's deck, one ``ModelManifold.deck_apply`` call places the lifts of
+vectorized ``ModelManifold.nearest_lift`` call per block of
+``_SEARCH_BLOCK`` seeds picks each candidate's deck (on a flat model the
+block's samples are evaluated just before; blocks bound the temporaries of
+the search, and no count depends on them), one
+``ModelManifold.deck_apply`` call places the lifts of
 all representatives, and each root is polished toward its lift and
 re-verified by its residual against that same lift.  On a flat model an
 integrated root more than 10 ``newton_tol`` off its lift (a field with
@@ -149,6 +152,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 # -- chord census ---------------------------------------------------------------
 
 _MESH_BATCH = 2048     # seeds integrated together in the mesh pass
+_SEARCH_BLOCK = 128    # seeds whose near-arrivals one lift search detects
 _DEDUP_RADIUS = 1e-4   # relative window within which two roots are one chord
 
 
@@ -448,25 +452,29 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
             raise BudgetExceededError(
                 f"census mesh produced more than {max_candidates} candidates")
 
-    chunks = [(i, lo, min(lo + _MESH_BATCH, resolution) - lo)
-              for i in range(len(pairs))
-              for lo in range(0, resolution, _MESH_BATCH)]
-    for call in _lockstep_calls(chunks):
-        if manifold.flat:
-            for i, lo, rows in call:
+    if manifold.flat:
+        for i in range(len(pairs)):
+            for lo in range(0, resolution, _SEARCH_BLOCK):
                 near_arrivals(i, lo, flat_flow(
-                    field, starts[i][0], P0s[i][lo:lo + rows, None],
+                    field, starts[i][0], P0s[i][lo:lo + _SEARCH_BLOCK, None],
                     grids[i])[0])
-            continue
-        ends = integrate_batch(
-            field, np.concatenate([np.broadcast_to(starts[i][0], (rows, d))
-                                   for i, _, rows in call]),
-            np.concatenate([P0s[i][lo:lo + rows] for i, lo, rows in call]),
-            [horizon] * len(call), cfg, t_eval=[grids[i] for i, _, _ in call],
-            stats=[counts[i] for i, _, _ in call],
-            sizes=[rows for _, _, rows in call])
-        for (i, lo, _), (_, Q, _) in zip(call, ends):
-            near_arrivals(i, lo, Q)
+    else:
+        chunks = [(i, lo, min(lo + _MESH_BATCH, resolution) - lo)
+                  for i in range(len(pairs))
+                  for lo in range(0, resolution, _MESH_BATCH)]
+        for call in _lockstep_calls(chunks):
+            ends = integrate_batch(
+                field, np.concatenate([np.broadcast_to(starts[i][0], (rows, d))
+                                       for i, _, rows in call]),
+                np.concatenate([P0s[i][lo:lo + rows]
+                                for i, lo, rows in call]),
+                [horizon] * len(call), cfg,
+                t_eval=[grids[i] for i, _, _ in call],
+                stats=[counts[i] for i, _, _ in call],
+                sizes=[rows for _, _, rows in call])
+            for (i, lo, rows), (_, Q, _) in zip(call, ends):
+                for b in range(0, rows, _SEARCH_BLOCK):
+                    near_arrivals(i, lo + b, Q[b:b + _SEARCH_BLOCK])
 
     # one representative per blob, and its lift; every pair's in one stack
     decks, seeds, times, lifts, owner = [], [], [], [], []

@@ -156,10 +156,15 @@ class ModelManifold:
         corners of the lattice cell that holds the probe (on sol, in each of
         the three nearest layers).  That is exact on an orthogonal lattice
         and for probes close to a lift; farther from every lift on sol, where
-        the frame stretches the cell, it is a heuristic.  Returns
-        ``(deck, dist)`` of shapes (..., k) and (...), with ``deck`` the
-        int64 lattice coordinates of the winning lift; ``deck_apply`` places
-        that lift.
+        the frame stretches the cell, it is a heuristic.  Of tied candidates
+        the first in ``_CORNERS`` order wins.  Returns ``(deck, dist)`` of
+        shapes (..., k) and (...), with ``deck`` the int64 lattice
+        coordinates of the winning lift; ``deck_apply`` places that lift.
+
+        A stack of shape (n, S, d) gives each row the bits of that row's
+        own (S, d) search, and the search holds several temporaries of the
+        stack's size, so a caller with a large mesh searches it a block of
+        rows at a time.
         """
         return self._nearest_lift(np.asarray(q_probe, dtype=float),
                                   np.asarray(q_base, dtype=float))
@@ -203,17 +208,33 @@ class FlatTorus(ModelManifold):
         return np.sqrt(base ** 2 + fiber ** 2)
 
     def _nearest_lift(self, q_probe, q_base):
-        best_d = np.full(q_probe.shape[:-1], np.inf)
-        kf = np.floor((q_probe - q_base) @ self.lattice_inv.T)
+        # elementwise work runs on the x and y planes: a (2,) operand
+        # broadcast against (..., 2) makes numpy loop over the short axis.
+        # The lattice products stay matmuls and the distance stays a dot of
+        # one vector per probe, for their bits (BLAS fuses multiply-adds)
+        x, y = q_probe[..., 0], q_probe[..., 1]
+        bx, by = q_base
+        d = np.empty(q_probe.shape)
+        np.subtract(x, bx, out=d[..., 0])
+        np.subtract(y, by, out=d[..., 1])
+        kf = np.floor(d @ self.lattice_inv.T, out=d)
+        k, w = np.empty_like(kf), np.empty_like(kf)
         best_k = np.zeros_like(kf)
-        for corner in _CORNERS:
-            k = kf + np.array(corner)
-            w = q_probe - (q_base + k @ self.lattice.T)
+        best_d = np.full(kf.shape[:-1], np.inf)
+        for c0, c1 in _CORNERS:
+            np.add(kf[..., 0], c0, out=k[..., 0])
+            np.add(kf[..., 1], c1, out=k[..., 1])
+            lift = k @ self.lattice.T
+            np.subtract(x, np.add(bx, lift[..., 0], out=lift[..., 0]),
+                        out=w[..., 0])
+            np.subtract(y, np.add(by, lift[..., 1], out=lift[..., 1]),
+                        out=w[..., 1])
             # np.linalg.norm's dot product of one vector, per probe
             dist = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
             better = dist < best_d
-            best_d = np.where(better, dist, best_d)
-            best_k[better] = k[better]
+            np.copyto(best_d, dist, where=better)
+            np.copyto(best_k[..., 0], k[..., 0], where=better)
+            np.copyto(best_k[..., 1], k[..., 1], where=better)
         return best_k.astype(np.int64), best_d
 
     def lattice_translates(self, delta, radius: float) -> np.ndarray:
@@ -340,9 +361,8 @@ class SolQuotient(ModelManifold):
                 fy = (y - lift_y) * grow
                 dist = np.sqrt(fx * fx + fy * fy + fz * fz)
                 better = dist < best_d
-                best_d = np.where(better, dist, best_d)
-                k0_best[better] = k0[better]
-                k1_best[better] = k1[better]
-                l_best[better] = l[better]
+                for best, value in ((best_d, dist), (k0_best, k0),
+                                    (k1_best, k1), (l_best, l)):
+                    np.copyto(best, value, where=better)
         deck = np.stack([k0_best, k1_best, l_best], axis=-1).astype(np.int64)
         return deck, best_d

@@ -240,3 +240,22 @@ vertex_budget = 100
     assert json.loads(capsys.readouterr().err)["error"] == "config-invalid"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"]["category"] == "config-invalid"
+
+
+@pytest.mark.parametrize("section, line", [
+    ("census", "horizon = nan"),
+    ("manifold", "lattice = 1 0 0 nan"),
+    ("sol", "k = inf"),
+])
+def test_non_finite_float_exit_code(tmp_path, capsys, section, line):
+    # nan compares false with every bound: without its own check it would
+    # validate and crash the run
+    body = (GOOD.replace("horizon = 3.0", line) if section == "census"
+            else GOOD + f"\n[{section}]\n{line}\n")
+    path = write_config(tmp_path / "c.ini", body)
+    for argv in (["validate", path], ["run", path, "--out",
+                                      str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert err["message"].startswith(f"[{section}] {line.split()[0]}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,25 +115,49 @@ def test_census_matches_lattice_oracle(torus_census_ctx):
     assert len(decks) == len(set(decks))
 
 
-@pytest.mark.parametrize("resolution", [128, entropy._MESH_BATCH])
+@pytest.mark.parametrize("resolution", [128, 300, entropy._MESH_BATCH])
 def test_torus_census_makes_one_lift_search(monkeypatch, torus_census_ctx,
                                             resolution):
-    # one mesh batch, one search: it picks every candidate's deck, and the
-    # polish and the re-verification measure against deck_apply's lift of
-    # that deck, so no search ever sees a re-verified endpoint
+    # one search per seed block of the mesh pass: together the searches see
+    # every seed's trajectory once, in seed order, and they pick every
+    # candidate's deck; the polish and the re-verification measure against
+    # deck_apply's lift of that deck, so no search ever sees a re-verified
+    # endpoint
     torus, geo, q0, q1, smap = torus_census_ctx
-    probe_shapes = []
+    probes = []
     search = ModelManifold.nearest_lift
 
     def counted(self, q_probe, q_base):
-        probe_shapes.append(np.shape(q_probe))
+        probes.append(np.array(q_probe))
         return search(self, q_probe, q_base)
 
     monkeypatch.setattr(ModelManifold, "nearest_lift", counted)
     [census] = chord_census(geo, [(q0, q1, smap)], 3.0, resolution)
     n_samples = math.ceil(3.0 / census.diagnostics["sample_dt"]) + 1
     assert census.records
-    assert probe_shapes == [(resolution, n_samples, 2)]
+    assert [len(p) for p in probes] == [
+        min(entropy._SEARCH_BLOCK, resolution - lo)
+        for lo in range(0, resolution, entropy._SEARCH_BLOCK)]
+    mesh = dyn.flat_flow(geo, q0, smap(circle_directions(resolution))[:, None],
+                         np.linspace(0.0, 3.0, n_samples))[0]
+    assert np.array_equal(np.concatenate(probes), mesh)
+
+
+def test_torus_census_peak_memory(tmp_path):
+    # criterion 07's census (1024 seeds to T = 30): searched a seed block at
+    # a time, its mesh peaks near 10 MiB; one search over the whole
+    # (1024, 241, 2) mesh peaks at 31 MiB
+    config = tmp_path / "census.ini"
+    config.write_text("[experiment]\nname = chord-census\nseed = 107\n"
+                      "[census]\nhorizon = 30.0\nresolution = 1024\n")
+    cfg = load_config(str(config))
+    tracemalloc.start()
+    try:
+        experiments.run(cfg, out_dir=tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_census_resolution_refinement_is_superset(torus_census_ctx):
@@ -334,6 +359,42 @@ def test_multi_pair_sol_census_is_each_pair_alone(tmp_path, monkeypatch,
     together = _assert_each_pair_as_alone(field, pairs, *args, **kwargs)
     assert [list(c.nu_series) for c in together] == [
         p["nu"] for p in manifest["results"]["pairs"]]
+
+
+@pytest.mark.parametrize("kind", ["torus", "sol"])
+def test_census_is_independent_of_the_search_block(tmp_path, monkeypatch,
+                                                   torus_census_ctx, kind):
+    # the mesh pass searches a seed block at a time; with the whole mesh as
+    # one block, every record, count and diagnostic is the same.  Neither
+    # resolution is a multiple of the block
+    if kind == "torus":
+        torus, geo, q0, q1, smap = torus_census_ctx
+        field, pairs, args, kwargs = geo, [(q0, q1, smap)], (4.0, 300), {}
+    else:
+        # test_sol_census_pinned_counts' two pairs, as the experiment runs
+        config = tmp_path / "census.ini"
+        config.write_text(CENSUS_SOL_TWO_PAIRS)
+        calls = []
+
+        def census(*args, **kwargs):
+            calls.append((args, kwargs))
+            return chord_census(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "chord_census", census)
+            experiments.run(load_config(str(config)), out_dir=tmp_path / "out")
+        [((field, pairs, *args), kwargs)] = calls
+    resolution = args[1]
+    assert resolution > entropy._SEARCH_BLOCK
+    assert resolution % entropy._SEARCH_BLOCK
+    blocked = chord_census(field, pairs, *args, **kwargs)
+    monkeypatch.setattr(entropy, "_SEARCH_BLOCK", resolution)
+    whole = chord_census(field, pairs, *args, **kwargs)
+    assert len(blocked) == len(whole) == len(pairs)
+    for a, b in zip(blocked, whole):
+        assert a.records == b.records and a.records
+        assert list(a.nu_series) == list(b.nu_series)
+        assert a.diagnostics == b.diagnostics
 
 
 def test_multi_pair_torus_census_is_each_pair_alone(round_sandwich):

@@ -134,6 +134,116 @@ def test_nearest_lift_agrees_with_enumeration(torus, sol, rng):
         assert np.all(dist <= abs(offset) * (1.0 + 1e-12))
 
 
+# The two searches as they were written before their elementwise work moved
+# onto coordinate planes and np.copyto: every deck and distance must keep
+# their bits.
+_CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+
+
+def _reference_torus_lift(man, q_probe, q_base):
+    best_d = np.full(q_probe.shape[:-1], np.inf)
+    kf = np.floor((q_probe - q_base) @ man.lattice_inv.T)
+    best_k = np.zeros_like(kf)
+    for corner in _CORNERS:
+        k = kf + np.array(corner)
+        w = q_probe - (q_base + k @ man.lattice.T)
+        dist = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
+        better = dist < best_d
+        best_d = np.where(better, dist, best_d)
+        best_k[better] = k[better]
+    return best_k.astype(np.int64), best_d
+
+
+def _reference_sol_lift(man, q_probe, q_base):
+    best_d = np.full(q_probe.shape[:-1], np.inf)
+    bm, bi = man.basis_mat, man.basis_inv
+    x, y, z = q_probe[..., 0], q_probe[..., 1], q_probe[..., 2]
+    l0 = np.round((z - q_base[2]) / man.period)
+    k0_best, k1_best, l_best = (np.zeros_like(best_d) for _ in range(3))
+    for dl in (-1.0, 0.0, 1.0):
+        l = l0 + dl
+        zg = l * man.period
+        ez = np.exp(zg)
+        tx = x - ez * q_base[0]
+        ty = y - q_base[1] / ez
+        kf0 = np.floor(bi[0, 0] * tx + bi[0, 1] * ty)
+        kf1 = np.floor(bi[1, 0] * tx + bi[1, 1] * ty)
+        lift_z = zg + q_base[2]
+        shrink, grow = np.exp(-lift_z), np.exp(lift_z)
+        fz = z - lift_z
+        for dm, dn in _CORNERS:
+            k0 = kf0 + dm
+            k1 = kf1 + dn
+            lift_x = bm[0, 0] * k0 + bm[0, 1] * k1 + ez * q_base[0]
+            lift_y = bm[1, 0] * k0 + bm[1, 1] * k1 + q_base[1] / ez
+            fx = (x - lift_x) * shrink
+            fy = (y - lift_y) * grow
+            dist = np.sqrt(fx * fx + fy * fy + fz * fz)
+            better = dist < best_d
+            best_d = np.where(better, dist, best_d)
+            k0_best[better] = k0[better]
+            k1_best[better] = k1[better]
+            l_best[better] = l[better]
+    deck = np.stack([k0_best, k1_best, l_best], axis=-1).astype(np.int64)
+    return deck, best_d
+
+
+def _lift_probe_set(man, base, rng):
+    """120 probes: near lifts on layers |l| <= 6 (sol), and farther out;
+    on cell edges, on corners and at cell centres, where corners tie; and
+    rows with nan and inf."""
+    d = man.dim
+    k = rng.integers(-4, 5, size=(20, d)).astype(float)
+    if d == 3:
+        k[:, 2] = np.resize(np.arange(-6, 7), 20)
+    frac = rng.uniform(size=(20, d))
+    if d == 3:
+        frac[:, 2] = 0.0
+    edge = frac.copy()
+    edge[:, 0] = 0.0
+    half = np.zeros(d)
+    half[:2] = 0.5
+    lifts = man.deck_apply(k, base)
+    scale = (np.ones((20, d)) if d == 2 else
+             np.exp(np.stack([lifts[:, 2], -lifts[:, 2], 0.0 * k[:, 2]], -1)))
+    probes = np.concatenate([
+        lifts + 0.05 * scale * rng.normal(size=(20, d)),
+        lifts + 0.8 * scale * rng.normal(size=(20, d)),
+        man.deck_apply(k + frac, base),
+        man.deck_apply(k + edge, base),
+        man.deck_apply(k + half, base),
+        lifts])
+    bad = np.zeros((5, d))
+    bad[:, 0] = [np.nan, 0.0, -np.inf, np.inf, np.nan]
+    bad[:, 1] = [0.0, np.inf, 1.0, np.inf, np.nan]
+    if d == 3:
+        # between two layers, and non-finite heights
+        probes[-5:, 2] = base[2] + (k[-5:, 2] + 0.5) * man.period
+        bad[:3, 2] = [0.0, np.nan, np.inf]
+    probes[-10:-5] = bad
+    return probes
+
+
+def test_nearest_lift_keeps_the_reference_bits(torus, sol, rng):
+    skewed = ModelManifold.torus([[1.0, 0.6], [0.0, 0.8]])
+    for man, reference in ((torus, _reference_torus_lift),
+                           (skewed, _reference_torus_lift),
+                           (sol, _reference_sol_lift)):
+        base = man.random_point(rng)
+        probes = _lift_probe_set(man, base, rng)
+        n, d = probes.shape
+        cases = [probes, probes.reshape(8, n // 8, d)]
+        cases += [probes[i] for i in range(0, n, 7)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for q in cases:
+                got = man.nearest_lift(q, base)
+                want = reference(man, q, base)
+                for a, b in zip(got, want):
+                    assert type(a) is type(b), man.kind
+                    assert a.dtype == b.dtype and a.shape == b.shape, man.kind
+                    assert a.tobytes() == b.tobytes(), (man.kind, q.shape)
+
+
 def test_stacked_deck_apply_matches_single_decks(torus, sol, rng):
     # deck_apply is each model's one lift formula: a stack of decks, acting
     # on one point or on a point per deck, gives every deck the bits of its

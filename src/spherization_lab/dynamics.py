@@ -11,8 +11,10 @@ assumed).  Every Hamiltonian carries one analytic gradient kernel
 evaluation, through a generic adapter to its stacked vector
 ``[Q.ravel(), P.ravel()]``.  A field may instead hand the integrator its own
 flat kernel in that layout (``HamiltonianField.flat_rhs``), with the bits of
-the ``(q, p)`` form: the sol field does.  The tests cross-check the
-gradients against central finite differences.
+the ``(q, p)`` form: the sol field does.  Every kernel the integrator calls
+has one contract, ``rhs(t, y, out)``: it writes dy/dt into ``out``, which
+it may not assume to hold anything, and leaves ``y`` as it was.  The tests
+cross-check the gradients against central finite differences.
 
 The geodesic field's kernel is ``ModelManifold.conorm_grads``.  The lower,
 upper and blended sandwich Hamiltonians are one scalar profile of G, the
@@ -31,11 +33,12 @@ coefficients stay those of the whole batch, and the interpolant (or the
 midpoint scheme's step endpoint) fills only the samples kept, with the bits
 of the full read; the census's ``entropy._endpoints`` reads this way.
 ``integrate_batch(..., sizes=...)`` integrates consecutive row groups as
-independent systems in one call: ``_dop853`` advances them in lockstep,
-one RHS call per stage over the rows of every live group, while each group
-keeps its own steps, error norm and counters.  A row's bits depend on its
-group-mates and on the chunk sizes of the caller, never on the other groups
-of a call, nor on which census pairs share one.
+independent systems in one call, and ``solve_groups`` independent vectors:
+``_dop853`` advances them in lockstep, one kernel call per stage over the
+rows of every live group, while each group keeps its own steps, error norm
+and counters.  A row's bits depend on its group-mates and on the chunk
+sizes of the caller, never on the other groups of a call, nor on which
+census pairs or ensemble members share one.
 ``simpson`` is the composite Simpson rule of the action and Lyapunov
 quadratures, equal to scipy's bit for bit.
 
@@ -74,10 +77,11 @@ class HamiltonianField:
     ``value(q, p)`` and ``grads(q, p) -> (dH/dq, dH/dp)`` accept arrays of
     shape (..., d); one ``grads`` call yields both gradients, so shared
     subexpressions are computed once per field evaluation.  ``flat_rhs``,
-    when given, is the field's own kernel in the integrator's layout,
-    ``(t, y) -> dy/dt`` on the stacked ``[Q.ravel(), P.ravel()]``, with the
-    bits of ``(dH/dp, -dH/dq)``; ``integrate_batch`` calls it in place of the
-    generic adapter over ``grads``.
+    when given, is the field's own kernel in the integrator's layout:
+    ``flat_rhs(t, y, out)`` writes dy/dt of the stacked ``[Q.ravel(),
+    P.ravel()]`` into ``out`` (a view the stepper owns, of any prior
+    content), with the bits of ``(dH/dp, -dH/dq)``; ``integrate_batch``
+    calls it in place of the generic adapter over ``grads``.
     """
 
     name: str
@@ -192,19 +196,18 @@ def _sample_grid(t0: float, t1: float, max_step: float) -> np.ndarray:
 
 
 def _flat_rhs(field: HamiltonianField, d: int):
-    """The field's flat kernel, or the generic adapter over ``grads``."""
+    """The field's flat kernel, or the generic adapter over ``grads``; either
+    writes dy/dt into its ``out``."""
     if field.flat_rhs is not None:
         return field.flat_rhs
 
-    def rhs(t, y):
+    def rhs(t, y, out):
         n = y.size // (2 * d)
         q = y[: n * d].reshape(n, d)
         p = y[n * d:].reshape(n, d)
         gq, gp = field.grads(q, p)
-        out = np.empty_like(y)
         out[: n * d] = gp.ravel()
         np.negative(gq.ravel(), out=out[n * d:])
-        return out
     return rhs
 
 
@@ -279,7 +282,7 @@ def integrate_batch(field: HamiltonianField, Q0, P0, T,
                for (lo, hi), T_g, grid, pos in zip(spans, T, t_eval, at)]
     out = []
     for (lo, hi), pos, counter, (times, ys, counts) in zip(
-            spans, at, stats, _solve_groups(_flat_rhs(field, d), systems, cfg)):
+            spans, at, stats, solve_groups(_flat_rhs(field, d), systems, cfg)):
         if counter is not None:
             for key in ("nfev", "steps", "rejected"):
                 counter[key] = counter.get(key, 0) + counts[key]
@@ -294,7 +297,8 @@ def integrate_batch(field: HamiltonianField, Q0, P0, T,
 
 
 def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
-    """Integrate y' = rhs(t, y) over [t0, t1] with the configured scheme.
+    """Integrate y' = rhs(t, y) over [t0, t1] with the configured scheme;
+    ``rhs(t, y, out)`` writes dy/dt into ``out``, whatever ``out`` held.
 
     Returns (times, ys, stats) with ys of shape (len(y0), samples), sampled
     on ``t_eval`` (default: the quadrature grid of ``cfg.max_step``), which
@@ -304,12 +308,15 @@ def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
     not change.  ``stats`` counts RHS calls (``nfev``), accepted and
     rejected steps and samples.
     """
-    return _solve_groups(rhs, [(y0, t0, t1, t_eval, reads)], cfg)[0]
+    return solve_groups(rhs, [(y0, t0, t1, t_eval, reads)], cfg)[0]
 
 
-def _solve_groups(rhs, systems, cfg: IntegratorConfig):
-    """``solve`` of each system (y0, t0, t1, t_eval, reads), in one call:
-    DOP853 advances them in lockstep, the midpoint scheme one by one."""
+def solve_groups(rhs, systems, cfg: IntegratorConfig):
+    """``solve`` of each system (y0, t0, t1, t_eval, reads), in one call, each
+    with the bits and counters of its own ``solve``: DOP853 advances them in
+    lockstep, the midpoint scheme one by one.  With several systems, each
+    ``y0`` is ``[Q.ravel(), P.ravel()]`` of its rows, and ``rhs`` must not
+    read t (see ``_dop853``)."""
     groups = []
     for y0, t0, t1, t_eval, reads in systems:
         t_eval = np.asarray(_sample_grid(t0, t1, cfg.max_step)
@@ -396,17 +403,20 @@ class _Group:
 class _Stack:
     """The live groups of a lockstep DOP853 solve at their offsets ``g.o``
     in its flat buffers: ``y``, ``y_new`` and ``dy`` hold each group's own
-    vector, ``h`` its step per component, ``z`` the kernels' vector, and
-    ``K`` each group's (16, n) stage block, whose row 0 is its f.
+    vector, ``h`` its step per component, ``z`` and ``fz`` the kernel's
+    input and output, and ``K`` each group's (16, n) stage block, whose row
+    0 is its f.
 
     Consecutive groups of one size form a run: one ``np.matmul`` per stage
     reads the run's blocks as one (k, 16, m) stack, with each block's own
     ``np.dot`` bits (``np.dot`` itself for a run of one).  Elementwise work
     runs once over the flat buffers, for one group as for several.  Only
-    ``evaluate`` tells them apart: one group's RHS reads its own vector in
-    place, while several meet the RHS as one vector in the kernels' layout,
-    all first halves (q) and then all second halves (p), copied from and to
-    the runs' strided views.
+    ``evaluate`` tells them apart.  One kernel call per stage serves every
+    group: a lone group's kernel reads its own vector and writes its stage
+    row in place, while several meet the kernel as one vector in its layout,
+    all first halves (q) and then all second halves (p), gathered into
+    ``z`` from the runs' strided views, and its output ``fz`` is scattered
+    back into their stage rows.
     """
 
     def __init__(self, groups, bufs, K):
@@ -414,8 +424,8 @@ class _Stack:
         self.size = size = sum(g.n for g in groups)
         self.half = size // 2
         self.flat = {name: buf[:size] for name, buf in bufs.items()}
-        self.y, self.y_new, self.dy, self.h, self.z = (
-            self.flat[name] for name in ("y", "y_new", "dy", "h", "z"))
+        self.y, self.y_new, self.dy, self.h, self.z, self.fz = (
+            self.flat[name] for name in ("y", "y_new", "dy", "h", "z", "fz"))
         self.runs = []
         i = lo = 0
         while i < len(groups):
@@ -427,7 +437,8 @@ class _Stack:
             self.runs.append(_Run(groups[i:j], o, m, lo, self, K))
             lo += (j - i) * (m // 2)
             i = j
-        self.K0 = self.runs[0].K3[0]        # the first group's stage block
+        self.K0 = list(self.runs[0].K3[0])  # the first group's stage rows
+        self.sums = [(run.sums, run.KT, run.own["dy"]) for run in self.runs]
 
     def set_steps(self):
         """Each component's step, from its group's ``h``."""
@@ -436,26 +447,26 @@ class _Stack:
 
     def evaluate(self, rhs, name, s, c):
         """Stage row ``s`` of every block: the RHS at the flat buffer
-        ``name``.  One group hands over its own vector in place, at its
-        t + c h; several go into the kernels' layout and back, at t None."""
+        ``name``, in one kernel call.  One group's kernel writes its stage
+        row in place, at its t + c h; several go into the kernel's layout
+        and back, at t None."""
         if len(self.groups) == 1:
             g = self.groups[0]
-            self.K0[s] = rhs(g.t + c * g.h, self.flat[name])
+            rhs(g.t + c * g.h, self.flat[name], self.K0[s])
             return
         for run in self.runs:
             run.z[...] = run.halves[name]
-        fz = rhs(None, self.z).reshape(2, self.half)
+        rhs(None, self.z, self.fz)
         for run in self.runs:
-            run.rows[s][...] = fz[:, run.lo:run.hi].reshape(run.halves_shape)
+            run.rows[s][...] = run.fz
 
     def stages(self, rhs, first, last):
         """Stage rows first..last-1 of every block: the RHS at ``y + h *
         (K[:s].T @ _WEIGHTS[s])``, formed in ``dy``, each group with its own
         step h, at its t + c_s h."""
         y, dy, steps = self.y, self.dy, self.h
-        sums = [(run.sums, run.KT, run.own["dy"]) for run in self.runs]
         for s in range(first, last):
-            for dot, KT, out in sums:
+            for dot, KT, out in self.sums:
                 dot(KT[s], _WEIGHTS[s], out=out)
             dy *= steps
             dy += y
@@ -484,12 +495,11 @@ class _Stack:
             err /= scale
             sq.append([])
             for run in self.runs:
-                e = run.own["dy"]
-                if e.ndim == 1:
+                if run.rows_cols is None:
+                    e = run.own["dy"]
                     sq[-1].append(e.dot(e))
                 else:
-                    sq[-1] += np.matmul(e[:, None, :],
-                                        e[:, :, None])[:, 0, 0].tolist()
+                    sq[-1] += np.matmul(*run.rows_cols)[:, 0, 0].tolist()
         return zip(*sq)
 
     def accept(self):
@@ -516,13 +526,16 @@ class _Stack:
 class _Run:
     """Consecutive groups of one size m in a ``_Stack``: their stage blocks
     as one (k, 16, m) stack with ``KT[s]`` the operand of stage s's sums,
-    their part ``own[name]`` of each flat buffer (one vector for a run of
-    one), and, when the stack holds several groups, for the kernels' layout
-    their halves ``halves[name]`` and ``rows[s]`` of stage row s, (2, k,
-    m / 2) each, and their rows [lo, hi) of each half of ``z``."""
+    their part ``own[name]`` of each group's own flat buffer (one vector for
+    a run of one, whose error norms ``np.dot`` takes; for several,
+    ``rows_cols`` holds ``own["dy"]`` as (k, 1, m) and (k, m, 1), the
+    operands of their stacked norms), and, when the stack holds several
+    groups, for the kernel's layout their halves ``halves[name]`` and
+    ``rows[s]`` of stage row s, and their rows [lo, hi) of each half of
+    ``z`` and ``fz``, all (2, k, m / 2) views."""
 
-    __slots__ = ("groups", "K3", "KT", "sums", "own", "halves", "rows", "z",
-                 "lo", "hi", "halves_shape")
+    __slots__ = ("groups", "K3", "KT", "sums", "own", "rows_cols", "halves",
+                 "rows", "z", "fz", "lo", "hi")
 
     def __init__(self, groups, o, m, lo, stack, K):
         k, hm = len(groups), m // 2
@@ -537,17 +550,18 @@ class _Run:
             self.sums = np.matmul
             self.KT = [self.K3[:, :s].transpose(0, 2, 1)
                        for s in range(_EXTENDED + 1)]
-        self.own = {name: buf[span].reshape(shape)
-                    for name, buf in stack.flat.items() if name != "z"}
-        if len(stack.groups) == 1:      # its RHS reads its own vector
+        self.own = {name: stack.flat[name][span].reshape(shape)
+                    for name in ("y", "y_new", "dy", "h")}
+        e = self.own["dy"]
+        self.rows_cols = None if k == 1 else (e[:, None, :], e[:, :, None])
+        if len(stack.groups) == 1:      # its kernel reads its own vector
             return
-        self.halves_shape = (2, k, hm)
         self.halves = {name: stack.flat[name][span].reshape(
             k, 2, hm).transpose(1, 0, 2) for name in ("y", "y_new", "dy")}
         self.rows = [self.K3[:, s].reshape(k, 2, hm).transpose(1, 0, 2)
                      for s in range(_EXTENDED)]
-        self.z = stack.z.reshape(2, stack.half)[:, lo:self.hi].reshape(
-            2, k, hm)
+        self.z, self.fz = (buf.reshape(2, stack.half)[:, lo:self.hi].reshape(
+            2, k, hm) for buf in (stack.z, stack.fz))
 
 
 def _dop853(rhs, groups, cfg):
@@ -573,8 +587,9 @@ def _dop853(rhs, groups, cfg):
 
     The groups share the loop: per iteration every live group attempts one
     step of its own size, with the same arithmetic for one group as for
-    several (``_Stack``), and each stage is one RHS call.  A lone live group
-    hands ``rhs`` its own vector in place at its stage time; several hand
+    several (``_Stack``), and each stage is one call ``rhs(t, y, out)``,
+    which writes dy/dt into ``out``.  A lone live group hands ``rhs`` its
+    own vector and its stage row in place, at its stage time; several hand
     it the rows of all of them at t None, so each vector must then be
     ``[Q.ravel(), P.ravel()]`` of its rows and ``rhs`` must not read t.
     A group's error norm, steps and counters never see another group.
@@ -593,7 +608,8 @@ def _dop853(rhs, groups, cfg):
     # equal sizes side by side, so that they form runs
     live = sorted(everyone, key=lambda g: g.n)
     size = sum(g.n for g in live)
-    bufs = {name: np.empty(size) for name in ("y", "y_new", "dy", "h", "z")}
+    bufs = {name: np.empty(size)
+            for name in ("y", "y_new", "dy", "h", "z", "fz")}
     K = np.empty(_EXTENDED * size)
     o = 0
     for g in live:
@@ -768,6 +784,7 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
     at most ``cfg.max_step``, so every sample is a step endpoint; with
     ``reads`` each component keeps the endpoint at its own sample only."""
     y = np.asarray(y0, dtype=float)
+    f = np.empty_like(y)                # the kernel's output
     out = np.empty((len(y0), len(t_eval)) if reads is None else len(y0))
 
     def keep(j, y):
@@ -785,7 +802,7 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
         steps = max(1, math.ceil(dt / cfg.max_step - 1e-9))
         h = dt / steps
         for _ in range(steps):
-            y, calls = _midpoint_step(rhs, t, y, h)
+            y, calls = _midpoint_step(rhs, t, y, h, f)
             nfev += calls
             t += h
         total_steps += steps
@@ -794,12 +811,15 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
                          "samples": len(t_eval)}
 
 
-def _midpoint_step(rhs, t, y, h):
-    """One implicit midpoint step by fixed-point iteration; returns the new
-    state and the number of RHS calls (the explicit predictor included)."""
-    mid = y + 0.5 * h * rhs(t, y)
+def _midpoint_step(rhs, t, y, h, f):
+    """One implicit midpoint step by fixed-point iteration, with ``f`` the
+    kernel's output; returns the new state and the number of RHS calls (the
+    explicit predictor included)."""
+    rhs(t, y, f)
+    mid = y + 0.5 * h * f
     for iteration in range(1, 61):
-        new_mid = y + 0.5 * h * rhs(t + 0.5 * h, mid)
+        rhs(t + 0.5 * h, mid, f)
+        new_mid = y + 0.5 * h * f
         done = np.max(np.abs(new_mid - mid)) < 1e-14 * (1 + np.max(np.abs(mid)))
         mid = new_mid
         if done:

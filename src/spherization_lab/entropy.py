@@ -755,10 +755,8 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
             mid_params = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
             mid_params /= np.linalg.norm(mid_params, axis=-1, keepdims=True)
             q_new, p_new = evolve_new(mid_params, level)
-            base = mesh.vertex_count()
-            lookup = {(int(i), int(j)): base + k
-                      for k, (i, j) in enumerate(split)}
-            mesh.simplices = _resplit(mesh.simplices, lookup, mesh.dimension)
+            mesh.simplices = _resplit(mesh.simplices, split,
+                                      mesh.vertex_count())
             mesh.params = np.vstack([mesh.params, mid_params])
             mesh.q = np.vstack([mesh.q, q_new])
             mesh.p = np.vstack([mesh.p, p_new])
@@ -775,41 +773,56 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
                               levels_completed=max(len(volumes) - 1, 0))
 
 
-def _resplit(simplices, lookup, dimension):
-    out = []
-    if dimension == 1:
-        for a, b in simplices.tolist():
-            m = lookup.get((min(a, b), max(a, b)))
-            if m is None:
-                out.append((a, b))
-            else:
-                out.extend([(a, m), (m, b)])
-        return np.array(out, dtype=np.int64)
-    for a, b, c in simplices.tolist():
-        m_ab = lookup.get((min(a, b), max(a, b)))
-        m_bc = lookup.get((min(b, c), max(b, c)))
-        m_ca = lookup.get((min(c, a), max(c, a)))
-        n_split = sum(m is not None for m in (m_ab, m_bc, m_ca))
-        if n_split == 0:
-            out.append((a, b, c))
-        elif n_split == 3:
-            out.extend([(a, m_ab, m_ca), (b, m_bc, m_ab), (c, m_ca, m_bc),
-                        (m_ab, m_bc, m_ca)])
-        elif n_split == 1:
-            if m_ab is not None:
-                out.extend([(a, m_ab, c), (m_ab, b, c)])
-            elif m_bc is not None:
-                out.extend([(b, m_bc, a), (m_bc, c, a)])
-            else:
-                out.extend([(c, m_ca, b), (m_ca, a, b)])
-        else:
-            if m_ab is None:
-                out.extend([(b, m_bc, m_ca), (b, m_ca, a), (m_bc, c, m_ca)])
-            elif m_bc is None:
-                out.extend([(c, m_ca, m_ab), (c, m_ab, b), (m_ca, a, m_ab)])
-            else:
-                out.extend([(a, m_ab, m_bc), (a, m_bc, c), (m_ab, b, m_bc)])
-    return np.array(out, dtype=np.int64)
+# The children of a simplex, by which of its edges split (bit e for edge e of
+# _SIMPLEX_EDGES): rows of indices into the simplex's vertices followed by
+# its edges' midpoints, the midpoints of unsplit edges unused.
+_SIMPLEX_EDGES = {1: ((0, 1),), 2: ((0, 1), (1, 2), (2, 0))}
+_CHILDREN = {
+    1: [[(0, 1)], [(0, 2), (2, 1)]],
+    2: [[(0, 1, 2)],
+        [(0, 3, 2), (3, 1, 2)],                         # ab
+        [(1, 4, 0), (4, 2, 0)],                         # bc
+        [(0, 3, 4), (0, 4, 2), (3, 1, 4)],              # ab, bc
+        [(2, 5, 1), (5, 0, 1)],                         # ca
+        [(2, 5, 3), (2, 3, 1), (5, 0, 3)],              # ab, ca
+        [(1, 4, 5), (1, 5, 0), (4, 2, 5)],              # bc, ca
+        [(0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5)]],  # all three
+}
+
+
+def _resplit(simplices, split, base):
+    """The simplices after bisecting each edge (i, j), i < j, of ``split`` at
+    the new vertex ``base + k``, k its row; every index is below ``base``.
+    A simplex's children replace it in place, in the order of
+    ``_CHILDREN``."""
+    dim = simplices.shape[1] - 1
+    if len(split) == 0:
+        return simplices
+    keys = split[:, 0].astype(np.int64) * base + split[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    verts = [simplices]
+    pattern = np.zeros(len(simplices), dtype=np.int64)
+    for e, (i, j) in enumerate(_SIMPLEX_EDGES[dim]):
+        a, b = simplices[:, i], simplices[:, j]
+        key = np.minimum(a, b).astype(np.int64) * base + np.maximum(a, b)
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        hit = keys[pos] == key
+        verts.append(np.where(hit, base + order[pos], -1)[:, None])
+        pattern |= hit.astype(np.int64) << e
+    verts = np.concatenate(verts, axis=1)
+    table = _CHILDREN[dim]
+    width = max(len(c) for c in table)
+    # the child rows of every pattern, padded to the widest
+    rows = np.array([c + [c[0]] * (width - len(c)) for c in table])
+    counts = np.array([len(c) for c in table])[pattern]
+    starts = np.cumsum(counts) - counts
+    out = np.empty((int(counts.sum()), dim + 1), dtype=np.int64)
+    for slot in range(width):
+        sel = np.nonzero(counts > slot)[0]
+        out[starts[sel] + slot] = np.take_along_axis(
+            verts[sel], rows[pattern[sel], slot], axis=1)
+    return out
 
 
 # -- averaged census (pairs of base points) --------------------------------------

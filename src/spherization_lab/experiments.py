@@ -3,14 +3,16 @@
 Every experiment writes its data files plus ``manifest.json`` (config echo,
 hash, seed, results, pass/fail against the thresholds embedded here).  The
 manifest is written even when a run fails; the error category then rides
-along.  Worker counts only fan out independent single-trajectory tasks whose
+along.  Worker counts only fan out independent shares of an ensemble whose
 results merge in input order, so outputs are byte-identical for any worker
 count.
 
 The sol Lyapunov experiments (``sol-entropy``, ``sol-sweep``) integrate each
 ensemble member on the reduced Euler equations for its left-invariant
-momenta together with z, z' = M_z (see ``sol``), one member per task: a
-member's exponent never depends on which other members run.  The exponent
+momenta together with z, z' = M_z (see ``sol``).  The members split into
+one contiguous share per worker, and each share advances in one lockstep
+solve, in which every member keeps the bits and counters of its own solve:
+a member's exponent never depends on which other members run.  The exponent
 is the z increment over the window after the burn-in, divided by the
 window's length; the energy and first-integral drifts are read on a unit
 sample grid, and the members' integrator counters (RHS calls, steps,
@@ -33,7 +35,7 @@ from .dynamics import (IntegratorConfig, _sample_grid, action_homogeneous,
                        classify_chord_action, core_field, energy_drift,
                        exclusion_level, flat_action_spectrum, gauge_field,
                        geodesic_field, integrate, radial_chord_actions,
-                       scaled_field, shoot_fixed_time_chords, solve,
+                       scaled_field, shoot_fixed_time_chords, solve_groups,
                        verify_scaling_law)
 from .entropy import (INCONCLUSIVE, chord_census, fiber_mesh, fit_growth,
                       mpp_estimate, torus_chord_count, volume_growth)
@@ -95,26 +97,44 @@ def _pmap(fn, tasks, workers: int):
         return list(pool.map(fn, tasks, chunksize=1))
 
 
-def _sol_chi_task(args):
-    """(chi, energy drift, first-integral drift, solve stats) of one
-    ensemble member, integrated on the Euler equations from its momenta M0
-    together with z, z' = M_z.  chi is the z increment over the window
-    [burn_in * T, T]; the drifts are read on the unit grid of
-    ``_sample_grid(0, T, 1.0)`` with the window start added."""
-    (M0, horizon, burn_in, cfg) = args
+def _sol_chi_share(args):
+    """(chi, energy drift, first-integral drift, solve stats) of each member
+    of one share of an ensemble, integrated on the Euler equations from its
+    momenta M0 together with z, z' = M_z; the share's members advance in
+    one lockstep solve, each with the bits of its own.  chi is the z
+    increment over the window [burn_in * T, T]; the drifts are read on the
+    unit grid of ``_sample_grid(0, T, 1.0)`` with the window start added."""
+    (M0s, horizon, burn_in, cfg) = args
     t_b = burn_in * horizon
     grid = _sample_grid(0.0, horizon, 1.0)
     i_b = int(np.searchsorted(grid, t_b))
     if grid[i_b] != t_b:
         grid = np.insert(grid, i_b, t_b)
-    _, ys, stats = solve(sol_mod.euler_field, np.append(M0, 0.0), 0.0,
-                         horizon, cfg, t_eval=grid)
-    mx, my, _, z = ys
-    drift = energy_drift(sol_mod.hamiltonian_from_momenta(ys[:3].T),
-                         cfg.drift_abort)
-    chi = abs(float(z[-1] - z[i_b])) / (horizon - t_b)
-    integral = mx * my
-    return chi, drift, float(np.max(np.abs(integral - integral[0]))), stats
+    outs = []
+    for _, ys, stats in solve_groups(
+            sol_mod.euler_field,
+            [(np.append(M0, 0.0), 0.0, horizon, grid, None) for M0 in M0s],
+            cfg):
+        mx, my, _, z = ys
+        drift = energy_drift(sol_mod.hamiltonian_from_momenta(ys[:3].T),
+                             cfg.drift_abort)
+        chi = abs(float(z[-1] - z[i_b])) / (horizon - t_b)
+        integral = mx * my
+        outs.append((chi, drift,
+                     float(np.max(np.abs(integral - integral[0]))), stats))
+    return outs
+
+
+def _sol_chis(members, workers: int):
+    """``_sol_chi_share`` over ``workers`` contiguous shares of ``members`` =
+    (M0s, horizon, burn_in, cfg), merged in member order."""
+    M0s, *rest = members
+    n = len(M0s)
+    bounds = [i * n // workers for i in range(workers + 1)]
+    shares = [(M0s[lo:hi], *rest) for lo, hi in zip(bounds, bounds[1:])
+              if hi > lo]
+    return [o for share in _pmap(_sol_chi_share, shares, workers)
+            for o in share]
 
 
 def _summed_stats(outs):
@@ -148,7 +168,7 @@ def _check(checks: dict, name: str, passed: bool, hard: bool = True, **info):
 
 # -- experiments ------------------------------------------------------------------
 
-def _sol_tasks(cfg, manifold, rng, k, mode=None):
+def _sol_members(cfg, manifold, rng, k, mode=None):
     mode = mode or cfg.get("sol", "mode")
     horizon = cfg.get("sol", "horizon")
     burn_in = cfg.get("sol", "burn_in")
@@ -159,8 +179,7 @@ def _sol_tasks(cfg, manifold, rng, k, mode=None):
     else:
         Q, P = sol_mod.sample_level_states(manifold, k, cfg.get("sol", "count"),
                                            rng)
-    return [(M0, horizon, burn_in, int_cfg)
-            for M0 in sol_mod.momentum_map(Q, P)]
+    return sol_mod.momentum_map(Q, P), horizon, burn_in, int_cfg
 
 
 def _run_sol_entropy(cfg, out: Path, rng):
@@ -169,8 +188,7 @@ def _run_sol_entropy(cfg, out: Path, rng):
     mode = cfg.get("sol", "mode")
     if mode == "fixed-point" and k <= 0.5:
         raise ConfigError("fixed-point seeding needs k > 1/2")
-    tasks = _sol_tasks(cfg, manifold, rng, k)
-    outs = _pmap(_sol_chi_task, tasks, cfg.workers)
+    outs = _sol_chis(_sol_members(cfg, manifold, rng, k), cfg.workers)
     closed = sol_mod.entropy_closed_form(k)
     rows = []
     for i, (chi, *_) in enumerate(outs):
@@ -208,8 +226,8 @@ def _run_sol_sweep(cfg, out: Path, rng):
         mode = cfg.get("sol", "mode")
         mode_k = "ensemble" if (k <= 0.5 and mode == "fixed-point") else mode
         sub_rng = np.random.default_rng([cfg.seed, int(round(k * 1e6))])
-        tasks = _sol_tasks(cfg, manifold, sub_rng, k, mode=mode_k)
-        outs = _pmap(_sol_chi_task, tasks, cfg.workers)
+        outs = _sol_chis(_sol_members(cfg, manifold, sub_rng, k, mode=mode_k),
+                         cfg.workers)
         chis = np.array([o[0] for o in outs])
         chi = float(np.mean(chis))
         closed = sol_mod.entropy_closed_form(k)

@@ -22,12 +22,16 @@ M(0) = momentum_map(q0, p0), with one more component z, z' = M_z, z(0) = 0
 (``euler_field``): the exponent over a window [t_b, T] is the increment
 |z(T) - z(t_b)| / (T - t_b), which the integrator's own error control
 covers, so no dense sample grid and no quadrature are needed.  The energy
-and the first integral read off M(t) on a unit sample grid.  The full field
-on the cotangent bundle serves the chord census, volume growth and the
+and the first integral read off M(t) on a unit sample grid.  An ensemble's
+members advance together in one lockstep solve, so ``euler_field`` takes
+one state or the k states of the lockstep layout.  The full field on the
+cotangent bundle serves the chord census, volume growth and the
 conservation checks.  Its formula lives once, in ``flat_rhs``, the kernel
 the field hands the integrator in its own stacked layout (other fields go
 through the generic adapter over ``grads``); ``grads(q, p)`` reads its
-result from that kernel, with the bits of the ``(q, p)`` form.
+result from that kernel, with the bits of the ``(q, p)`` form.  Both
+kernels follow the integrator's contract ``rhs(t, y, out)``: they write
+dy/dt into ``out``, every slot of it on every call.
 """
 
 from __future__ import annotations
@@ -57,22 +61,30 @@ def sol_hamiltonian(q, p):
     return hamiltonian_from_momenta(momentum_map(q, p))
 
 
-def euler_field(t, y):
-    """Reduced momentum dynamics with the exponent's integrand: the RHS of
-    the state (M_x, M_y, M_z, z), z' = M_z, on Python floats (one state per
-    call, the same bits as numpy's float64 arithmetic)."""
-    mx, my, mz, _ = y.tolist()
-    return np.array([mx * mz, -my * mz, my * my - mx * (mx + 1.0), mz])
+def euler_field(t, y, out):
+    """Reduced momentum dynamics with the exponent's integrand: writes into
+    ``out`` the RHS of k states (M_x, M_y, M_z, z), z' = M_z, in the
+    integrator's lockstep layout, all (M_x, M_y) and then all (M_z, z); one
+    state is the vector (M_x, M_y, M_z, z) itself.  It runs on Python
+    floats, with the bits of numpy's float64 arithmetic, as numpy's per-call
+    cost outweighs its arithmetic at one or two states."""
+    v = y.tolist()
+    half = len(v) // 2
+    for i in range(0, half, 2):
+        mx, my, mz = v[i], v[i + 1], v[half + i]
+        out[i] = mx * mz
+        out[i + 1] = -my * mz
+        out[half + i] = my * my - mx * (mx + 1.0)
+        out[half + i + 1] = mz
 
 
-def flat_rhs(t, y):
-    """The magnetic field in the integrator's layout: dy/dt of the stacked
-    vector y = [Q.ravel(), P.ravel()] of n rows, written as (dH/dp, -dH/dq)
-    into one output on its stride-3 column views.  e^z and the momenta
+def flat_rhs(t, y, out):
+    """The magnetic field in the integrator's layout: writes dy/dt of the
+    stacked vector y = [Q.ravel(), P.ravel()] of n rows into ``out``, as
+    (dH/dp, -dH/dq) on its stride-3 column views.  e^z and the momenta
     M_x, M_y are shared by both gradients; of dH/dq only the z-derivative
-    (at fixed p) survives, so dp_x = dp_y = -0.0."""
+    (at fixed p) survives, so dp_x = dp_y = -0.0, which every call fills."""
     half = y.size // 2
-    out = np.empty_like(y)
     ez = np.exp(y[2:half:3])
     mx = ez * y[half::3]
     my = y[half + 1::3] / ez
@@ -84,7 +96,6 @@ def flat_rhs(t, y):
     mx *= mx1
     mx -= my * my
     np.negative(mx, out[half + 2::3])
-    return out
 
 
 def sol_field(manifold: ModelManifold) -> HamiltonianField:
@@ -100,8 +111,8 @@ def sol_field(manifold: ModelManifold) -> HamiltonianField:
         p = np.asarray(p, dtype=float)
         if q.shape != p.shape:
             q, p = np.broadcast_arrays(q, p)
-        dy = flat_rhs(None, np.concatenate((q.ravel(), p.ravel())))
-        dy = dy.reshape((2,) + q.shape)
+        dy = np.empty((2,) + q.shape)
+        flat_rhs(None, np.concatenate((q.ravel(), p.ravel())), dy.reshape(-1))
         return np.negative(dy[1]), dy[0]
 
     return HamiltonianField(name="sol-magnetic", manifold=manifold,

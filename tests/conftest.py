@@ -14,6 +14,23 @@ from spherization_lab.geometry import ModelManifold
 from spherization_lab.starshape import RadialProfile, calibrate
 
 
+def returning(kernel):
+    """The form ``(t, y) -> dy/dt`` of a kernel ``(t, y, out)`` that writes
+    into ``out``, with a fresh output per call, as scipy's solvers call it."""
+    def rhs(t, y):
+        out = np.empty_like(y)
+        kernel(t, y, out)
+        return out
+    return rhs
+
+
+def in_place(fn):
+    """The kernel form ``(t, y, out)`` of a function ``(t, y) -> dy/dt``."""
+    def kernel(t, y, out):
+        out[...] = fn(t, y)
+    return kernel
+
+
 @pytest.fixture(scope="session")
 def torus():
     return ModelManifold.torus()

@@ -16,6 +16,7 @@ from spherization_lab.errors import (IntegrationDivergedError,
 from spherization_lab.geometry import CotangentPoint, ModelManifold
 from spherization_lab.starshape import SandwichedHamiltonians
 
+from conftest import in_place, returning
 from sandwich_helpers import (blend_field, cutoff_gauge_field,
                               potential_field, time_change_residual)
 
@@ -116,10 +117,54 @@ def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
         y[::5] = 0.0
         q = y[: rows * d].reshape(rows, d)
         p = y[rows * d:].reshape(rows, d)
-        got = dyn._flat_rhs(f, d)(0.0, y)
+        got = returning(dyn._flat_rhs(f, d))(0.0, y)
         want = np.concatenate([f.dp(q, p).ravel(), -f.dq(q, p).ravel()])
         assert np.array_equal(got, want), f.name
         assert np.array_equal(np.signbit(got), np.signbit(want)), f.name
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_kernels_write_their_output_in_place(torus, sol, round_sandwich,
+                                             rows):
+    # every kernel writes all of a strided, NaN-filled output with the bits
+    # of a fresh evaluation, touches nothing else, and leaves y as it was
+    rng = np.random.default_rng(rows)
+    kernels = {"sol": (dyn._flat_rhs(sol_mod.sol_field(sol), 3), 3),
+               "euler": (sol_mod.euler_field, 2)}
+    for f in (dyn.geodesic_field(torus), dyn.gauge_field(round_sandwich),
+              dyn.core_field(round_sandwich)):
+        kernels[f.name] = (dyn._flat_rhs(f, 2), 2)
+    for name, (kernel, d) in kernels.items():
+        y = rng.normal(size=2 * rows * d)
+        y[::3] = 0.0
+        before = y.tobytes()
+        fresh = np.empty_like(y)
+        kernel(0.0, y, fresh)
+        buf = np.full(2 * y.size, np.nan)
+        kernel(0.0, y, buf[::2])
+        assert buf[::2].tobytes() == fresh.tobytes(), name
+        assert np.isnan(buf[1::2]).all(), name
+        assert y.tobytes() == before, name
+        # the sol kernel's -0.0 slots (dp_x, dp_y) are its own writes
+        if name == "sol":
+            assert np.signbit(fresh[3 * rows:].reshape(rows, 3)[:, :2]).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_euler_field_on_lockstep_states_matches_one_state_calls(k):
+    # k states in the lockstep layout, all (M_x, M_y) then all (M_z, z):
+    # each state's slots hold the bits of its own one-state call, the fixed
+    # point and signed zeros included
+    rng = np.random.default_rng(k)
+    states = rng.normal(size=(k, 4))
+    states[0] = [0.0, -0.0, 1.0, 0.5]
+    half = 2 * k
+    y = np.concatenate([states[:, :2].ravel(), states[:, 2:].ravel()])
+    got = returning(sol_mod.euler_field)(None, y)
+    for i, state in enumerate(states):
+        one = returning(sol_mod.euler_field)(0.0, state)
+        assert got[2 * i:2 * i + 2].tobytes() == one[:2].tobytes()
+        assert got[half + 2 * i:half + 2 * i + 2].tobytes() == one[2:].tobytes()
 
 
 def test_sandwich_fields_evaluate_energy_once(round_sandwich,
@@ -242,10 +287,10 @@ def test_implicit_midpoint_counts_every_rhs_call(torus, rng):
     rhs = dyn._flat_rhs(dyn.geodesic_field(torus), 2)
     calls = 0
 
-    def counted(t, y):
+    def counted(t, y, out):
         nonlocal calls
         calls += 1
-        return rhs(t, y)
+        rhs(t, y, out)
 
     y0 = np.concatenate([rng.uniform(size=2), rng.normal(size=2)])
     cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.01)
@@ -561,8 +606,8 @@ def _assert_solve_matches_scipy(rhs, y0, t1, cfg, t_eval=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the rel_tol clamp, on both sides
         times, ys, stats = dyn.solve(rhs, y0, 0.0, t1, cfg, t_eval)
-        ref = solve_ivp(rhs, (0.0, t1), y0, method="DOP853", rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol, t_eval=grid)
+        ref = solve_ivp(returning(rhs), (0.0, t1), y0, method="DOP853",
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=grid)
     assert ref.success
     assert times.tobytes() == ref.t.tobytes()
     assert ys.shape == ref.y.shape and ys.tobytes() == ref.y.tobytes()
@@ -605,10 +650,12 @@ def test_solve_matches_scipy_dop853_at_rest_and_in_decay():
     # long step, cuts it by the smallest
     cfg = dyn.IntegratorConfig()
     y0 = np.array([1.0, -2.0, 0.5])
-    _assert_solve_matches_scipy(lambda t, y: np.zeros_like(y), y0, 1.0, cfg)
-    _assert_solve_matches_scipy(lambda t, y: -y, y0, 60.0, cfg)
+    _assert_solve_matches_scipy(in_place(lambda t, y: np.zeros_like(y)), y0,
+                                1.0, cfg)
+    _assert_solve_matches_scipy(in_place(lambda t, y: -y), y0, 60.0, cfg)
     _assert_solve_matches_scipy(
-        lambda t, y: np.full_like(y, 1e6 if t > 0.5 else 0.0), y0, 1.0, cfg)
+        in_place(lambda t, y: np.full_like(y, 1e6 if t > 0.5 else 0.0)), y0,
+        1.0, cfg)
 
 
 def test_solve_counts_steps_and_rejections(monkeypatch):
@@ -630,7 +677,8 @@ def test_solve_counts_steps_and_rejections(monkeypatch):
     m0 = np.array([0.6, -0.64, 0.48, 0.0])
     cfg = dyn.IntegratorConfig()
     grid = dyn._sample_grid(0.0, 50.0, cfg.max_step)
-    solver = DOP853(rhs, 0.0, m0, 50.0, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    solver = DOP853(returning(rhs), 0.0, m0, 50.0, rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol)
     steps = sampled = 0
     while solver.status == "running":
         solver.step()
@@ -649,8 +697,10 @@ def test_solve_counts_steps_and_rejections(monkeypatch):
 def test_solve_rejects_nonfinite_state_and_rhs():
     cfg = dyn.IntegratorConfig()
     with pytest.raises(ValueError):
-        dyn.solve(lambda t, y: -y, np.array([1.0, np.nan]), 0.0, 1.0, cfg)
+        dyn.solve(in_place(lambda t, y: -y), np.array([1.0, np.nan]), 0.0,
+                  1.0, cfg)
 
+    @in_place
     def blows_up(t, y):
         return np.full_like(y, np.nan) if t > 0.5 else -y
 
@@ -659,15 +709,15 @@ def test_solve_rejects_nonfinite_state_and_rhs():
             dyn.solve(blows_up, np.ones(2), 0.0, 1.0, cfg)
         # non-finite from the first call on: scipy would loop forever here
         with pytest.raises(StiffnessError):
-            dyn.solve(lambda t, y: np.full_like(y, np.inf), np.ones(2), 0.0,
-                      1.0, cfg)
+            dyn.solve(in_place(lambda t, y: np.full_like(y, np.inf)),
+                      np.ones(2), 0.0, 1.0, cfg)
 
 
 def test_solve_rejects_a_grid_off_its_span():
     cfg = dyn.IntegratorConfig()
     for t_eval in ([0.0, 0.5], [0.1, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0]):
         with pytest.raises(ValueError):
-            dyn.solve(lambda t, y: -y, np.ones(2), 0.0, 1.0, cfg,
+            dyn.solve(in_place(lambda t, y: -y), np.ones(2), 0.0, 1.0, cfg,
                       np.array(t_eval))
 
 
@@ -794,8 +844,8 @@ def test_solve_rejects_reads_off_the_grid():
     t_eval = np.array([0.0, 0.5, 1.0])
     for reads in ([0, 3], [-1, 0], [0], [0.0, 1.0]):
         with pytest.raises(ValueError):
-            dyn.solve(lambda t, y: -y, np.ones(2), 0.0, 1.0, cfg, t_eval,
-                      reads=np.array(reads))
+            dyn.solve(in_place(lambda t, y: -y), np.ones(2), 0.0, 1.0, cfg,
+                      t_eval, reads=np.array(reads))
 
 
 def test_dop853_tableau_is_scipys():

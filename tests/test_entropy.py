@@ -11,8 +11,8 @@ from spherization_lab.config import load_config
 from spherization_lab.errors import InvariantFailureError
 from spherization_lab.geometry import (CotangentPoint, FlatTorus,
                                        ModelManifold)
-from spherization_lab.entropy import (ChordRecord, _dedup_roots, _suppress,
-                                      _tangent_frames, chord_census,
+from spherization_lab.entropy import (ChordRecord, _dedup_roots, _resplit,
+                                      _suppress, _tangent_frames, chord_census,
                                       circle_directions, fiber_mesh,
                                       fibonacci_sphere, fit_exponential_rate,
                                       fit_growth, mpp_estimate,
@@ -622,6 +622,78 @@ def test_volume_budget_exhaustion_flags(sol):
     assert res.exhausted
     assert res.fit.verdict == "inconclusive"
     assert res.levels_completed < 12
+
+
+def _resplit_reference(simplices, lookup, dimension):
+    """The refinement's split of each simplex by a Python loop, with
+    ``lookup`` the midpoint vertex of each split edge (i, j), i < j."""
+    out = []
+    if dimension == 1:
+        for a, b in simplices.tolist():
+            m = lookup.get((min(a, b), max(a, b)))
+            if m is None:
+                out.append((a, b))
+            else:
+                out.extend([(a, m), (m, b)])
+        return np.array(out, dtype=np.int64)
+    for a, b, c in simplices.tolist():
+        m_ab = lookup.get((min(a, b), max(a, b)))
+        m_bc = lookup.get((min(b, c), max(b, c)))
+        m_ca = lookup.get((min(c, a), max(c, a)))
+        n_split = sum(m is not None for m in (m_ab, m_bc, m_ca))
+        if n_split == 0:
+            out.append((a, b, c))
+        elif n_split == 3:
+            out.extend([(a, m_ab, m_ca), (b, m_bc, m_ab), (c, m_ca, m_bc),
+                        (m_ab, m_bc, m_ca)])
+        elif n_split == 1:
+            if m_ab is not None:
+                out.extend([(a, m_ab, c), (m_ab, b, c)])
+            elif m_bc is not None:
+                out.extend([(b, m_bc, a), (m_bc, c, a)])
+            else:
+                out.extend([(c, m_ca, b), (m_ca, a, b)])
+        else:
+            if m_ab is None:
+                out.extend([(b, m_bc, m_ca), (b, m_ca, a), (m_bc, c, m_ca)])
+            elif m_bc is None:
+                out.extend([(c, m_ca, m_ab), (c, m_ab, b), (m_ca, a, m_ab)])
+            else:
+                out.extend([(a, m_ab, m_bc), (a, m_bc, c), (m_ab, b, m_bc)])
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_resplit_matches_the_loop(torus, sol, round_sandwich, dimension):
+    # random split patterns over several passes (so that faces of every
+    # pattern and of irregular shape occur), with the split rows in the
+    # refinement's sorted order and shuffled: the same children, in order
+    rng = np.random.default_rng(dimension)
+    if dimension == 1:
+        q0 = np.array([0.2, 0.7])
+        mesh = fiber_mesh(torus, q0, lambda u: round_sandwich.surface_covector(
+            q0, u), 16)
+    else:
+        q0 = np.zeros(3)
+        mesh = fiber_mesh(sol, q0, lambda u: sol_mod.level_covector(
+            1.0, q0, u), 42)
+    simplices, n = mesh.simplices, mesh.vertex_count()
+    for share in (0.0, 0.3, 0.6, 1.0, 0.5, 0.1):
+        edges = entropy.MeshedSubmanifold(
+            dimension=dimension, params=np.zeros((n, 1)), q=None, p=None,
+            simplices=simplices, manifold=None).edges()
+        split = edges[rng.random(len(edges)) < share]
+        if share == 0.1:
+            split = rng.permutation(split)
+        lookup = {(int(i), int(j)): n + k for k, (i, j) in enumerate(split)}
+        want = _resplit_reference(simplices, lookup, dimension)
+        if len(split) == 0:
+            assert np.array_equal(_resplit(simplices, split, n), simplices)
+            continue
+        got = _resplit(simplices, split, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        simplices, n = got, n + len(split)
+    assert n > 4 * mesh.vertex_count()
 
 
 def test_fiber_mesh_circle_and_sphere(torus, sol, round_sandwich):

@@ -9,7 +9,8 @@ from spherization_lab import experiments
 from spherization_lab import sol as sol_mod
 from spherization_lab.config import SCHEMA, load_config
 from spherization_lab.errors import InvariantFailureError
-from spherization_lab.experiments import _sol_chi_task, run, write_csv
+from spherization_lab import experiments
+from spherization_lab.experiments import _sol_chi_share, run, write_csv
 from spherization_lab.geometry import CotangentPoint, ModelManifold
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -219,8 +220,8 @@ def test_momentum_path_matches_full_flow(sol, rng, k):
     field = sol_mod.sol_field(sol)
     Q, P = sol_mod.sample_level_states(sol, k, 2, rng)
     for q0, p0 in zip(Q, P):
-        chi, drift, integral_drift, _ = _sol_chi_task(
-            (sol_mod.momentum_map(q0, p0), 100.0, 0.1, cfg))
+        (chi, drift, integral_drift, _), = _sol_chi_share(
+            ([sol_mod.momentum_map(q0, p0)], 100.0, 0.1, cfg))
         traj = dyn.integrate(field, CotangentPoint(q0, p0), 100.0, cfg)
         # the full flow's own z increment over [10, 100]: z' = p_z = M_z
         i_b = int(np.searchsorted(traj.times, 10.0))
@@ -238,8 +239,8 @@ def test_sol_chi_converged_to_tight_tolerance(sol, rng, k):
     tight = dyn.IntegratorConfig(rel_tol=1e-13)
     Q, P = sol_mod.sample_level_states(sol, k, 2, rng)
     for q0, p0 in zip(Q, P):
-        chi = _sol_chi_task((sol_mod.momentum_map(q0, p0), 100.0, 0.1,
-                             dyn.IntegratorConfig()))[0]
+        chi = _sol_chi_share(([sol_mod.momentum_map(q0, p0)], 100.0, 0.1,
+                              dyn.IntegratorConfig()))[0][0]
         _, (q,), _ = dyn.integrate_batch(field, q0, p0, 100.0, tight,
                                          t_eval=np.array([0.0, 10.0, 100.0]))
         ref = abs(q[2, 2] - q[1, 2]) / 90.0
@@ -250,7 +251,7 @@ def test_sol_chi_converged_to_tight_tolerance(sol, rng, k):
 def test_sol_chi_at_fixed_point_is_closed_form(sol, rng, k):
     q0 = sol.random_point(rng)
     M0 = sol_mod.momentum_map(q0, sol_mod.fixed_point_covector(k, q0))
-    chi = _sol_chi_task((M0, 100.0, 0.1, dyn.IntegratorConfig()))[0]
+    chi = _sol_chi_share(([M0], 100.0, 0.1, dyn.IntegratorConfig()))[0][0]
     assert abs(chi - np.sqrt(2 * k - 1)) <= 1e-12
 
 
@@ -259,11 +260,39 @@ def test_sol_chi_ignores_max_step_under_rk(sol, rng):
     # dense sample grid feeds the exponent or the drift checks
     Q, P = sol_mod.sample_level_states(sol, 0.3, 1, rng)
     M0 = sol_mod.momentum_map(Q, P)[0]
-    outs = [_sol_chi_task((M0, 100.0, 0.1,
-                           dyn.IntegratorConfig(max_step=step)))
+    outs = [_sol_chi_share(([M0], 100.0, 0.1,
+                            dyn.IntegratorConfig(max_step=step)))[0]
             for step in (0.05, 0.5)]
     assert outs[0] == outs[1]
     assert outs[0][3]["samples"] == 101
+
+
+@pytest.mark.parametrize("scheme", ["rk", "midpoint"])
+def test_ensemble_members_keep_their_bits_under_any_chunking(
+        sol, rng, monkeypatch, scheme):
+    # each member's chi, drifts and counters are those of its own solve,
+    # whether it runs alone, in one lockstep call or in the shares of 1, 2
+    # or 3 workers; under rk the fixed point (M_x = M_y = 0) takes fewer
+    # steps than the generic members, so groups retire at different times
+    cfg = dyn.IntegratorConfig(scheme=scheme, max_step=0.05)
+    Q, P = sol_mod.sample_level_states(sol, 1.0, 4, rng)
+    M0s = np.concatenate([[[0.0, 0.0, 1.0]], sol_mod.momentum_map(Q, P)])
+    horizon = 30.0
+    alone = [_sol_chi_share(([M0], horizon, 0.1, cfg))[0] for M0 in M0s]
+    if scheme == "rk":
+        assert alone[0][3]["steps"] < min(o[3]["steps"] for o in alone[1:])
+    assert _sol_chi_share((M0s, horizon, 0.1, cfg)) == alone
+    shares = []
+
+    def serial(fn, tasks, workers):
+        shares.append([len(t[0]) for t in tasks])
+        return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(experiments, "_pmap", serial)
+    for workers in (1, 2, 3):
+        assert experiments._sol_chis((M0s, horizon, 0.1, cfg),
+                                     workers) == alone
+    assert shares == [[5], [2, 3], [1, 2, 2]]
 
 
 def test_sol_entropy_midpoint_keeps_quadratic_invariants(tmp_path):

@@ -791,13 +791,12 @@ _CHILDREN = {
 
 
 def _resplit(simplices, split, base):
-    """The simplices after bisecting each edge (i, j), i < j, of ``split`` at
-    the new vertex ``base + k``, k its row; every index is below ``base``.
+    """The simplices after bisecting each edge (i, j), i < j, of the
+    non-empty ``split`` at the new vertex ``base + k``, k its row; every
+    index is below ``base``.
     A simplex's children replace it in place, in the order of
     ``_CHILDREN``."""
     dim = simplices.shape[1] - 1
-    if len(split) == 0:
-        return simplices
     keys = split[:, 0].astype(np.int64) * base + split[:, 1]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

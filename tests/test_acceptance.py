@@ -2,9 +2,9 @@
 
 The collected lines are echoed uncaptured in an "acceptance criteria"
 terminal section at the end of the run (add ``-s`` to watch them live).
-On a 2-core x86 VM, criterion 08b (the sol census) takes about 30 s and
-criterion 02 (the subcritical sol ensemble) about 8 s; every other
-criterion takes under 2 s.  Those two carry the ``slow`` marker, so
+On a 2-core x86 VM, criterion 08b (the sol census) takes 25-29 s and
+criterion 02 (the subcritical sol ensemble) 7-8 s; every other criterion
+takes under 2 s.  Those two carry the ``slow`` marker, so
 ``pytest -m "not slow"`` is a fast inner loop; the full gate runs them.
 """
 

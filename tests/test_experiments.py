@@ -9,7 +9,6 @@ from spherization_lab import experiments
 from spherization_lab import sol as sol_mod
 from spherization_lab.config import SCHEMA, load_config
 from spherization_lab.errors import InvariantFailureError
-from spherization_lab import experiments
 from spherization_lab.experiments import _sol_chi_share, run, write_csv
 from spherization_lab.geometry import CotangentPoint, ModelManifold
 

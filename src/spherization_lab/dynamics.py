@@ -12,9 +12,13 @@ evaluation, through a generic adapter to its stacked vector
 ``[Q.ravel(), P.ravel()]``.  A field may instead hand the integrator its own
 flat kernel in that layout (``HamiltonianField.flat_rhs``), with the bits of
 the ``(q, p)`` form: the sol field does.  Every kernel the integrator calls
-has one contract, ``rhs(t, y, out)``: it writes dy/dt into ``out``, which
-it may not assume to hold anything, and leaves ``y`` as it was.  The tests
-cross-check the gradients against central finite differences.
+has one contract, a binder ``kernel(y, out) -> evaluate(t)``: binding
+builds the views of ``y`` and ``out`` and any scratch arrays once for that
+pair of buffers, and each ``evaluate(t)`` writes dy/dt of ``y``'s current
+contents into ``out``, which it may not assume to hold anything, and leaves
+``y`` as it was.  The stepper binds once per pair of buffers it owns and
+then only evaluates.  The tests cross-check the gradients against central
+finite differences.
 
 The geodesic field's kernel is ``ModelManifold.conorm_grads``.  The lower,
 upper and blended sandwich Hamiltonians are one scalar profile of G, the
@@ -77,11 +81,12 @@ class HamiltonianField:
     ``value(q, p)`` and ``grads(q, p) -> (dH/dq, dH/dp)`` accept arrays of
     shape (..., d); one ``grads`` call yields both gradients, so shared
     subexpressions are computed once per field evaluation.  ``flat_rhs``,
-    when given, is the field's own kernel in the integrator's layout:
-    ``flat_rhs(t, y, out)`` writes dy/dt of the stacked ``[Q.ravel(),
-    P.ravel()]`` into ``out`` (a view the stepper owns, of any prior
-    content), with the bits of ``(dH/dp, -dH/dq)``; ``integrate_batch``
-    calls it in place of the generic adapter over ``grads``.
+    when given, is the field's own kernel in the integrator's layout, a
+    binder: ``flat_rhs(y, out)`` returns ``evaluate(t)``, which writes dy/dt
+    of the stacked ``[Q.ravel(), P.ravel()]`` in ``y`` into ``out`` (a view
+    the stepper owns, of any prior content), with the bits of ``(dH/dp,
+    -dH/dq)``; ``integrate_batch`` binds it in place of the generic adapter
+    over ``grads``.
     """
 
     name: str
@@ -197,18 +202,22 @@ def _sample_grid(t0: float, t1: float, max_step: float) -> np.ndarray:
 
 def _flat_rhs(field: HamiltonianField, d: int):
     """The field's flat kernel, or the generic adapter over ``grads``; either
-    writes dy/dt into its ``out``."""
+    is a binder ``(y, out) -> evaluate(t)`` that writes dy/dt into ``out``."""
     if field.flat_rhs is not None:
         return field.flat_rhs
 
-    def rhs(t, y, out):
+    def bind(y, out):
         n = y.size // (2 * d)
         q = y[: n * d].reshape(n, d)
         p = y[n * d:].reshape(n, d)
-        gq, gp = field.grads(q, p)
-        out[: n * d] = gp.ravel()
-        np.negative(gq.ravel(), out=out[n * d:])
-    return rhs
+        dq, dp = out[: n * d], out[n * d:]
+
+        def evaluate(t):
+            gq, gp = field.grads(q, p)
+            dq[...] = gp.ravel()
+            np.negative(gq.ravel(), dp)
+        return evaluate
+    return bind
 
 
 def integrate(field: HamiltonianField, x0: CotangentPoint, T: float,
@@ -296,9 +305,12 @@ def integrate_batch(field: HamiltonianField, Q0, P0, T,
     return out if grouped else out[0]
 
 
-def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
-    """Integrate y' = rhs(t, y) over [t0, t1] with the configured scheme;
-    ``rhs(t, y, out)`` writes dy/dt into ``out``, whatever ``out`` held.
+def solve(kernel, y0, t0, t1, cfg: IntegratorConfig, t_eval=None,
+          reads=None):
+    """Integrate y' = f(t, y) over [t0, t1] with the configured scheme.  The
+    kernel is a binder: ``kernel(y, out)`` returns ``evaluate(t)``, which
+    writes f(t, y) of ``y``'s current contents into ``out``, whatever
+    ``out`` held; the solve binds once per pair of its buffers.
 
     Returns (times, ys, stats) with ys of shape (len(y0), samples), sampled
     on ``t_eval`` (default: the quadrature grid of ``cfg.max_step``), which
@@ -308,15 +320,16 @@ def solve(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval=None, reads=None):
     not change.  ``stats`` counts RHS calls (``nfev``), accepted and
     rejected steps and samples.
     """
-    return solve_groups(rhs, [(y0, t0, t1, t_eval, reads)], cfg)[0]
+    return solve_groups(kernel, [(y0, t0, t1, t_eval, reads)], cfg)[0]
 
 
-def solve_groups(rhs, systems, cfg: IntegratorConfig):
+def solve_groups(kernel, systems, cfg: IntegratorConfig):
     """``solve`` of each system (y0, t0, t1, t_eval, reads), in one call, each
     with the bits and counters of its own ``solve``: DOP853 advances them in
-    lockstep, the midpoint scheme one by one.  With several systems, each
-    ``y0`` is ``[Q.ravel(), P.ravel()]`` of its rows, and ``rhs`` must not
-    read t (see ``_dop853``)."""
+    lockstep, the midpoint scheme one by one.  ``kernel`` is a binder, as
+    for ``solve``.  With several systems, each ``y0`` is ``[Q.ravel(),
+    P.ravel()]`` of its rows, and the kernel's evaluations must not read t
+    (see ``_dop853``)."""
     groups = []
     for y0, t0, t1, t_eval, reads in systems:
         t_eval = np.asarray(_sample_grid(t0, t1, cfg.max_step)
@@ -333,9 +346,9 @@ def solve_groups(rhs, systems, cfg: IntegratorConfig):
             reads = _SampleReads(reads, len(t_eval))
         groups.append((y0, t_eval, reads))
     if cfg.scheme == "midpoint":
-        return [_implicit_midpoint(rhs, y0, t_eval, cfg, reads)
+        return [_implicit_midpoint(kernel, y0, t_eval, cfg, reads)
                 for y0, t_eval, reads in groups]
-    return _dop853(rhs, groups, cfg)
+    return _dop853(kernel, groups, cfg)
 
 
 class _SampleReads:
@@ -411,15 +424,18 @@ class _Stack:
     reads the run's blocks as one (k, 16, m) stack, with each block's own
     ``np.dot`` bits (``np.dot`` itself for a run of one).  Elementwise work
     runs once over the flat buffers, for one group as for several.  Only
-    ``evaluate`` tells them apart.  One kernel call per stage serves every
-    group: a lone group's kernel reads its own vector and writes its stage
-    row in place, while several meet the kernel as one vector in its layout,
-    all first halves (q) and then all second halves (p), gathered into
-    ``z`` from the runs' strided views, and its output ``fz`` is scattered
-    back into their stage rows.
+    ``evaluate`` tells them apart.  One kernel evaluation per stage serves
+    every group, and the kernel binds once per stack, never per step: a
+    lone group's kernel reads its own vector and writes its stage row in
+    place, bound to each (input buffer, stage row) pair on first use, while
+    several meet the kernel as one vector in its layout, all first halves
+    (q) and then all second halves (p), gathered into ``z`` from the runs'
+    strided views, bound once to write ``fz``, which is scattered back into
+    their stage rows.  The evaluators hold views of the buffers, never the
+    stack, so a stack is freed without the cycle collector.
     """
 
-    def __init__(self, groups, bufs, K):
+    def __init__(self, groups, bufs, K, kernel):
         self.groups = groups
         self.size = size = sum(g.n for g in groups)
         self.half = size // 2
@@ -437,55 +453,67 @@ class _Stack:
             self.runs.append(_Run(groups[i:j], o, m, lo, self, K))
             lo += (j - i) * (m // 2)
             i = j
-        self.K0 = list(self.runs[0].K3[0])  # the first group's stage rows
         self.sums = [(run.sums, run.KT, run.own["dy"]) for run in self.runs]
+        if len(groups) == 1:
+            # the evaluator of each (input buffer, stage row), bound on
+            # first use
+            self.kernel = kernel
+            self.bound = {name: [None] * _EXTENDED
+                          for name in ("y", "y_new", "dy")}
+            self.K0 = list(self.runs[0].K3[0])
+        else:
+            self.z_to_fz = kernel(self.z, self.fz)
 
     def set_steps(self):
         """Each component's step, from its group's ``h``."""
         for g in self.groups:
             self.h[g.o:g.o + g.n] = g.h
 
-    def evaluate(self, rhs, name, s, c):
+    def evaluate(self, name, s, c):
         """Stage row ``s`` of every block: the RHS at the flat buffer
-        ``name``, in one kernel call.  One group's kernel writes its stage
-        row in place, at its t + c h; several go into the kernel's layout
-        and back, at t None."""
+        ``name``, in one bound kernel evaluation.  One group's kernel writes
+        its stage row in place, at its t + c h; several go into the kernel's
+        layout and back, at t None."""
         if len(self.groups) == 1:
             g = self.groups[0]
-            rhs(g.t + c * g.h, self.flat[name], self.K0[s])
+            bound = self.bound[name]
+            at = bound[s]
+            if at is None:
+                at = bound[s] = self.kernel(self.flat[name], self.K0[s])
+            at(g.t + c * g.h)
             return
         for run in self.runs:
             run.z[...] = run.halves[name]
-        rhs(None, self.z, self.fz)
+        self.z_to_fz(None)
         for run in self.runs:
             run.rows[s][...] = run.fz
 
-    def stages(self, rhs, first, last):
+    def stages(self, first, last):
         """Stage rows first..last-1 of every block: the RHS at ``y + h *
         (K[:s].T @ _WEIGHTS[s])``, formed in ``dy``, each group with its own
         step h, at its t + c_s h."""
         y, dy, steps = self.y, self.dy, self.h
         for s in range(first, last):
             for dot, KT, out in self.sums:
-                dot(KT[s], _WEIGHTS[s], out=out)
+                dot(KT[s], _WEIGHTS[s], out)
             dy *= steps
             dy += y
-            self.evaluate(rhs, "dy", s, _NODES[s])
+            self.evaluate("dy", s, _NODES[s])
 
-    def attempt(self, rhs, atol, rtol):
+    def attempt(self, atol, rtol):
         """One step of every group with its own h: stage rows 1..12, y_new,
         and per group the squared norms of ``(K[:13].T @ E) / scale`` for
         E5 and E3 (scale = atol + max(|y|, |y_new|) rtol), each the ddot of
         the group's own contiguous vector."""
         self.set_steps()
-        self.stages(rhs, 1, _STAGES)
+        self.stages(1, _STAGES)
         # y_new, and f_new as stage row 12
         y, y_new = self.y, self.y_new
         for run in self.runs:
             run.sums(run.KT[_STAGES], _B, out=run.own["y_new"])
         y_new *= self.h
         y_new += y
-        self.evaluate(rhs, "y_new", _STAGES, 1.0)
+        self.evaluate("y_new", _STAGES, 1.0)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = self.dy
         sq = []
@@ -544,7 +572,8 @@ class _Run:
             k, _EXTENDED, m)
         span, shape = slice(o, o + k * m), (k, m)
         if k == 1:
-            self.sums, shape = np.dot, (m,)
+            # np.dot's C call, without its dispatch through Python
+            self.sums, shape = np.ndarray.dot, (m,)
             self.KT = [self.K3[0, :s].T for s in range(_EXTENDED + 1)]
         else:
             self.sums = np.matmul
@@ -564,7 +593,7 @@ class _Run:
             2, k, hm) for buf in (stack.z, stack.fz))
 
 
-def _dop853(rhs, groups, cfg):
+def _dop853(kernel, groups, cfg):
     """DOP853 of independent systems in lockstep: each ``(y0, t_eval,
     reads)`` of ``groups`` over [t_eval[0], t_eval[-1]] with one step for
     all its components, sampled on ``t_eval`` by the 7th-order interpolant,
@@ -587,12 +616,13 @@ def _dop853(rhs, groups, cfg):
 
     The groups share the loop: per iteration every live group attempts one
     step of its own size, with the same arithmetic for one group as for
-    several (``_Stack``), and each stage is one call ``rhs(t, y, out)``,
-    which writes dy/dt into ``out``.  A lone live group hands ``rhs`` its
-    own vector and its stage row in place, at its stage time; several hand
-    it the rows of all of them at t None, so each vector must then be
-    ``[Q.ravel(), P.ravel()]`` of its rows and ``rhs`` must not read t.
-    A group's error norm, steps and counters never see another group.
+    several (``_Stack``), and each stage is one evaluation of the binder
+    ``kernel``, bound once per stack.  A lone live group binds its own
+    vector and its stage row, and evaluates at its stage time; several
+    bind the rows of all of them and evaluate at t None, so each vector must
+    then be ``[Q.ravel(), P.ravel()]`` of its rows and the kernel must not
+    read t.  A group's error norm, steps and counters never see another
+    group.
     """
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     if rtol < _RTOL_FLOOR:
@@ -616,12 +646,12 @@ def _dop853(rhs, groups, cfg):
         g.o, o = o, o + g.n
     for g, y0 in zip(everyone, starts):
         bufs["y"][g.o:g.o + g.n] = y0
-    stack = _Stack(live, bufs, K)
+    stack = _Stack(live, bufs, K, kernel)
 
     # initial step (Hairer, Norsett and Wanner, Sec. II.4): f into stage
     # row 0, the probe's f1 into row 1
     y = stack.y
-    stack.evaluate(rhs, "y", 0, 0.0)
+    stack.evaluate("y", 0, 0.0)
     guesses = []
     for run in stack.runs:
         for i, g in enumerate(run.groups):
@@ -636,7 +666,7 @@ def _dop853(rhs, groups, cfg):
         np.multiply(run.K3[:, 0].reshape(run.own["h"].shape), run.own["h"],
                     out=run.own["dy"])
     stack.dy += y
-    stack.evaluate(rhs, "dy", 1, 1.0)
+    stack.evaluate("dy", 1, 1.0)
     for run, i, scale, d1 in guesses:
         g = run.groups[i]
         d2 = _rms((run.K3[i, 1] - run.K3[i, 0]) / scale) / g.h
@@ -660,7 +690,7 @@ def _dop853(rhs, groups, cfg):
             g.h_abs = abs(g.h)
         sampling = finished = False
         # the runs hold the live groups in order
-        for g, (sq5, sq3) in zip(live, stack.attempt(rhs, atol, rtol)):
+        for g, (sq5, sq3) in zip(live, stack.attempt(atol, rtol)):
             g.nfev += _STAGES
             error_norm = _error_norm(g.h, sq5, sq3, g.n)
             if error_norm < 1:
@@ -681,7 +711,7 @@ def _dop853(rhs, groups, cfg):
                 g.step_rejected = True
                 g.rejected += 1
         if sampling:
-            _dense_output(rhs, stack)
+            _dense_output(stack)
         stack.accept()
         if finished:
             live = [g for g in live if g.t < g.t_bound]
@@ -695,20 +725,20 @@ def _dop853(rhs, groups, cfg):
                 K[_EXTENDED * o:_EXTENDED * o + g.n] = K[
                     _EXTENDED * g.o:_EXTENDED * g.o + g.n]
                 g.o, o = o, o + g.n
-            stack = _Stack(live, bufs, K)
+            stack = _Stack(live, bufs, K, kernel)
     return [(g.t_eval, g.out, {"nfev": g.nfev, "steps": g.steps,
                                "rejected": g.rejected,
                                "samples": len(g.times)})
             for g in everyone]
 
 
-def _dense_output(rhs, stack):
+def _dense_output(stack):
     """The interpolant of every group whose accepted step holds a sample of
     its grid, as scipy's Dop853DenseOutput evaluates it: the three extra
     stages (run over the whole stack, read by those groups only), the
     interpolant's coefficients (one stacked evaluation per run) and each
     group's Horner sum on its samples in (t, t_new]."""
-    stack.stages(rhs, _STAGES + 1, _EXTENDED)
+    stack.stages(_STAGES + 1, _EXTENDED)
     for run in stack.runs:
         wanted = [(i, g) for i, g in enumerate(run.groups)
                   if g.new_step and g.sample_to > g.sampled]
@@ -779,12 +809,15 @@ def _error_norm(h, sq5, sq3, size):
     return abs(h) * err5_norm_2 / math.sqrt(denom * size)
 
 
-def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
+def _implicit_midpoint(kernel, y0, t_eval, cfg, reads=None):
     """Implicit midpoint across each interval of ``t_eval`` in equal steps of
     at most ``cfg.max_step``, so every sample is a step endpoint; with
-    ``reads`` each component keeps the endpoint at its own sample only."""
-    y = np.asarray(y0, dtype=float)
-    f = np.empty_like(y)                # the kernel's output
+    ``reads`` each component keeps the endpoint at its own sample only.
+    The state and the midpoint live in two buffers of the solve, each bound
+    once to the kernel's output ``f``."""
+    y = np.array(y0, dtype=float)       # the state, advanced in place
+    mid, f = np.empty_like(y), np.empty_like(y)
+    at_y, at_mid = kernel(y, f), kernel(mid, f)
     out = np.empty((len(y0), len(t_eval)) if reads is None else len(y0))
 
     def keep(j, y):
@@ -802,8 +835,7 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
         steps = max(1, math.ceil(dt / cfg.max_step - 1e-9))
         h = dt / steps
         for _ in range(steps):
-            y, calls = _midpoint_step(rhs, t, y, h, f)
-            nfev += calls
+            nfev += _midpoint_step(at_y, at_mid, t, h, y, mid, f)
             t += h
         total_steps += steps
         keep(i + 1, y)
@@ -811,19 +843,25 @@ def _implicit_midpoint(rhs, y0, t_eval, cfg, reads=None):
                          "samples": len(t_eval)}
 
 
-def _midpoint_step(rhs, t, y, h, f):
-    """One implicit midpoint step by fixed-point iteration, with ``f`` the
-    kernel's output; returns the new state and the number of RHS calls (the
-    explicit predictor included)."""
-    rhs(t, y, f)
-    mid = y + 0.5 * h * f
+def _midpoint_step(at_y, at_mid, t, h, y, mid, f):
+    """One implicit midpoint step from the state ``y`` to the new one, in
+    place, by fixed-point iteration on ``mid``; ``at_y`` and ``at_mid``
+    evaluate the kernel at ``y`` and ``mid`` into ``f``, which also holds
+    each new midpoint y + 0.5 h f before it moves into ``mid``.  Returns the
+    number of RHS calls (the explicit predictor included)."""
+    at_y(t)
+    f *= 0.5 * h
+    np.add(y, f, out=mid)
     for iteration in range(1, 61):
-        rhs(t + 0.5 * h, mid, f)
-        new_mid = y + 0.5 * h * f
-        done = np.max(np.abs(new_mid - mid)) < 1e-14 * (1 + np.max(np.abs(mid)))
-        mid = new_mid
+        at_mid(t + 0.5 * h)
+        f *= 0.5 * h
+        f += y
+        done = np.max(np.abs(f - mid)) < 1e-14 * (1 + np.max(np.abs(mid)))
+        mid[...] = f
         if done:
-            return 2.0 * mid - y, 1 + iteration
+            np.multiply(2.0, mid, out=f)
+            np.subtract(f, y, out=y)
+            return 1 + iteration
     raise StiffnessError("implicit midpoint iteration stalled")
 
 

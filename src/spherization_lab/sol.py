@@ -30,8 +30,10 @@ conservation checks.  Its formula lives once, in ``flat_rhs``, the kernel
 the field hands the integrator in its own stacked layout (other fields go
 through the generic adapter over ``grads``); ``grads(q, p)`` reads its
 result from that kernel, with the bits of the ``(q, p)`` form.  Both
-kernels follow the integrator's contract ``rhs(t, y, out)``: they write
-dy/dt into ``out``, every slot of it on every call.
+kernels follow the integrator's contract, a binder ``kernel(y, out) ->
+evaluate(t)``: binding builds the column views of ``y`` and ``out`` and any
+scratch arrays once, and each ``evaluate(t)`` writes dy/dt of ``y``'s
+current contents into every slot of ``out``.
 """
 
 from __future__ import annotations
@@ -61,41 +63,57 @@ def sol_hamiltonian(q, p):
     return hamiltonian_from_momenta(momentum_map(q, p))
 
 
-def euler_field(t, y, out):
-    """Reduced momentum dynamics with the exponent's integrand: writes into
-    ``out`` the RHS of k states (M_x, M_y, M_z, z), z' = M_z, in the
-    integrator's lockstep layout, all (M_x, M_y) and then all (M_z, z); one
-    state is the vector (M_x, M_y, M_z, z) itself.  It runs on Python
-    floats, with the bits of numpy's float64 arithmetic, as numpy's per-call
-    cost outweighs its arithmetic at one or two states."""
-    v = y.tolist()
-    half = len(v) // 2
-    for i in range(0, half, 2):
-        mx, my, mz = v[i], v[i + 1], v[half + i]
-        out[i] = mx * mz
-        out[i + 1] = -my * mz
-        out[half + i] = my * my - mx * (mx + 1.0)
-        out[half + i + 1] = mz
+def euler_field(y, out):
+    """Reduced momentum dynamics with the exponent's integrand, bound to
+    ``y`` and ``out``: each evaluation writes into ``out`` the RHS of the k
+    states (M_x, M_y, M_z, z), z' = M_z, in ``y``, in the integrator's
+    lockstep layout, all (M_x, M_y) and then all (M_z, z); one state is the
+    vector (M_x, M_y, M_z, z) itself.  It runs on Python floats, with the
+    bits of numpy's float64 arithmetic, as numpy's per-call cost outweighs
+    its arithmetic at one or two states."""
+    half = len(y) // 2
+
+    def evaluate(t):
+        v = y.tolist()
+        for i in range(0, half, 2):
+            mx, my, mz = v[i], v[i + 1], v[half + i]
+            out[i] = mx * mz
+            out[i + 1] = -my * mz
+            out[half + i] = my * my - mx * (mx + 1.0)
+            out[half + i + 1] = mz
+    return evaluate
 
 
-def flat_rhs(t, y, out):
-    """The magnetic field in the integrator's layout: writes dy/dt of the
-    stacked vector y = [Q.ravel(), P.ravel()] of n rows into ``out``, as
-    (dH/dp, -dH/dq) on its stride-3 column views.  e^z and the momenta
-    M_x, M_y are shared by both gradients; of dH/dq only the z-derivative
-    (at fixed p) survives, so dp_x = dp_y = -0.0, which every call fills."""
+def flat_rhs(y, out):
+    """The magnetic field in the integrator's layout, bound to ``y`` and
+    ``out``: each evaluation writes dy/dt of the stacked vector y =
+    [Q.ravel(), P.ravel()] of n rows into ``out``, as (dH/dp, -dH/dq) on
+    stride-3 column views built once, with four scratch columns.  e^z and
+    the momenta M_x, M_y are shared by both gradients; of dH/dq only the
+    z-derivative (at fixed p) survives, so dp_x = dp_y = -0.0, which every
+    evaluation fills."""
     half = y.size // 2
-    ez = np.exp(y[2:half:3])
-    mx = ez * y[half::3]
-    my = y[half + 1::3] / ez
-    mx1 = mx + 1.0
-    np.multiply(mx1, ez, out[0:half:3])
-    np.divide(my, ez, out[1:half:3])
-    out[2:half:3] = y[half + 2::3]
-    out[half:] = -0.0
-    mx *= mx1
-    mx -= my * my
-    np.negative(mx, out[half + 2::3])
+    z, p_x, p_y, p_z = y[2:half:3], y[half::3], y[half + 1::3], y[half + 2::3]
+    dq_x, dq_y, dq_z = out[0:half:3], out[1:half:3], out[2:half:3]
+    dp, dp_z = out[half:], out[half + 2::3]
+    ez, mx, my, mx1 = np.empty((4, half // 3))
+    ones = np.ones(half // 3)   # numpy adds a scalar more slowly
+
+    def evaluate(t):
+        # outputs are positional: the keyword form costs more per call
+        np.exp(z, ez)
+        np.multiply(ez, p_x, mx)
+        np.divide(p_y, ez, my)
+        np.add(mx, ones, mx1)
+        np.multiply(mx1, ez, dq_x)
+        np.divide(my, ez, dq_y)
+        dq_z[...] = p_z
+        dp.fill(-0.0)
+        np.multiply(mx, mx1, mx)
+        np.multiply(my, my, my)
+        np.subtract(mx, my, mx)
+        np.negative(mx, dp_z)
+    return evaluate
 
 
 def sol_field(manifold: ModelManifold) -> HamiltonianField:
@@ -112,7 +130,7 @@ def sol_field(manifold: ModelManifold) -> HamiltonianField:
         if q.shape != p.shape:
             q, p = np.broadcast_arrays(q, p)
         dy = np.empty((2,) + q.shape)
-        flat_rhs(None, np.concatenate((q.ravel(), p.ravel())), dy.reshape(-1))
+        flat_rhs(np.concatenate((q.ravel(), p.ravel())), dy.reshape(-1))(None)
         return np.negative(dy[1]), dy[0]
 
     return HamiltonianField(name="sol-magnetic", manifold=manifold,

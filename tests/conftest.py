@@ -15,19 +15,22 @@ from spherization_lab.starshape import RadialProfile, calibrate
 
 
 def returning(kernel):
-    """The form ``(t, y) -> dy/dt`` of a kernel ``(t, y, out)`` that writes
-    into ``out``, with a fresh output per call, as scipy's solvers call it."""
+    """The form ``(t, y) -> dy/dt`` of a binder ``(y, out) -> evaluate(t)``,
+    bound to a fresh output on every call, as scipy's solvers call it."""
     def rhs(t, y):
         out = np.empty_like(y)
-        kernel(t, y, out)
+        kernel(y, out)(t)
         return out
     return rhs
 
 
 def in_place(fn):
-    """The kernel form ``(t, y, out)`` of a function ``(t, y) -> dy/dt``."""
-    def kernel(t, y, out):
-        out[...] = fn(t, y)
+    """The binder form ``(y, out) -> evaluate(t)`` of a function ``(t, y) ->
+    dy/dt``."""
+    def kernel(y, out):
+        def evaluate(t):
+            out[...] = fn(t, y)
+        return evaluate
     return kernel
 
 

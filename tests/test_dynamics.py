@@ -127,7 +127,9 @@ def test_flat_rhs_matches_gradient_pair_bitwise(torus, sol, round_sandwich,
 def test_kernels_write_their_output_in_place(torus, sol, round_sandwich,
                                              rows):
     # every kernel writes all of a strided, NaN-filled output with the bits
-    # of a fresh evaluation, touches nothing else, and leaves y as it was
+    # of a fresh evaluation, touches nothing else, and leaves y as it was;
+    # a binding keeps views of y and out, never values: after y changes in
+    # place, the same binding gives the bits of a fresh one
     rng = np.random.default_rng(rows)
     kernels = {"sol": (dyn._flat_rhs(sol_mod.sol_field(sol), 3), 3),
                "euler": (sol_mod.euler_field, 2)}
@@ -137,17 +139,23 @@ def test_kernels_write_their_output_in_place(torus, sol, round_sandwich,
     for name, (kernel, d) in kernels.items():
         y = rng.normal(size=2 * rows * d)
         y[::3] = 0.0
-        before = y.tobytes()
-        fresh = np.empty_like(y)
-        kernel(0.0, y, fresh)
         buf = np.full(2 * y.size, np.nan)
-        kernel(0.0, y, buf[::2])
-        assert buf[::2].tobytes() == fresh.tobytes(), name
-        assert np.isnan(buf[1::2]).all(), name
-        assert y.tobytes() == before, name
-        # the sol kernel's -0.0 slots (dp_x, dp_y) are its own writes
-        if name == "sol":
-            assert np.signbit(fresh[3 * rows:].reshape(rows, 3)[:, :2]).all()
+        evaluate = kernel(y, buf[::2])
+        for _ in range(2):
+            before = y.tobytes()
+            fresh = np.empty_like(y)
+            kernel(y.copy(), fresh)(0.0)
+            buf[::2] = np.nan
+            evaluate(0.0)
+            assert buf[::2].tobytes() == fresh.tobytes(), name
+            assert np.isnan(buf[1::2]).all(), name
+            assert y.tobytes() == before, name
+            # the sol kernel's -0.0 slots (dp_x, dp_y) are its own writes
+            if name == "sol":
+                assert np.signbit(
+                    fresh[3 * rows:].reshape(rows, 3)[:, :2]).all()
+            y[...] = rng.normal(size=y.size)
+            y[1::4] = -0.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -284,13 +292,17 @@ def test_implicit_midpoint_matches_rk(torus, rng):
 def test_implicit_midpoint_counts_every_rhs_call(torus, rng):
     # nfev covers the explicit predictor of each step as well as the
     # fixed-point iterations
-    rhs = dyn._flat_rhs(dyn.geodesic_field(torus), 2)
+    kernel = dyn._flat_rhs(dyn.geodesic_field(torus), 2)
     calls = 0
 
-    def counted(t, y, out):
-        nonlocal calls
-        calls += 1
-        rhs(t, y, out)
+    def counted(y, out):
+        evaluate = kernel(y, out)
+
+        def counting(t):
+            nonlocal calls
+            calls += 1
+            evaluate(t)
+        return counting
 
     y0 = np.concatenate([rng.uniform(size=2), rng.normal(size=2)])
     cfg = dyn.IntegratorConfig(scheme="midpoint", max_step=0.01)
@@ -837,6 +849,59 @@ def test_solves_leave_no_reference_cycles(sol):
     finally:
         gc.enable()
     assert unreachable == [0, 0, 0]
+
+
+def _counting(kernel, binds):
+    """``kernel`` with the input size of each of its bindings appended to
+    ``binds``."""
+    def bind(y, out):
+        binds.append(y.size)
+        return kernel(y, out)
+    return bind
+
+
+@pytest.mark.parametrize("scheme", ["rk", "midpoint"])
+def test_one_group_binds_per_solve_not_per_step(scheme):
+    # DOP853 binds each (input buffer, stage row) pair once, the midpoint
+    # scheme its state and its midpoint: a 20x longer solve binds as often
+    cfg = dyn.IntegratorConfig(scheme=scheme, max_step=0.05)
+    m0 = np.array([0.6, -0.64, 0.48, 0.0])
+    binds, steps = [], []
+    for t1 in (2.0, 40.0):
+        binds.append([])
+        _, _, stats = dyn.solve(_counting(sol_mod.euler_field, binds[-1]),
+                                m0, 0.0, t1, cfg)
+        steps.append(stats["steps"])
+    assert steps[0] >= 10 and steps[1] >= 200
+    assert len(binds[0]) == len(binds[1]) <= (17 if scheme == "rk" else 2)
+    assert binds[0] == binds[1] == [4] * len(binds[0])
+
+
+def test_several_groups_bind_once_per_stack(sol, monkeypatch):
+    # a grouped batch binds z -> fz once per stack build: the first stack
+    # holds all three groups, and when the short one retires the two equal
+    # ones (same rows, same horizon, so they retire together) form the next
+    builds = []
+
+    class Counted(dyn._Stack):
+        def __init__(self, groups, *args):
+            builds.append(sum(g.n for g in groups))
+            super().__init__(groups, *args)
+
+    monkeypatch.setattr(dyn, "_Stack", Counted)
+    binds = []
+    field = dataclasses.replace(
+        sol_mod.sol_field(sol),
+        flat_rhs=_counting(sol_mod.flat_rhs, binds))
+    rng = np.random.default_rng(3)
+    Q0 = np.stack([sol.random_point(rng) for _ in range(8)])
+    P0 = rng.normal(size=(8, 3))
+    Q0, P0 = np.concatenate([Q0, Q0[3:]]), np.concatenate([P0, P0[3:]])
+    stats = [{}, {}, {}]
+    dyn.integrate_batch(field, Q0, P0, [0.5, 2.0, 2.0],
+                        dyn.IntegratorConfig(), sizes=[3, 5, 5], stats=stats)
+    assert stats[0]["steps"] < stats[1]["steps"] == stats[2]["steps"]
+    assert builds == binds == [6 * 13, 6 * 10]
 
 
 def test_solve_rejects_reads_off_the_grid():

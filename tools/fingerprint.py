@@ -1,0 +1,98 @@
+"""Hash every output that a change must keep bit for bit.
+
+    python3 tools/fingerprint.py --seeds 1,2,3 > before.txt
+    python3 tools/fingerprint.py --seeds 1,2,3 --slow > after.txt
+    diff before.txt after.txt
+
+Run from the root of a checkout.  Each input of the benchmark's workloads
+(``perfbench/workloads.py``) on each seed, then each shipped config in
+``configs/``, is one ``experiments.run`` in a temporary directory.  The
+script prints one line ``<sha256>  <run>/<file>`` per CSV the run writes and
+one for its manifest, hashed with ``wall_clock_sec`` removed, so two trees
+that give the same bits print the same lines.  A run that fails with one of
+the lab's errors (the census of ``sol-census.ini`` fails its monotonicity
+check by design) is still hashed: its manifest records the error.
+
+The configs of acceptance criteria 02 and 08b take most of the time and run
+only with ``--slow``.  ``--smoke`` runs each workload at its smoke size, one
+input per seed, as ``perfbench/run.py --smoke`` does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+SLOW_CONFIGS = ("sol-census.ini", "sol-subcritical.ini")   # criteria 08b, 02
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(label: str, path: Path, scratch: Path):
+    """Lines ``<sha256>  <label>/<file>`` of one run of the config at
+    ``path``: its CSVs, then its manifest without the wall clock."""
+    from spherization_lab.config import load_config
+    from spherization_lab.errors import SpherizationError
+    from spherization_lab.experiments import run
+
+    out = scratch / label
+    try:
+        run(load_config(str(path)), out_dir=out)
+    except SpherizationError:
+        pass            # the manifest records the error
+    lines = [f"{_sha256(csv.read_bytes())}  {label}/{csv.name}"
+             for csv in sorted(out.glob("*.csv"))]
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest.pop("wall_clock_sec", None)
+    blob = json.dumps(manifest, sort_keys=True).encode()
+    return lines + [f"{_sha256(blob)}  {label}/manifest.json"]
+
+
+def runs(seeds, *, slow: bool, smoke: bool, scratch: Path):
+    """(label, config path) of every run, the configs written to
+    ``scratch``: the workload inputs seed by seed, then the shipped
+    configs."""
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        for seed in seeds:
+            for i, text in enumerate(workload.configs(seed, smoke=smoke)):
+                label = f"{name}/seed{seed}/input{i}"
+                path = scratch / f"{label.replace('/', '-')}.ini"
+                path.write_text(text)
+                yield label, path
+    for path in sorted((ROOT / "configs").glob("*.ini")):
+        if slow or path.name not in SLOW_CONFIGS:
+            yield f"configs/{path.stem}", path
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", default="1,2,3",
+                    help="comma-separated workload seeds (default 1,2,3)")
+    ap.add_argument("--slow", action="store_true",
+                    help="also run the configs of criteria 02 and 08b")
+    ap.add_argument("--smoke", action="store_true",
+                    help="workloads at their smoke sizes")
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        for label, path in runs(seeds, slow=args.slow, smoke=args.smoke,
+                                scratch=scratch):
+            for line in fingerprint(label, path, scratch):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

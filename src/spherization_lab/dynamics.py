@@ -405,9 +405,16 @@ class _Group:
         self.t_eval, self.reads, self.n = t_eval, reads, len(y0)
         self.times = t_eval.tolist()
         self.t, self.t_bound = self.times[0], self.times[-1]
-        self.out = np.empty((self.n, len(self.times)) if reads is None
-                            else self.n)
-        self.sampled = self.steps = self.rejected = 0
+        # sample 0 lies at t0: it is y0, and no step interpolates it
+        if reads is None:
+            self.out = np.empty((self.n, len(self.times)))
+            self.out[:, 0] = y0
+        else:
+            self.out = np.empty(self.n)
+            first = reads.components(0, 1)
+            self.out[first] = y0[first]
+        self.sampled = 1
+        self.steps = self.rejected = 0
         self.nfev = 2                   # f and the initial step's probe
         self.new_step = True
         self.h = -0.0                   # f's time t + 0 h is then t, even -0.0
@@ -606,10 +613,16 @@ def _dop853(kernel, groups, cfg):
     block, the RMS error norm of the 5th- and 3rd-order estimators, the step
     controller (safety 0.9, factors in [0.2, 10], no growth right after a
     rejection) and its 10-ulp minimum step, and the three extra stages of
-    the interpolant on those steps only that hold a sample.  ``rel_tol`` is
-    clamped at 100 eps with a warning, a non-finite ``y0`` is a ValueError,
-    and a step below the minimum (where a non-finite RHS ends up, and also a
-    non-finite step, which would loop in scipy) raises StiffnessError.
+    the interpolant on those steps only that hold a sample after t0.
+    Sample 0 is ``y0`` itself, written when the group is made: scipy
+    interpolates it on the first step, at x = 0, where the interpolant
+    returns y0 (its Horner sum ends in a product with x = 0, so a -0.0 of
+    y0 could come back as +0.0, and a non-finite extra stage as NaN), and
+    so counts 3 more RHS calls whenever the first step reaches no later
+    sample.  ``rel_tol`` is clamped at 100 eps with a warning, a
+    non-finite ``y0`` is a ValueError, and a step below the minimum (where
+    a non-finite RHS ends up, and also a non-finite step, which would loop
+    in scipy) raises StiffnessError.
     ``reads`` narrows the interpolant's elementwise Horner loop alone: the
     steps, stages and the ``_D`` product still run over the group's whole
     stack, as BLAS on a column subset need not give the same bits.

@@ -32,7 +32,9 @@ root per chord after it.
 Volume growth evolves the fiber mesh of ``fiber_mesh`` (a circle over a
 surface, a sphere over a 3-manifold) by time-1 maps and keeps edges below a
 refinement threshold by bisection; midpoints re-integrate from their stored
-initial parameters so the mesh never accumulates stepping error.
+initial parameters so the mesh never accumulates stepping error.  One sorted
+edge table lasts the run: each edge is measured once per level, and a split
+measures only the edges it creates.
 
 Every growth series (evolved volumes, census counts, counts averaged over
 base points, word balls) becomes a rate and a verdict through one policy,
@@ -574,7 +576,13 @@ def torus_chord_count(manifold: ModelManifold, q0, q1, horizon: float) -> int:
 
 @dataclass
 class MeshedSubmanifold:
-    """PL j-submanifold of phase space with per-vertex initial parameters."""
+    """PL j-submanifold of phase space with per-vertex initial parameters.
+
+    ``edges`` lists the unique edges (i, j), i < j, in lexicographic order,
+    ``edge_lengths`` measures edges by the model's ``phase_distance``, and
+    ``volume`` is the mesh's j-volume from the chord lengths of each
+    simplex's edges (``_pl_volume``).  ``volume_growth`` keeps its own table
+    of the same edges and lengths between passes (``_split_edge_table``)."""
 
     dimension: int
     params: np.ndarray        # (N, pdim) unit directions on the seed surface
@@ -587,16 +595,10 @@ class MeshedSubmanifold:
         return int(self.params.shape[0])
 
     def edges(self) -> np.ndarray:
-        s = self.simplices
-        if self.dimension == 1:
-            e = s
-        else:
-            e = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]])
-        e = np.sort(e, axis=1)
         # unique rows in lexicographic order, through one int64 key
         n = self.vertex_count()
-        key = np.unique(e[:, 0].astype(np.int64) * n + e[:, 1])
-        return np.stack([key // n, key % n], axis=1).astype(e.dtype, copy=False)
+        key = np.unique(np.concatenate(_edge_keys(self.simplices, n)))
+        return _key_edges(key, n).astype(self.simplices.dtype, copy=False)
 
     def _pair_distance(self, i, j):
         """Product-metric chord distance between vertex sets i and j."""
@@ -608,21 +610,48 @@ class MeshedSubmanifold:
 
     def volume(self) -> float:
         s = self.simplices
-        if self.dimension == 1:
-            return float(np.sum(self._pair_distance(s[:, 0], s[:, 1])))
-        # Heron from the three chord lengths, in the numerically stable form
-        ab = self._pair_distance(s[:, 0], s[:, 1])
-        bc = self._pair_distance(s[:, 1], s[:, 2])
-        ca = self._pair_distance(s[:, 2], s[:, 0])
-        hi = np.maximum(np.maximum(ab, bc), ca)
-        lo = np.minimum(np.minimum(ab, bc), ca)
-        mid = ab + bc + ca - hi - lo
-        t1 = hi + (mid + lo)
-        t2 = lo - (hi - mid)
-        t3 = lo + (hi - mid)
-        t4 = hi + (mid - lo)
-        areas = 0.25 * np.sqrt(np.maximum(t1 * t2 * t3 * t4, 0.0))
-        return float(np.sum(areas))
+        return _pl_volume(*(self._pair_distance(s[:, i], s[:, j])
+                            for i, j in _SIMPLEX_EDGES[self.dimension]))
+
+
+def _pl_volume(*lengths) -> float:
+    """The j-volume of a PL mesh from the chord lengths of its simplices'
+    edges, one array per edge of ``_SIMPLEX_EDGES`` in simplex order: a
+    polygon's length, or the area of a triangulated surface by Heron's
+    formula in its numerically stable form."""
+    if len(lengths) == 1:
+        return float(np.sum(lengths[0]))
+    ab, bc, ca = lengths
+    hi = np.maximum(np.maximum(ab, bc), ca)
+    lo = np.minimum(np.minimum(ab, bc), ca)
+    mid = ab + bc + ca - hi - lo
+    t1 = hi + (mid + lo)
+    t2 = lo - (hi - mid)
+    t3 = lo + (hi - mid)
+    t4 = hi + (mid - lo)
+    areas = 0.25 * np.sqrt(np.maximum(t1 * t2 * t3 * t4, 0.0))
+    return float(np.sum(areas))
+
+
+def _edge_keys(simplices, radix):
+    """The int64 key i * radix + j, i < j, of each simplex's edges, one
+    array per edge of ``_SIMPLEX_EDGES``; every index is below ``radix``."""
+    out = []
+    for i, j in _SIMPLEX_EDGES[simplices.shape[1] - 1]:
+        a, b = simplices[:, i], simplices[:, j]
+        out.append(np.minimum(a, b).astype(np.int64) * radix
+                   + np.maximum(a, b))
+    return out
+
+
+def _key_edges(keys, radix):
+    """The edges (i, j) of int64 keys i * radix + j."""
+    return np.stack([keys // radix, keys % radix], axis=1)
+
+
+def _separations(params, edges):
+    """The gap between each edge's endpoint parameters."""
+    return np.linalg.norm(params[edges[:, 0]] - params[edges[:, 1]], axis=-1)
 
 
 def icosphere(level: int):
@@ -681,11 +710,24 @@ _PARAM_FLOOR = 2e-5      # parameter gap below which an edge is irreducible
 
 @dataclass
 class VolumeGrowthResult:
+    """The volumes at integer times 0..levels_completed and their fit.
+
+    The per-level lists hold one entry for each level the run entered,
+    so an exhausted run has one more than it has volumes: the vertices at
+    the level's end, the edges it split, its splitting passes and the
+    irreducible edges left over the threshold.  ``integrator`` sums the
+    counters (``nfev``, ``steps``, ``rejected``) of every solve."""
+
     volumes: np.ndarray
     fit: GrowthFit
     exhausted: bool
     vertex_count: int
     levels_completed: int
+    vertices: list
+    splits: list
+    passes: list
+    irreducible: list
+    integrator: dict
 
 
 def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
@@ -704,11 +746,21 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
     parameter interval stops shrinking in floating point) and are excluded
     from further splitting.  Exhausting the vertex budget stops the run and
     downgrades the fit verdict to inconclusive.
+
+    One sorted edge table, int64 keys i * radix + j (i < j, the radix above
+    the budget) with each edge's length and parameter separation, lasts the
+    whole run: every length is measured once per level, after the advance,
+    and within a level each pass measures only the edges it creates
+    (``_split_edge_table``).  The split edges stay in ``mesh.edges()``'s
+    order, which numbers the midpoints, and each level's volume is
+    ``_pl_volume`` of the face lengths read from the table, the bits of
+    ``mesh.volume()`` since ``phase_distance`` is symmetric bit for bit.
     """
     if vertex_budget <= mesh.vertex_count():
         raise ValueError("vertex budget must exceed the initial vertex count")
     q0 = mesh.q[0].copy()
     mesh = replace(mesh)     # the levels rebind its arrays, not the caller's
+    counts = {"nfev": 0, "steps": 0, "rejected": 0}
 
     def evolve_new(params, upto):
         p_new = surface_map(params)
@@ -720,13 +772,20 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
             hi = min(lo + _VOLUME_BATCH, params.shape[0])
             _, Q, P = integrate_batch(field, q_new[lo:hi], p_new[lo:hi],
                                       float(upto), cfg,
-                                      t_eval=np.array([0.0, float(upto)]))
+                                      t_eval=np.array([0.0, float(upto)]),
+                                      stats=counts)
             qs.append(Q[:, -1])
             ps.append(P[:, -1])
         return np.concatenate(qs), np.concatenate(ps)
 
+    radix = vertex_budget + 1
+    edges = mesh.edges()
+    keys = edges[:, 0].astype(np.int64) * radix + edges[:, 1]
+    seps = _separations(mesh.params, edges)
     exhausted = False
     volumes = []
+    per_level = {name: [] for name in ("vertices", "splits", "passes",
+                                       "irreducible")}
     for level in range(n_max + 1):
         if level:
             qs, ps = [], []
@@ -735,34 +794,45 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
                 _, Q, P = integrate_batch(field, mesh.q[lo:hi], mesh.p[lo:hi],
                                           1.0, cfg, t0=float(level - 1),
                                           t_eval=np.array([float(level - 1),
-                                                           float(level)]))
+                                                           float(level)]),
+                                          stats=counts)
                 qs.append(Q[:, -1])
                 ps.append(P[:, -1])
             mesh.q, mesh.p = np.concatenate(qs), np.concatenate(ps)
+        lengths = mesh.edge_lengths(_key_edges(keys, radix))
+        splits = 0
         for n_pass in range(_REFINE_PASSES + 1):
-            edges = mesh.edges()
-            sep = np.linalg.norm(mesh.params[edges[:, 0]]
-                                 - mesh.params[edges[:, 1]], axis=-1)
-            split = edges[(mesh.edge_lengths(edges) > refine_threshold)
-                          & (sep > _PARAM_FLOOR)]
-            if len(split) == 0:
+            over = lengths > refine_threshold
+            split_at = np.flatnonzero(over & (seps > _PARAM_FLOOR))
+            if len(split_at) == 0:
                 break
             # splittable edges left after the last pass, or over the budget
             if (n_pass == _REFINE_PASSES
-                    or mesh.vertex_count() + len(split) > vertex_budget):
+                    or mesh.vertex_count() + len(split_at) > vertex_budget):
                 exhausted = True
                 break
+            split = _key_edges(keys[split_at], radix)
             mid_params = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
             mid_params /= np.linalg.norm(mid_params, axis=-1, keepdims=True)
             q_new, p_new = evolve_new(mid_params, level)
-            mesh.simplices = _resplit(mesh.simplices, split,
-                                      mesh.vertex_count())
+            base = mesh.vertex_count()
+            mesh.simplices = _resplit(mesh.simplices, split, base)
             mesh.params = np.vstack([mesh.params, mid_params])
             mesh.q = np.vstack([mesh.q, q_new])
             mesh.p = np.vstack([mesh.p, p_new])
+            keys, lengths, seps = _split_edge_table(
+                mesh, (keys, lengths, seps), split_at, base, radix)
+            splits += len(split_at)
+        for name, value in (("vertices", mesh.vertex_count()),
+                            ("splits", splits), ("passes", n_pass),
+                            ("irreducible", int(np.count_nonzero(
+                                over & ~(seps > _PARAM_FLOOR))))):
+            per_level[name].append(value)
         if exhausted:
             break
-        volumes.append(mesh.volume())
+        volumes.append(_pl_volume(*(lengths[np.searchsorted(keys, key)]
+                                    for key in _edge_keys(mesh.simplices,
+                                                          radix))))
 
     volumes = np.array(volumes)
     fit = fit_growth(volumes, fit_window) or INCONCLUSIVE
@@ -770,7 +840,33 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
         fit = replace(fit, verdict="inconclusive")
     return VolumeGrowthResult(volumes=volumes, fit=fit, exhausted=exhausted,
                               vertex_count=mesh.vertex_count(),
-                              levels_completed=max(len(volumes) - 1, 0))
+                              levels_completed=max(len(volumes) - 1, 0),
+                              integrator=counts, **per_level)
+
+
+def _split_edge_table(mesh, table, split_at, base, radix):
+    """The edge table ``(keys, lengths, separations)`` of a mesh after one
+    pass split the edges at rows ``split_at``: ``mesh`` already holds the
+    children, whose new vertices are numbered from ``base`` on.
+
+    The split edges leave the table; the edges of the split simplices'
+    children that it lacks (each has a new vertex) are measured, alone, and
+    inserted in key order.  No other edge is touched: its endpoints have
+    not moved."""
+    keys, lengths, seps = table
+    children = mesh.simplices[np.any(mesh.simplices >= base, axis=1)]
+    new = np.unique(np.concatenate(_edge_keys(children, radix)))
+    # a split edge is no child's, so the full table tells which are new
+    pos = np.minimum(np.searchsorted(keys, new), len(keys) - 1)
+    new = new[keys[pos] != new]
+    kept = np.ones(len(keys), dtype=bool)
+    kept[split_at] = False
+    keys, lengths, seps = keys[kept], lengths[kept], seps[kept]
+    at = np.searchsorted(keys, new)
+    edges = _key_edges(new, radix)
+    return (np.insert(keys, at, new),
+            np.insert(lengths, at, mesh.edge_lengths(edges)),
+            np.insert(seps, at, _separations(mesh.params, edges)))
 
 
 # The children of a simplex, by which of its edges split (bit e for edge e of
@@ -802,9 +898,7 @@ def _resplit(simplices, split, base):
     keys = keys[order]
     verts = [simplices]
     pattern = np.zeros(len(simplices), dtype=np.int64)
-    for e, (i, j) in enumerate(_SIMPLEX_EDGES[dim]):
-        a, b = simplices[:, i], simplices[:, j]
-        key = np.minimum(a, b).astype(np.int64) * base + np.maximum(a, b)
+    for e, key in enumerate(_edge_keys(simplices, base)):
         pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         hit = keys[pos] == key
         verts.append(np.where(hit, base + order[pos], -1)[:, None])

@@ -381,7 +381,12 @@ def _run_volume_growth(cfg, out: Path, rng):
                "window": list(result.fit.window),
                "exhausted": result.exhausted,
                "vertex_count": result.vertex_count,
-               "levels_completed": result.levels_completed}
+               "levels_completed": result.levels_completed,
+               "diagnostics": {"vertices": result.vertices,
+                               "splits": result.splits,
+                               "passes": result.passes,
+                               "irreducible": result.irreducible,
+                               "integrator": result.integrator}}
     checks = {}
     if manifold.kind == "torus":
         # a circle's length grows linearly, so its semilog slope over a

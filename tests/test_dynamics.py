@@ -623,7 +623,8 @@ def _assert_solve_matches_scipy(rhs, y0, t1, cfg, t_eval=None):
     assert ref.success
     assert times.tobytes() == ref.t.tobytes()
     assert ys.shape == ref.y.shape and ys.tobytes() == ref.y.tobytes()
-    assert stats["nfev"] == ref.nfev
+    # scipy interpolates sample 0 on the first step; the lab writes y0
+    assert stats["nfev"] == ref.nfev - 3
     assert stats["samples"] == len(times)
 
 
@@ -691,7 +692,9 @@ def test_solve_counts_steps_and_rejections(monkeypatch):
     grid = dyn._sample_grid(0.0, 50.0, cfg.max_step)
     solver = DOP853(returning(rhs), 0.0, m0, 50.0, rtol=cfg.rel_tol,
                     atol=cfg.abs_tol)
-    steps = sampled = 0
+    # sample 0 is y0, so the first dense output is for sample 1, as in
+    # the lab
+    steps, sampled = 0, 1
     while solver.status == "running":
         solver.step()
         steps += 1
@@ -704,6 +707,32 @@ def test_solve_counts_steps_and_rejections(monkeypatch):
     assert stats["steps"] == steps
     assert stats["rejected"] == attempts - steps > 0
     assert stats["nfev"] == solver.nfev
+
+
+def test_sample_zero_is_y0_bit_for_bit():
+    # sample 0 is y0 itself, never interpolated: a -0.0 keeps its sign
+    # where scipy's interpolant at x = 0 returns +0.0, in a full read and a
+    # read at own samples; a first step that reaches no later sample runs
+    # no dense output (3 RHS calls fewer than scipy), one that does runs it
+    from scipy.integrate import solve_ivp
+    kernel = in_place(lambda t, y: np.array([1.0, -1.0, 0.0, 2.0]) + 0 * y)
+    y0 = np.array([-0.0, -0.0, -0.0, 1.0])
+    cfg = dyn.IntegratorConfig()
+    for grid, fewer in ((np.array([0.0, 0.5, 1.0]), 3),
+                        (np.array([0.0, 1e-9]), 0)):
+        _, ys, stats = dyn.solve(kernel, y0, 0.0, grid[-1], cfg, grid)
+        ref = solve_ivp(returning(kernel), (0.0, grid[-1]), y0,
+                        method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                        t_eval=grid)
+        assert ys[:, 0].tobytes() == y0.tobytes()
+        assert ys[:, 1:].tobytes() == ref.y[:, 1:].tobytes()
+        assert stats["nfev"] == ref.nfev - fewer
+        reads = np.array([0, 0, 1, 0])
+        _, own, read_stats = dyn.solve(kernel, y0, 0.0, grid[-1], cfg, grid,
+                                       reads=reads)
+        assert own.tobytes() == ys[np.arange(4), reads].tobytes()
+        assert read_stats == stats
+    assert np.signbit(ys[0, 0]) and not np.signbit(ref.y[0, 0])
 
 
 def test_solve_rejects_nonfinite_state_and_rhs():

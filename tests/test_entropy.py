@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,7 +13,8 @@ from spherization_lab.errors import InvariantFailureError
 from spherization_lab.geometry import (CotangentPoint, FlatTorus,
                                        ModelManifold)
 from spherization_lab.entropy import (ChordRecord, _dedup_roots, _resplit,
-                                      _suppress, _tangent_frames, chord_census,
+                                      _split_edge_table, _suppress,
+                                      _tangent_frames, chord_census,
                                       circle_directions, fiber_mesh,
                                       fibonacci_sphere, fit_exponential_rate,
                                       fit_growth, mpp_estimate,
@@ -624,6 +626,108 @@ def test_volume_budget_exhaustion_flags(sol):
     assert res.levels_completed < 12
 
 
+def _volume_growth_reference(field, mesh, n_max, refine_threshold,
+                             vertex_budget, surface_map, fit_window=6):
+    """``volume_growth`` as a loop that finds every edge with ``edges()``
+    and measures every edge and face again on each pass and level, with
+    the per-level counts the run reports."""
+    cfg = dyn.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=0.25)
+    q0 = mesh.q[0].copy()
+    mesh = dataclasses.replace(mesh)
+
+    def advance(q, p, t0, t1):
+        qs, ps = [], []
+        for lo in range(0, len(q), entropy._VOLUME_BATCH):
+            hi = lo + entropy._VOLUME_BATCH
+            _, Q, P = dyn.integrate_batch(field, q[lo:hi], p[lo:hi], t1 - t0,
+                                          cfg, t0=t0, t_eval=np.array(
+                                              [t0, t1]))
+            qs.append(Q[:, -1])
+            ps.append(P[:, -1])
+        return np.concatenate(qs), np.concatenate(ps)
+
+    exhausted = False
+    volumes, levels = [], []
+    for level in range(n_max + 1):
+        if level:
+            mesh.q, mesh.p = advance(mesh.q, mesh.p, float(level - 1),
+                                     float(level))
+        splits = 0
+        for n_pass in range(entropy._REFINE_PASSES + 1):
+            edges = mesh.edges()
+            sep = np.linalg.norm(mesh.params[edges[:, 0]]
+                                 - mesh.params[edges[:, 1]], axis=-1)
+            over = mesh.edge_lengths(edges) > refine_threshold
+            split = edges[over & (sep > entropy._PARAM_FLOOR)]
+            if len(split) == 0:
+                break
+            if (n_pass == entropy._REFINE_PASSES
+                    or mesh.vertex_count() + len(split) > vertex_budget):
+                exhausted = True
+                break
+            mid = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
+            mid /= np.linalg.norm(mid, axis=-1, keepdims=True)
+            p_new = surface_map(mid)
+            q_new = np.broadcast_to(q0, p_new.shape).copy()
+            if level:
+                q_new, p_new = advance(q_new, p_new, 0.0, float(level))
+            mesh.simplices = _resplit(mesh.simplices, split,
+                                      mesh.vertex_count())
+            mesh.params = np.vstack([mesh.params, mid])
+            mesh.q = np.vstack([mesh.q, q_new])
+            mesh.p = np.vstack([mesh.p, p_new])
+            splits += len(split)
+        levels.append((mesh.vertex_count(), splits, n_pass, int(np.sum(
+            over & ~(sep > entropy._PARAM_FLOOR)))))
+        if exhausted:
+            break
+        volumes.append(mesh.volume())
+    volumes = np.array(volumes)
+    fit = fit_growth(volumes, fit_window) or entropy.INCONCLUSIVE
+    if exhausted:
+        fit = dataclasses.replace(fit, verdict="inconclusive")
+    return volumes, fit, exhausted, mesh.vertex_count(), levels
+
+
+def test_volume_growth_keeps_the_remeasuring_loops_bits(
+        torus, sol, round_sandwich, ellipse_sandwich):
+    # one edge table, measured once per level and only on new edges within
+    # one, against a loop that finds and measures everything on every pass:
+    # sol with up to 3 passes a level, sol exhausting its budget, the torus
+    # circle at 0.1 and the ellipse's gauge flow
+    q_sol = sol.random_point(np.random.default_rng(13))
+    q_exh = sol.random_point(np.random.default_rng(11))
+    q_tor = np.array([0.2, 0.7])
+    runs = [(sol_mod.sol_field(sol), sol, q_sol,
+             lambda u: sol_mod.level_covector(1.0, q_sol, u), 42, 3, 1.0,
+             200000),
+            (sol_mod.sol_field(sol), sol, q_exh,
+             lambda u: sol_mod.level_covector(1.0, q_exh, u), 162, 12, 2.0,
+             400),
+            (dyn.geodesic_field(torus), torus, q_tor,
+             lambda u: round_sandwich.surface_covector(q_tor, u), 64, 30,
+             0.1, 100000),
+            (dyn.scaled_field(dyn.gauge_field(ellipse_sandwich), 0.5), torus,
+             q_tor, lambda u: ellipse_sandwich.surface_covector(q_tor, u),
+             64, 12, 0.1, 100000)]
+    passes, exhausted_runs = [], []
+    for field, manifold, q0, smap, resolution, n_max, thr, budget in runs:
+        mesh = fiber_mesh(manifold, q0, smap, resolution)
+        res = volume_growth(field, mesh, n_max, thr, budget, surface_map=smap)
+        volumes, fit, exhausted, vertices, levels = _volume_growth_reference(
+            field, mesh, n_max, thr, budget, smap)
+        assert res.volumes.tobytes() == volumes.tobytes()
+        assert repr(res.fit) == repr(fit)
+        assert (res.exhausted, res.vertex_count) == (exhausted, vertices)
+        assert res.levels_completed == max(len(volumes) - 1, 0)
+        assert list(zip(res.vertices, res.splits, res.passes,
+                        res.irreducible)) == levels
+        assert res.integrator["nfev"] > 0
+        passes.append(max(res.passes))
+        exhausted_runs.append(res.exhausted)
+    assert passes[0] == 3 and exhausted_runs == [False, True, False, False]
+
+
 def _resplit_reference(simplices, lookup, dimension):
     """The refinement's split of each simplex by a Python loop, with
     ``lookup`` the midpoint vertex of each split edge (i, j), i < j."""
@@ -691,6 +795,67 @@ def test_resplit_matches_the_loop(torus, sol, round_sandwich, dimension):
         assert got.dtype == np.int64 and np.array_equal(got, want)
         simplices, n = got, n + len(split)
     assert n > 4 * mesh.vertex_count()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_split_edge_table_matches_the_mesh(torus, sol, round_sandwich,
+                                           dimension):
+    # after each pass of random splits, the updated table holds the edges
+    # of edges() in its order, with edge_lengths' and the separations' bits
+    rng = np.random.default_rng(10 + dimension)
+    if dimension == 1:
+        q0 = np.array([0.2, 0.7])
+        mesh = fiber_mesh(torus, q0, lambda u: round_sandwich.surface_covector(
+            q0, u), 16)
+    else:
+        q0 = np.zeros(3)
+        mesh = fiber_mesh(sol, q0, lambda u: sol_mod.level_covector(
+            1.0, q0, u), 42)
+    mesh.q = mesh.q + rng.normal(size=mesh.q.shape)
+    radix = 100000
+
+    def table_of(mesh):
+        edges = mesh.edges()
+        seps = np.linalg.norm(mesh.params[edges[:, 0]]
+                              - mesh.params[edges[:, 1]], axis=-1)
+        return (edges[:, 0] * radix + edges[:, 1], mesh.edge_lengths(edges),
+                seps)
+
+    table = table_of(mesh)
+    for share in (0.3, 0.6, 1.0, 0.5, 0.1):
+        keys = table[0]
+        split_at = np.flatnonzero(rng.random(len(keys)) < share)
+        split = np.stack([keys[split_at] // radix, keys[split_at] % radix], 1)
+        base = mesh.vertex_count()
+        mid = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
+        mesh.simplices = _resplit(mesh.simplices, split, base)
+        mesh.params = np.vstack([mesh.params, mid / np.linalg.norm(
+            mid, axis=-1, keepdims=True)])
+        mesh.q, mesh.p = (np.vstack([x, rng.normal(size=(len(split),
+                                                         x.shape[1]))])
+                          for x in (mesh.q, mesh.p))
+        table = _split_edge_table(mesh, table, split_at, base, radix)
+        for got, want in zip(table, table_of(mesh)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert mesh.vertex_count() > 4 * 16
+
+
+def test_phase_distance_is_symmetric_bit_for_bit(torus, sol):
+    # the edge table measures (i, j) with i < j, the faces ask for either
+    # order; sol's pairs span many z units, so both of its base branches
+    # (frame chord, climb and descent) occur
+    rng = np.random.default_rng(5)
+    for manifold, z_scale in ((torus, None), (sol, 4.0)):
+        qa, qb = (np.stack([manifold.random_point(rng) for _ in range(4000)])
+                  for _ in range(2))
+        if z_scale is not None:
+            qa[:, 2] *= z_scale
+            qa[:, :2] *= rng.choice([1e-3, 1.0, 1e3], size=(4000, 1))
+        pa, pb = rng.normal(size=qa.shape), rng.normal(size=qa.shape)
+        ab = manifold.phase_distance(qa, pa, qb, pb)
+        ba = manifold.phase_distance(qb, pb, qa, pa)
+        assert ab.tobytes() == ba.tobytes()
+        assert np.all(np.isfinite(ab))
 
 
 def test_fiber_mesh_circle_and_sphere(torus, sol, round_sandwich):

@@ -113,6 +113,14 @@ fit_window = 5
     assert r["levels_completed"] == 6
     assert not r["exhausted"]
     assert len(r["volumes"]) == 7
+    # per level compact integer lists, and the solves' summed counters
+    diag = r["diagnostics"]
+    for name in ("vertices", "splits", "passes", "irreducible"):
+        assert len(diag[name]) == 7
+        assert all(isinstance(v, int) and v >= 0 for v in diag[name])
+    assert diag["vertices"][-1] == r["vertex_count"]
+    assert sorted(diag["integrator"]) == ["nfev", "rejected", "steps"]
+    assert diag["integrator"]["nfev"] > diag["integrator"]["steps"] > 0
     body = (out / "volume-growth.csv").read_text().splitlines()
     assert body[0] == "n,volume" and len(body) == 8
 

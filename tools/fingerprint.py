@@ -13,6 +13,11 @@ that give the same bits print the same lines.  A run that fails with one of
 the lab's errors (the census of ``sol-census.ini`` fails its monotonicity
 check by design) is still hashed: its manifest records the error.
 
+Two volume-growth runs follow, whatever the flags: a sol fiber refined over
+three or four passes per level to about 49 000 vertices, and a torus circle
+refined at threshold 0.1 over 30 levels, so the diff also covers multi-pass
+refinement and the polygon (d = 1) that the workloads hardly touch.
+
 The configs of acceptance criteria 02 and 08b take most of the time and run
 only with ``--slow``.  ``--smoke`` runs each workload at its smoke size, one
 input per seed, as ``perfbench/run.py --smoke`` does.
@@ -31,6 +36,39 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 SLOW_CONFIGS = ("sol-census.ini", "sol-subcritical.ini")   # criteria 08b, 02
+
+VOLUME_RUNS = {
+    "sol-passes": """
+[experiment]
+name = volume-growth
+seed = 7
+
+[manifold]
+kind = sol
+
+[sol]
+k = 1.0
+
+[volume]
+n_max = 4
+resolution = 162
+refine_threshold = 0.6
+vertex_budget = 200000
+fit_window = 3
+""",
+    "torus-circle": """
+[experiment]
+name = volume-growth
+seed = 31
+
+[volume]
+n_max = 30
+resolution = 64
+refine_threshold = 0.1
+vertex_budget = 100000
+fit_window = 8
+""",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -59,8 +97,8 @@ def fingerprint(label: str, path: Path, scratch: Path):
 
 def runs(seeds, *, slow: bool, smoke: bool, scratch: Path):
     """(label, config path) of every run, the configs written to
-    ``scratch``: the workload inputs seed by seed, then the shipped
-    configs."""
+    ``scratch``: the workload inputs seed by seed, the shipped configs,
+    then the volume runs."""
     from workloads import WORKLOADS
 
     for name, workload in WORKLOADS.items():
@@ -73,6 +111,10 @@ def runs(seeds, *, slow: bool, smoke: bool, scratch: Path):
     for path in sorted((ROOT / "configs").glob("*.ini")):
         if slow or path.name not in SLOW_CONFIGS:
             yield f"configs/{path.stem}", path
+    for name, text in VOLUME_RUNS.items():
+        path = scratch / f"volume-{name}.ini"
+        path.write_text(text)
+        yield f"volume/{name}", path
 
 
 def main(argv=None) -> int:

@@ -48,13 +48,14 @@ quadratures, equal to scipy's bit for bit.
 
 Both chord finders, the census polish ``entropy._polish`` and the fixed-time
 chords here, polish with one damped Newton driver, ``lockstep_newton``
-(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).  On a
-flat model (``ModelManifold.flat``, the torus) a field of p alone keeps p
-and translates q, and both evaluate that flow in closed form,
-``flat_flow``: the fixed-time chords solve its time-1 map, and the census
-seeds and polishes on it.  Each integrates only the chords it accepts,
-which re-verifies them; an integrated endpoint off its lift (a field with
-dH/dq != 0) raises InvariantFailureError.
+(Kelley, *Solving Nonlinear Equations with Newton's Method*, 2003).  A field
+whose flow has a closed form carries it (``HamiltonianField.flow``): on a
+flat model the geodesic, gauge and core fields depend on p alone, so their
+flow keeps p and translates q (``translation_flow``), and a scaled field
+runs its parent's flow c times as long.  The fixed-time chords solve that
+flow's time-1 map and need one, and integrate the chords they accept for
+the action quadrature; the census seeds and polishes on it when the field
+has one, and re-verifies its roots by integration.
 """
 
 from __future__ import annotations
@@ -86,7 +87,10 @@ class HamiltonianField:
     of the stacked ``[Q.ravel(), P.ravel()]`` in ``y`` into ``out`` (a view
     the stepper owns, of any prior content), with the bits of ``(dH/dp,
     -dH/dq)``; ``integrate_batch`` binds it in place of the generic adapter
-    over ``grads``.
+    over ``grads``.  ``flow``, when given, is the field's flow in closed
+    form, ``flow(q0, P, t) -> (Q, P)``: the time-t map of the rows of ``P``
+    from ``q0`` (one base point or one per row), ``t`` one time or one per
+    row; the chord finders evaluate it in place of ``integrate_batch``.
     """
 
     name: str
@@ -94,6 +98,7 @@ class HamiltonianField:
     value: callable
     grads: callable
     flat_rhs: callable = None
+    flow: callable = None
 
     def dq(self, q, p):
         return self.grads(q, p)[0]
@@ -111,16 +116,31 @@ class HamiltonianField:
         return gp, -gq
 
 
+def translation_flow(grads):
+    """The flow (q0 + t dH/dp(q0, P), P) of a field of p alone with gradient
+    kernel ``grads``, which keeps p and translates q: on a flat model, the
+    ``flow`` of the geodesic, gauge and core fields."""
+
+    def flow(q0, P, t):
+        P = np.asarray(P, dtype=float)
+        v = grads(np.broadcast_to(q0, P.shape), P)[1]
+        return q0 + np.asarray(t, dtype=float)[..., None] * v, P
+    return flow
+
+
 def scaled_field(field: HamiltonianField, c: float) -> HamiltonianField:
+    """c H, whose flow is the flow of H run for c t."""
     c = float(c)
 
     def grads(q, p):
         gq, gp = field.grads(q, p)
         return c * gq, c * gp
 
+    flow = None if field.flow is None else (
+        lambda q0, P, t: field.flow(q0, P, c * np.asarray(t, dtype=float)))
     return HamiltonianField(
         name=f"{c}*{field.name}", manifold=field.manifold,
-        value=lambda q, p: c * field.value(q, p), grads=grads)
+        value=lambda q, p: c * field.value(q, p), grads=grads, flow=flow)
 
 
 def geodesic_field(manifold: ModelManifold) -> HamiltonianField:
@@ -128,14 +148,18 @@ def geodesic_field(manifold: ModelManifold) -> HamiltonianField:
     return HamiltonianField(
         name="geodesic", manifold=manifold,
         value=lambda q, p: 0.5 * manifold.conorm_sq(q, p),
-        grads=manifold.conorm_grads)
+        grads=manifold.conorm_grads,
+        flow=translation_flow(manifold.conorm_grads) if manifold.flat
+        else None)
 
 
 def gauge_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
     """The degree-2 homogeneous gauge F as a Hamiltonian."""
     return HamiltonianField(
         name="gauge", manifold=sandwich.manifold,
-        value=sandwich.gauge, grads=sandwich.gauge_grads)
+        value=sandwich.gauge, grads=sandwich.gauge_grads,
+        flow=translation_flow(sandwich.gauge_grads)
+        if sandwich.manifold.flat else None)
 
 
 def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
@@ -162,7 +186,9 @@ def core_field(sandwich: SandwichedHamiltonians) -> HamiltonianField:
                 inner * (slope[..., None] * dp_f) + outer * g_dp)
 
     return HamiltonianField(name="core", manifold=sandwich.manifold,
-                            value=value, grads=grads)
+                            value=value, grads=grads,
+                            flow=translation_flow(grads)
+                            if sandwich.manifold.flat else None)
 
 
 # -- integration ------------------------------------------------------------
@@ -1062,7 +1088,7 @@ def lockstep_newton(n, linearize, move, *, tol, max_sweeps, blowup=None):
     return outcome
 
 
-# -- fixed-time fiber-to-fiber chords (flat base) -----------------------------
+# -- fixed-time fiber-to-fiber chords (closed-form flow) ----------------------
 
 _SHOOT_DURATION = 1.0      # the fixed arrival time of a shot chord
 _SHOOT_COARSE = 0.35       # arrival distance that makes a grid covector a seed
@@ -1070,33 +1096,23 @@ _SHOOT_TOL = 1e-10         # Newton residual of an accepted chord
 _SHOOT_SWEEPS, _SHOOT_FD_STEP, _SHOOT_MAX_RECORDS = 40, 1e-7, 4000
 
 
-def flat_flow(field: HamiltonianField, q0, P, t):
-    """The time-t map (q0 + t dH/dp(q0, P), P) of a field that depends on p
-    alone on a flat model, whose flow keeps p and translates q; ``t`` is one
-    time, or one per row of ``P``."""
-    P = np.asarray(P, dtype=float)
-    v = field.grads(np.broadcast_to(q0, P.shape), P)[1]
-    return q0 + np.asarray(t, dtype=float)[..., None] * v, P
-
-
 def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
                             p_max: float = 3.2, grid: int = 48,
                             cfg: IntegratorConfig):
     """Find solutions x(0) in the fiber over q0 with base(x(1)) on a lift of
-    q1, for a field on a flat model that depends on p alone (the action
+    q1, for a field with a closed-form flow on a surface (the action
     experiments).
 
-    p is then constant and the time-1 map is ``flat_flow``'s
-    q0 + dH/dp(p0): grid covectors landing within ``_SHOOT_COARSE`` of a
-    lift seed ``lockstep_newton`` on that closed form.  The accepted chords
-    are integrated densely, and an endpoint more than ``10 * _SHOOT_TOL``
-    off its lift (dH/dq != 0) raises InvariantFailureError.  Returns
-    (trajectory, deck) pairs, deduplicated in (covector, deck) and sorted
-    by (deck, covector).
+    Grid covectors whose time-1 map ``field.flow`` lands within
+    ``_SHOOT_COARSE`` of a lift seed ``lockstep_newton`` on that map.  The
+    accepted chords are integrated densely, for the action quadrature.
+    Returns (trajectory, deck) pairs, deduplicated in (covector, deck) and
+    sorted by (deck, covector).
     """
+    if field.flow is None:
+        raise ValueError("fixed-time chord shooting needs a field with a "
+                         "closed-form flow")
     manifold = field.manifold
-    if not manifold.flat:
-        raise ValueError("fixed-time chord shooting expects a flat model")
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     axis = np.linspace(-p_max, p_max, grid)
@@ -1104,7 +1120,7 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
     P0 = np.stack([px.ravel(), py.ravel()], axis=-1)
 
     deck0, dist = manifold.nearest_lift(
-        flat_flow(field, q0, P0, _SHOOT_DURATION)[0], q1)
+        field.flow(q0, P0, _SHOOT_DURATION)[0], q1)
     near = np.nonzero(dist < _SHOOT_COARSE)[0]
 
     # lockstep damped Newton in the covector against each seed's fixed lift
@@ -1113,7 +1129,7 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
 
     def linearize(idx):
         k = len(idx)
-        ends, _ = flat_flow(field, q0, np.concatenate(
+        ends, _ = field.flow(q0, np.concatenate(
             [P[idx], P[idx] + np.array([h, 0.0]), P[idx] + np.array([0.0, h])]),
             _SHOOT_DURATION)
 
@@ -1146,11 +1162,6 @@ def shoot_fixed_time_chords(field: HamiltonianField, q0, q1, *,
     t_grid = _sample_grid(0.0, _SHOOT_DURATION, cfg.max_step)
     _, Q, Pt = integrate_batch(field, Q_sel, P_sel, _SHOOT_DURATION, cfg,
                                t_eval=t_grid)
-    miss = np.linalg.norm(Q[:, -1] - lifts[sel], axis=-1)
-    if not np.all(miss <= 10 * _SHOOT_TOL):
-        raise InvariantFailureError(
-            f"integrated chord misses its lift by {np.max(miss):.3e}: the "
-            f"closed-form time-1 map needs a field that depends on p alone")
     records = []
     for j, i in enumerate(sel):
         energy = field.value(Q[j], Pt[j])

@@ -5,29 +5,25 @@ The census solves the shooting problem "start on the fiber surface over q0,
 arrive on the fiber over q1 (any deck translate) before the horizon" by
 seeding a mesh on (surface parameter) x (time), detecting near-arrivals on
 dense trajectory samples, and polishing each candidate with damped Newton in
-(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The
-re-verification of the polished roots reads their endpoints from one
-batched integration, ``_endpoints``, and so do the mesh and the polish on
-sol.  One census counts every pair of base points of a config: the
+(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The mesh
+samples each seed's trajectory, and the polish and the re-verification read
+their endpoints from ``_endpoints``: they evaluate the field's closed-form
+flow (``HamiltonianField.flow``, the torus fields' translation of q) when it
+has one, and integrate, batched, otherwise.  The re-verification always
+integrates.  One census counts every pair of base points of a config: the
 chunks of all pairs integrate as groups of lockstep ``integrate_batch``
 calls, and one polish moves all their candidates, while each pair keeps the
-records, counts and diagnostics of its census alone.  On a flat model
-(``ModelManifold.flat``, the torus) the flow of a field of p alone
-translates q, so the mesh samples and the polish evaluate its time-t map
-q0 + t v0, ``dynamics.flat_flow``; only the re-verification integrates
-there.  Arrivals are tagged with the deck element of the lift
-they hit, which identifies the homotopy class of the projected path: one
-vectorized ``ModelManifold.nearest_lift`` call per block of
-``_SEARCH_BLOCK`` seeds picks each candidate's deck (on a flat model the
-block's samples are evaluated just before; blocks bound the temporaries of
-the search, and no count depends on them), one
-``ModelManifold.deck_apply`` call places the lifts of
-all representatives, and each root is polished toward its lift and
-re-verified by its residual against that same lift.  On a flat model an
-integrated root more than 10 ``newton_tol`` off its lift (a field with
-dH/dq != 0) raises InvariantFailureError.  One per-deck suppression,
-``_suppress``, keeps one mesh candidate per blob before the polish and one
-root per chord after it.
+records, counts and diagnostics of its census alone.  Arrivals are tagged
+with the deck element of the lift they hit, which identifies the homotopy
+class of the projected path: one vectorized ``ModelManifold.nearest_lift``
+call per block of ``_SEARCH_BLOCK`` seeds picks each candidate's deck (with
+a flow the block's samples are evaluated just before; blocks bound the
+temporaries of the search, and no count depends on them), one
+``ModelManifold.deck_apply`` call places the lifts of all representatives,
+and each root is polished toward its lift and re-verified by its residual
+against that same lift.  One per-deck
+suppression, ``_suppress``, keeps one mesh candidate per blob before the
+polish and one root per chord after it.
 
 Volume growth evolves the fiber mesh of ``fiber_mesh`` (a circle over a
 surface, a sphere over a 3-manifold) by time-1 maps and keeps edges below a
@@ -50,9 +46,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (CONVERGED, NEWTON_OUTCOMES, OUTSIDE_WINDOW,
-                       HamiltonianField, IntegratorConfig, flat_flow,
-                       integrate_batch, lockstep_newton)
-from .errors import BudgetExceededError, InvariantFailureError
+                       HamiltonianField, IntegratorConfig, integrate_batch,
+                       lockstep_newton)
+from .errors import BudgetExceededError
 from .geometry import Deck, ModelManifold
 
 # -- rate fitting -------------------------------------------------------------
@@ -228,17 +224,24 @@ def _endpoints(field, cfg, starts, stats, us, ts, owner):
     from the fiber of pair ``owner[r]``: ``starts[i]`` is its (q0,
     surface_map), and ``stats[i]`` sums the integrator counters of its rows.
 
-    The rows of each pair go in order of time, ``_POLISH_CHUNK`` at a time,
-    into one group of a lockstep ``integrate_batch`` over the union of their
-    times; the interpolant fills each row at its own arrival time only
-    (``at``), with the bits of the full read.  The groups of all pairs
-    advance together, ``_LOCKSTEP_ROWS`` rows per call; a row's bits depend
-    on its own pair's chunk alone.
+    A field with a ``flow`` gives them in closed form, one call per pair.
+    Otherwise the rows of each pair go in order of time, ``_POLISH_CHUNK``
+    at a time, into one group of a lockstep ``integrate_batch`` over the
+    union of their times; the interpolant fills each row at its own arrival
+    time only (``at``), with the bits of the full read.  The groups of all
+    pairs advance together, ``_LOCKSTEP_ROWS`` rows per call; a row's bits
+    depend on its own pair's chunk alone.
     """
     q_out = np.empty((len(us), field.manifold.dim))
     p_out = np.empty((len(us), field.manifold.dim))
+    by_owner = _by_owner(owner, len(starts))
+    if field.flow is not None:
+        for (q0, surface_map), rows in zip(starts, by_owner):
+            q_out[rows], p_out[rows] = field.flow(q0, surface_map(us[rows]),
+                                                  ts[rows])
+        return q_out, p_out
     chunks = []
-    for i, rows in enumerate(_by_owner(owner, len(starts))):
+    for i, rows in enumerate(by_owner):
         rows = rows[np.argsort(ts[rows], kind="stable")]
         chunks += [(i, sel, len(sel)) for sel in
                    np.split(rows, np.arange(_POLISH_CHUNK, len(rows),
@@ -264,16 +267,6 @@ def _endpoints(field, cfg, starts, stats, us, ts, owner):
             sizes=[rows for _, _, rows in call])
         for (_, sel, _), (q, p) in zip(call, ends):
             q_out[sel], p_out[sel] = q, p
-    return q_out, p_out
-
-
-def _flat_endpoints(field, starts, us, ts, owner):
-    """``_endpoints`` on a flat model, from the closed-form flow."""
-    q_out = np.empty((len(us), field.manifold.dim))
-    p_out = np.empty((len(us), field.manifold.dim))
-    for (q0, surface_map), rows in zip(starts, _by_owner(owner, len(starts))):
-        q_out[rows], p_out[rows] = flat_flow(field, q0, surface_map(us[rows]),
-                                             ts[rows])
     return q_out, p_out
 
 
@@ -396,10 +389,10 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
     ``surface_map`` sends unit coordinate directions (N, d) to starting
     covectors (N, d) on the surface over q0.  Resolution is the number of
     seed directions (>= 64).  ``diagnostics["integrator"]`` sums the
-    counters of the pair's solves: on a flat model those of the
-    re-verification alone.  The pairs share each stage: one lockstep
-    integration of every pair's mesh chunks, one ``_polish`` of every
-    pair's representatives, one re-verification.  Each mesh chunk and
+    counters of the pair's solves: for a field with a closed-form ``flow``
+    those of the re-verification alone.  The pairs share each stage: one
+    lockstep integration of every pair's mesh chunks, one ``_polish`` of
+    every pair's representatives, one re-verification.  Each mesh chunk and
     endpoint chunk is a group of its own pair's rows, so a pair's records,
     counts and diagnostics are those of its census alone.
     """
@@ -428,7 +421,7 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
         grids.append(np.linspace(0.0, horizon, n_samples))
 
     # integrator counters of the mesh, polish and re-verification solves;
-    # on a flat model the mesh and the polish evaluate the closed form
+    # with a flow the mesh and the polish evaluate it instead
     counts = [{"nfev": 0, "steps": 0, "rejected": 0} for _ in pairs]
     # candidates: deck, seed index, time and distance of each near-arrival
     raw = [([], [], [], []) for _ in pairs]
@@ -454,11 +447,11 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
             raise BudgetExceededError(
                 f"census mesh produced more than {max_candidates} candidates")
 
-    if manifold.flat:
+    if field.flow is not None:
         for i in range(len(pairs)):
             for lo in range(0, resolution, _SEARCH_BLOCK):
-                near_arrivals(i, lo, flat_flow(
-                    field, starts[i][0], P0s[i][lo:lo + _SEARCH_BLOCK, None],
+                near_arrivals(i, lo, field.flow(
+                    starts[i][0], P0s[i][lo:lo + _SEARCH_BLOCK, None],
                     grids[i])[0])
     else:
         chunks = [(i, lo, min(lo + _MESH_BATCH, resolution) - lo)
@@ -495,25 +488,18 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
         np.concatenate(x) for x in (decks, seeds, times, lifts, owner))
 
     # Newton polish against the fixed lift of each representative
-    if manifold.flat:
-        def endpoints(us, ts, cand):
-            return _flat_endpoints(field, starts, us, ts, owner[cand])
-    else:
-        def endpoints(us, ts, cand):
-            return _endpoints(field, cfg, starts, counts, us, ts, owner[cand])
+    def endpoints(us, ts, cand):
+        return _endpoints(field, cfg, starts, counts, us, ts, owner[cand])
+
     us, ts, outcome = _polish(field, endpoints, dirs[seeds], times, lifts,
                               horizon, time_floor, newton_tol)
-    # fresh re-integration of every accepted root, batched; a root counts
-    # only if it arrives again within newton_tol of the lift it was
-    # polished toward
+    # fresh re-integration of every accepted root, batched, with or without
+    # a flow; a root counts only if it arrives again within newton_tol of
+    # the lift it was polished toward
     good = np.nonzero(outcome == CONVERGED)[0]
-    q_end, _ = _endpoints(field, cfg, starts, counts, us[good], ts[good],
-                          owner[good])
+    q_end, _ = _endpoints(replace(field, flow=None), cfg, starts, counts,
+                          us[good], ts[good], owner[good])
     res = _row_norms(manifold.frame_displacement(q_end, lifts[good]))
-    if manifold.flat and np.any(res > 10 * newton_tol):
-        raise InvariantFailureError(
-            f"integrated chord misses its lift by {np.max(res):.3e}: the "
-            f"closed-form flow needs a field that depends on p alone")
     n_int = int(math.floor(horizon + 1e-12))
     censuses = []
     for i, (cand, rows) in enumerate(zip(_by_owner(owner, len(pairs)),
@@ -815,13 +801,13 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
             mid_params = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
             mid_params /= np.linalg.norm(mid_params, axis=-1, keepdims=True)
             q_new, p_new = evolve_new(mid_params, level)
-            base = mesh.vertex_count()
-            mesh.simplices = _resplit(mesh.simplices, split, base)
+            mesh.simplices, children = _resplit(mesh.simplices, split,
+                                                mesh.vertex_count())
             mesh.params = np.vstack([mesh.params, mid_params])
             mesh.q = np.vstack([mesh.q, q_new])
             mesh.p = np.vstack([mesh.p, p_new])
             keys, lengths, seps = _split_edge_table(
-                mesh, (keys, lengths, seps), split_at, base, radix)
+                mesh, (keys, lengths, seps), split_at, children, radix)
             splits += len(split_at)
         for name, value in (("vertices", mesh.vertex_count()),
                             ("splits", splits), ("passes", n_pass),
@@ -844,18 +830,18 @@ def volume_growth(field: HamiltonianField, mesh: MeshedSubmanifold,
                               integrator=counts, **per_level)
 
 
-def _split_edge_table(mesh, table, split_at, base, radix):
+def _split_edge_table(mesh, table, split_at, children, radix):
     """The edge table ``(keys, lengths, separations)`` of a mesh after one
     pass split the edges at rows ``split_at``: ``mesh`` already holds the
-    children, whose new vertices are numbered from ``base`` on.
+    new simplices, and ``children`` marks those that are children of split
+    ones, as ``_resplit`` returns it.
 
-    The split edges leave the table; the edges of the split simplices'
-    children that it lacks (each has a new vertex) are measured, alone, and
-    inserted in key order.  No other edge is touched: its endpoints have
-    not moved."""
+    The split edges leave the table; the edges of the children that it
+    lacks (each has a new vertex) are measured, alone, and inserted in key
+    order.  No other edge is touched: its endpoints have not moved."""
     keys, lengths, seps = table
-    children = mesh.simplices[np.any(mesh.simplices >= base, axis=1)]
-    new = np.unique(np.concatenate(_edge_keys(children, radix)))
+    new = np.unique(np.concatenate(_edge_keys(mesh.simplices[children],
+                                              radix)))
     # a split edge is no child's, so the full table tells which are new
     pos = np.minimum(np.searchsorted(keys, new), len(keys) - 1)
     new = new[keys[pos] != new]
@@ -891,7 +877,8 @@ def _resplit(simplices, split, base):
     non-empty ``split`` at the new vertex ``base + k``, k its row; every
     index is below ``base``.
     A simplex's children replace it in place, in the order of
-    ``_CHILDREN``."""
+    ``_CHILDREN``.  Returns them with the mask of the rows that are children
+    of a split simplex, each of which holds a new vertex."""
     dim = simplices.shape[1] - 1
     keys = split[:, 0].astype(np.int64) * base + split[:, 1]
     order = np.argsort(keys, kind="stable")
@@ -915,7 +902,7 @@ def _resplit(simplices, split, base):
         sel = np.nonzero(counts > slot)[0]
         out[starts[sel] + slot] = np.take_along_axis(
             verts[sel], rows[pattern[sel], slot], axis=1)
-    return out
+    return out, np.repeat(pattern != 0, counts)
 
 
 # -- averaged census (pairs of base points) --------------------------------------

@@ -68,12 +68,12 @@ class ModelManifold:
 
     Each model is a frozen dataclass that holds only its own covering data
     and sets the class attributes ``kind``, ``dim`` and ``flat``; it compares
-    and hashes by identity, since its fields are arrays.  ``flat`` says that
-    the metric is constant in the cover coordinates, so that every shipped
-    Hamiltonian depends on p alone and its flow keeps p and translates q:
-    the chord finders then evaluate ``dynamics.flat_flow`` in closed form
-    and integrate only to re-verify.  It implements, vectorized over
-    leading axes:
+    and hashes by identity, since its fields are arrays.  ``flat`` says only
+    that the metric is constant in the cover coordinates.  Two places read
+    it: ``calibrate``, which then samples the directions at one base point,
+    and the field constructors of ``dynamics``, whose fields then depend on
+    p alone and carry their closed-form flow.  It implements, vectorized
+    over leading axes:
 
     * ``random_point(rng)``: a uniform sample of the fundamental domain;
     * ``conorm_sq(q, p)`` and ``conorm_grads(q, p)``: |p|^2 in the dual

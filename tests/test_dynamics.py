@@ -11,8 +11,7 @@ import pytest
 
 from spherization_lab import dynamics as dyn
 from spherization_lab import sol as sol_mod
-from spherization_lab.errors import (IntegrationDivergedError,
-                                     InvariantFailureError, StiffnessError)
+from spherization_lab.errors import IntegrationDivergedError, StiffnessError
 from spherization_lab.geometry import CotangentPoint, ModelManifold
 from spherization_lab.starshape import SandwichedHamiltonians
 
@@ -491,21 +490,43 @@ def test_exclusion_level_picks_gap_midpoint(torus):
 
 # -- flat-torus chords in closed form ---------------------------------------------
 
-def test_flat_time_one_map_is_closed_form(round_sandwich, ellipse_sandwich):
-    # every torus field of the action check depends on p alone, so the
-    # time-1 map that shoot_fixed_time_chords solves is q0 + dH/dp(p0)
+def test_flat_time_one_map_is_closed_form(torus, sol, round_sandwich,
+                                          ellipse_sandwich, fourier_sandwich,
+                                          sol_round_sandwich):
+    # every field that carries a closed-form flow moves as it integrates, at
+    # one time for all rows (the shooting's time-1 map) and at one time per
+    # row (the census's endpoints), and keeps p bit for bit; a field on sol,
+    # or one that depends on q, carries none
     rng = np.random.default_rng(16)
     cfg = dyn.IntegratorConfig(max_step=0.01)
-    for sw in (round_sandwich, ellipse_sandwich):
-        for n in (1, 2, 3):
-            field = dyn.scaled_field(dyn.core_field(sw), n)
-            Q0 = rng.uniform(size=(200, 2))
-            P0 = rng.uniform(-2.6, 2.6, size=(200, 2))
-            _, Q, P = dyn.integrate_batch(field, Q0, P0, 1.0, cfg,
-                                          t_eval=np.array([0.0, 1.0]))
-            closed = Q0 + field.grads(Q0, P0)[1]
-            assert np.max(np.abs(Q[:, -1] - closed)) <= 1e-12
-            assert np.array_equal(P[:, -1], P0)
+    sandwiches = (round_sandwich, ellipse_sandwich, fourier_sandwich)
+    gauges = [dyn.gauge_field(sw) for sw in sandwiches]
+    cores = [dyn.core_field(sw) for sw in sandwiches]
+    flowing = ([dyn.geodesic_field(torus)] + gauges + cores
+               + [dyn.scaled_field(f, c) for f in (gauges[1], gauges[2],
+                                                  cores[0], cores[1])
+                  for c in (0.5, 3.0)])
+    for field in flowing:
+        Q0 = rng.uniform(size=(200, 2))
+        P0 = rng.uniform(-2.6, 2.6, size=(200, 2))
+        ts = rng.uniform(0.05, 2.0, size=200)
+        grid = np.concatenate([[0.0], np.unique(ts)])
+        _, Q, P = dyn.integrate_batch(field, Q0, P0, 1.0, cfg,
+                                      t_eval=np.array([0.0, 1.0]))
+        q_at, p_at = dyn.integrate_batch(field, Q0, P0, grid[-1], cfg,
+                                         t_eval=grid,
+                                         at=np.searchsorted(grid, ts))
+        for (q, p), (q_int, p_int) in (
+                (field.flow(Q0, P0, 1.0), (Q[:, -1], P[:, -1])),
+                (field.flow(Q0, P0, ts), (q_at, p_at))):
+            assert np.max(np.abs(q - q_int)) <= 1e-12, field.name
+            assert p.tobytes() == p_int.tobytes() == P0.tobytes(), field.name
+    for field in (dyn.geodesic_field(sol), sol_mod.sol_field(sol),
+                  dyn.scaled_field(sol_mod.sol_field(sol), 0.5),
+                  dyn.gauge_field(sol_round_sandwich),
+                  dyn.core_field(sol_round_sandwich),
+                  potential_field(round_sandwich)):
+        assert field.flow is None, field.name
 
 
 def test_shot_chords_sorted_and_on_their_lifts(torus, round_sandwich):
@@ -547,10 +568,10 @@ def test_shot_chords_do_not_depend_on_the_seed_order(monkeypatch, torus,
 
 
 def test_shot_chords_refuse_a_field_that_depends_on_q(round_sandwich):
-    # a potential bends the flow off the closed form; the dense
-    # re-verification must catch it instead of returning wrong chords
+    # a potential bends the flow off the closed form, so the field carries
+    # no flow, and the shooting refuses it before any work
     field = potential_field(round_sandwich)
-    with pytest.raises(InvariantFailureError, match="misses its lift"):
+    with pytest.raises(ValueError, match="closed-form flow"):
         dyn.shoot_fixed_time_chords(field, np.zeros(2), np.array([0.5, 0.5]),
                                     p_max=2.6, grid=16,
                                     cfg=dyn.IntegratorConfig(max_step=0.01))

@@ -9,9 +9,7 @@ from spherization_lab import dynamics as dyn
 from spherization_lab import entropy, experiments
 from spherization_lab import sol as sol_mod
 from spherization_lab.config import load_config
-from spherization_lab.errors import InvariantFailureError
-from spherization_lab.geometry import (CotangentPoint, FlatTorus,
-                                       ModelManifold)
+from spherization_lab.geometry import CotangentPoint, ModelManifold
 from spherization_lab.entropy import (ChordRecord, _dedup_roots, _resplit,
                                       _split_edge_table, _suppress,
                                       _tangent_frames, chord_census,
@@ -140,8 +138,8 @@ def test_torus_census_makes_one_lift_search(monkeypatch, torus_census_ctx,
     assert [len(p) for p in probes] == [
         min(entropy._SEARCH_BLOCK, resolution - lo)
         for lo in range(0, resolution, entropy._SEARCH_BLOCK)]
-    mesh = dyn.flat_flow(geo, q0, smap(circle_directions(resolution))[:, None],
-                         np.linspace(0.0, 3.0, n_samples))[0]
+    mesh = geo.flow(q0, smap(circle_directions(resolution))[:, None],
+                    np.linspace(0.0, 3.0, n_samples))[0]
     assert np.array_equal(np.concatenate(probes), mesh)
 
 
@@ -238,15 +236,29 @@ def test_midpoint_sol_census_reads_polish_rows_as_the_full_grid(sol,
                                  coarse_threshold=0.35)[0])
 
 
-def test_torus_census_refuses_a_field_that_depends_on_q(round_sandwich):
-    # a potential bends the flow off the closed form the torus census seeds
-    # and polishes on; the re-verification must catch it instead of
-    # counting the closed form's chords
+def test_torus_census_integrates_a_field_that_depends_on_q(monkeypatch,
+                                                          round_sandwich):
+    # a potential bends the flow off the closed form of a field of p alone,
+    # so the field carries no flow: on the torus its census integrates the
+    # mesh and the polish, and every root it counts re-verifies on its lift
     field = potential_field(round_sandwich)
     q0, q1 = np.zeros(2), np.array([0.5, 0.5])
     smap = lambda u: round_sandwich.surface_covector(q0, u)
-    with pytest.raises(InvariantFailureError, match="misses its lift"):
-        chord_census(field, [(q0, q1, smap)], 2.0, 64)
+    rows = []
+    integrate = entropy.integrate_batch
+
+    def counted(field, Q0, *args, **kwargs):
+        rows.append(len(Q0))
+        return integrate(field, Q0, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "integrate_batch", counted)
+    [census] = chord_census(field, [(q0, q1, smap)], 2.0, 64)
+    # the mesh pass over all 64 seeds, then the polish sweeps, then the
+    # re-verification
+    assert rows[0] == 64 and len(rows) > 2
+    assert census.records and census.diagnostics["reverify_misses"] == 0
+    assert max(r.residual for r in census.records) <= 1e-8
+    assert all(np.diff(census.nu_series) >= 0)
 
 
 CENSUS_C07 = """
@@ -279,19 +291,23 @@ resolution = 1024
 def test_closed_form_torus_census_matches_the_integrating_one(
         tmp_path, monkeypatch, text):
     # criterion 07's pair and the ellipse chord test's, at a short horizon:
-    # the same chords whether the mesh and the polish read the closed form
-    # or integrate, as they do on a model that is not flat
+    # the same chords whether the mesh and the polish read the field's
+    # closed-form flow or integrate, as they do for a field without one
     config = tmp_path / "census.ini"
     config.write_text(text)
     found = []
 
-    def census(*args, **kwargs):
-        found.append(chord_census(*args, **kwargs))
+    def census(field, *args, **kwargs):
+        found.append(chord_census(field, *args, **kwargs))
         return found[-1]
+
+    def integrating(field, *args, **kwargs):
+        assert field.flow is not None
+        return census(dataclasses.replace(field, flow=None), *args, **kwargs)
 
     monkeypatch.setattr(experiments, "chord_census", census)
     experiments.run(load_config(str(config)), out_dir=tmp_path / "closed")
-    monkeypatch.setattr(FlatTorus, "flat", False)
+    monkeypatch.setattr(experiments, "chord_census", integrating)
     experiments.run(load_config(str(config)), out_dir=tmp_path / "integrated")
     [closed], [integrated] = found
     assert list(closed.nu_series) == list(integrated.nu_series)
@@ -301,8 +317,9 @@ def test_closed_form_torus_census_matches_the_integrating_one(
     for a, b in zip(closed.records, integrated.records):
         assert abs(a.arrival_time - b.arrival_time) <= 1e-9
         assert np.max(np.abs(np.subtract(a.direction, b.direction))) <= 1e-9
-    # only the integrating census ran the mesh and the polish solves
-    assert (closed.diagnostics["integrator"]["nfev"]
+    # both re-verify by integration; only the integrating census ran the
+    # mesh and the polish solves
+    assert (0 < closed.diagnostics["integrator"]["nfev"]
             < integrated.diagnostics["integrator"]["nfev"])
 
 
@@ -671,8 +688,8 @@ def _volume_growth_reference(field, mesh, n_max, refine_threshold,
             q_new = np.broadcast_to(q0, p_new.shape).copy()
             if level:
                 q_new, p_new = advance(q_new, p_new, 0.0, float(level))
-            mesh.simplices = _resplit(mesh.simplices, split,
-                                      mesh.vertex_count())
+            mesh.simplices, _ = _resplit(mesh.simplices, split,
+                                         mesh.vertex_count())
             mesh.params = np.vstack([mesh.params, mid])
             mesh.q = np.vstack([mesh.q, q_new])
             mesh.p = np.vstack([mesh.p, p_new])
@@ -771,7 +788,9 @@ def _resplit_reference(simplices, lookup, dimension):
 def test_resplit_matches_the_loop(torus, sol, round_sandwich, dimension):
     # random split patterns over several passes (so that faces of every
     # pattern and of irregular shape occur), with the split rows in the
-    # refinement's sorted order and shuffled: the same children, in order
+    # refinement's sorted order and shuffled: the same children, in order,
+    # and the rows marked as children of split simplices are those that
+    # hold a new vertex
     rng = np.random.default_rng(dimension)
     if dimension == 1:
         q0 = np.array([0.2, 0.7])
@@ -791,8 +810,9 @@ def test_resplit_matches_the_loop(torus, sol, round_sandwich, dimension):
             split = rng.permutation(split)
         lookup = {(int(i), int(j)): n + k for k, (i, j) in enumerate(split)}
         want = _resplit_reference(simplices, lookup, dimension)
-        got = _resplit(simplices, split, n)
+        got, children = _resplit(simplices, split, n)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(children, np.any(got >= n, axis=1))
         simplices, n = got, n + len(split)
     assert n > 4 * mesh.vertex_count()
 
@@ -828,13 +848,13 @@ def test_split_edge_table_matches_the_mesh(torus, sol, round_sandwich,
         split = np.stack([keys[split_at] // radix, keys[split_at] % radix], 1)
         base = mesh.vertex_count()
         mid = mesh.params[split[:, 0]] + mesh.params[split[:, 1]]
-        mesh.simplices = _resplit(mesh.simplices, split, base)
+        mesh.simplices, children = _resplit(mesh.simplices, split, base)
         mesh.params = np.vstack([mesh.params, mid / np.linalg.norm(
             mid, axis=-1, keepdims=True)])
         mesh.q, mesh.p = (np.vstack([x, rng.normal(size=(len(split),
                                                          x.shape[1]))])
                           for x in (mesh.q, mesh.p))
-        table = _split_edge_table(mesh, table, split_at, base, radix)
+        table = _split_edge_table(mesh, table, split_at, children, radix)
         for got, want in zip(table, table_of(mesh)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert mesh.vertex_count() > 4 * 16

@@ -28,6 +28,14 @@ def test_fingerprint_script_prints_the_same_hashes_twice():
                     if label.endswith("/manifest.json")}
     for name in ("sol-ensemble", "sol-census", "torus-census", "sol-volume"):
         assert f"{name}/seed1/input0" in runs
+    # the volume runs and the torus censuses whose profile is not round,
+    # each with a CSV
+    extra = {"volume/sol-passes", "volume/torus-circle",
+             "census/torus-ellipse", "census/torus-fourier",
+             "census/torus-ellipse-mpp"}
+    assert {r for r in runs if r.startswith(("volume/", "census/"))} == extra
+    assert extra <= {label.rsplit("/", 1)[0] for label in labels
+                     if label.endswith(".csv")}
     shipped = {f"configs/{p.stem}" for p in (ROOT / "configs").glob("*.ini")}
     assert {r for r in runs if r.startswith("configs/")} == shipped - {
         "configs/sol-census", "configs/sol-subcritical"}

@@ -16,7 +16,11 @@ check by design) is still hashed: its manifest records the error.
 Two volume-growth runs follow, whatever the flags: a sol fiber refined over
 three or four passes per level to about 49 000 vertices, and a torus circle
 refined at threshold 0.1 over 30 levels, so the diff also covers multi-pass
-refinement and the polygon (d = 1) that the workloads hardly touch.
+refinement and the polygon (d = 1) that the workloads hardly touch.  Then
+three torus chord censuses with a profile that is not round, whose Reeb
+field is F/2 for the profile's gauge F (``scaled_field(gauge_field(...),
+0.5)``, which no other run builds): an ellipse and a Fourier profile, and
+the ellipse's census averaged over base-point pairs.
 
 The configs of acceptance criteria 02 and 08b take most of the time and run
 only with ``--slow``.  ``--smoke`` runs each workload at its smoke size, one
@@ -71,6 +75,50 @@ fit_window = 8
 }
 
 
+CENSUS_RUNS = {
+    "torus-ellipse": """
+[experiment]
+name = chord-census
+seed = 117
+
+[profile]
+kind = ellipse
+axes = 1 2
+
+[census]
+horizon = 8.0
+resolution = 256
+""",
+    "torus-fourier": """
+[experiment]
+name = chord-census
+seed = 118
+
+[profile]
+kind = fourier
+fourier_cos = 0 0 0 0.04
+
+[census]
+horizon = 8.0
+resolution = 256
+""",
+    "torus-ellipse-mpp": """
+[experiment]
+name = mpp
+seed = 119
+
+[profile]
+kind = ellipse
+axes = 1 2
+
+[census]
+horizon = 6.0
+resolution = 128
+grid = 2
+""",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -98,7 +146,7 @@ def fingerprint(label: str, path: Path, scratch: Path):
 def runs(seeds, *, slow: bool, smoke: bool, scratch: Path):
     """(label, config path) of every run, the configs written to
     ``scratch``: the workload inputs seed by seed, the shipped configs,
-    then the volume runs."""
+    then the volume and the census runs."""
     from workloads import WORKLOADS
 
     for name, workload in WORKLOADS.items():
@@ -115,6 +163,10 @@ def runs(seeds, *, slow: bool, smoke: bool, scratch: Path):
         path = scratch / f"volume-{name}.ini"
         path.write_text(text)
         yield f"volume/{name}", path
+    for name, text in CENSUS_RUNS.items():
+        path = scratch / f"census-{name}.ini"
+        path.write_text(text)
+        yield f"census/{name}", path
 
 
 def main(argv=None) -> int:

@@ -1018,10 +1018,12 @@ def classify_chord_action(chord: Trajectory, sandwich: SandwichedHamiltonians,
 
 # Newton outcomes of a candidate.  When several hold in one sweep the first
 # listed wins; "outside_window" is the census's mark for a root it converged
-# to outside its time window, "sweep_cap" one still live at the last sweep.
+# to outside its time window, "sweep_cap" one still live at the last sweep,
+# and "left_window" one that its caller's move retired.
 NEWTON_OUTCOMES = ("converged", "blowup", "damping_floor", "singular",
-                   "outside_window", "sweep_cap")
-CONVERGED, BLOWUP, DAMPING_FLOOR, SINGULAR, OUTSIDE_WINDOW, SWEEP_CAP = range(6)
+                   "outside_window", "sweep_cap", "left_window")
+(CONVERGED, BLOWUP, DAMPING_FLOOR, SINGULAR, OUTSIDE_WINDOW, SWEEP_CAP,
+ LEFT_WINDOW) = range(7)
 
 
 def solve_stacked(jac, rhs):
@@ -1049,11 +1051,12 @@ def lockstep_newton(n, linearize, move, *, tol, max_sweeps, blowup=None):
     returns their residuals (k, m) and ``jacobian(rows)``, the (r, m, m)
     Jacobians of the rows of ``idx`` still live after the outcome checks.
     One stacked solve gives the steps; ``move(i, step, alpha)`` moves the
-    unknowns of ``i`` by ``alpha * step``.  ``alpha`` halves when the
-    residual norm did not drop and doubles (up to 1) when it did.  A
-    candidate converges at a residual norm of at most ``tol``, blows up
-    above ``blowup`` times its first one (never, when None) and gives up
-    once ``alpha < 2^-9``.
+    unknowns of ``i`` by ``alpha * step`` and may return a boolean mask
+    over ``i``: the candidates it marks end ``LEFT_WINDOW`` and are never
+    evaluated again.  ``alpha`` halves when the residual norm did not drop
+    and doubles (up to 1) when it did.  A candidate converges at a residual
+    norm of at most ``tol``, blows up above ``blowup`` times its first one
+    (never, when None) and gives up once ``alpha < 2^-9``.
     """
     alpha = np.ones(n)
     outcome = np.full(n, SWEEP_CAP)
@@ -1084,7 +1087,9 @@ def lockstep_newton(n, linearize, move, *, tol, max_sweeps, blowup=None):
         step, singular = solve_stacked(jacobian(rows), -res[rows])
         outcome[idx[rows[singular]]] = SINGULAR
         i = idx[rows[~singular]]
-        move(i, step[~singular], alpha[i])
+        left = move(i, step[~singular], alpha[i])
+        if left is not None:
+            outcome[i[left]] = LEFT_WINDOW
     return outcome
 
 

@@ -5,7 +5,9 @@ The census solves the shooting problem "start on the fiber surface over q0,
 arrive on the fiber over q1 (any deck translate) before the horizon" by
 seeding a mesh on (surface parameter) x (time), detecting near-arrivals on
 dense trajectory samples, and polishing each candidate with damped Newton in
-(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  The mesh
+(parameter, time) on ``dynamics.lockstep_newton`` (``_polish``).  A
+candidate whose time stays clamped past the horizon for two sweeps in a row
+can never be counted, so the polish stops integrating it.  The mesh
 samples each seed's trajectory, and the polish and the re-verification read
 their endpoints from ``_endpoints``: they evaluate the field's closed-form
 flow (``HamiltonianField.flow``, the torus fields' translation of q) when it
@@ -194,6 +196,9 @@ def _row_norms(v):
 # direction, the sweep cap and the blow-up guard (times the seed residual)
 _POLISH_CHUNK, _POLISH_FD_STEP = 192, 1e-6
 _POLISH_SWEEPS, _POLISH_BLOWUP = 36, 6.0
+# the time clamp (times the horizon), and the consecutive sweeps a
+# candidate's time may sit at it before the candidate leaves the polish
+_POLISH_TIME_CAP, _POLISH_PINNED_SWEEPS = 1.05, 2
 # rows per lockstep integrate_batch call of the mesh and the endpoints,
 # which bounds the call's buffers and outputs
 _LOCKSTEP_ROWS = 2048
@@ -273,23 +278,31 @@ def _endpoints(field, cfg, starts, stats, us, ts, owner):
 def _polish(field, endpoints, us, ts, lifts, horizon, time_floor, tol):
     """Damped Newton on (surface parameter, time) for many candidates at
     once, each against its own fixed lift; returns the final directions and
-    times, and each candidate's index into NEWTON_OUTCOMES.
+    times, each candidate's index into NEWTON_OUTCOMES and the number of
+    sweeps in which it was live.
 
     One sweep of ``lockstep_newton`` advances every live candidate by a
     single proposed step; all endpoint evaluations of a sweep (current point
     plus finite-difference perturbations) ride in one ``endpoints(us, ts,
     candidates)`` call, which amortizes the solver overhead that would
-    dominate a per-candidate polish.
+    dominate a per-candidate polish.  A step clamps the time into
+    ``[time_floor, _POLISH_TIME_CAP * horizon]``; a candidate whose time
+    sits at the upper clamp after ``_POLISH_PINNED_SWEEPS`` consecutive
+    sweeps can no longer be counted and leaves the polish ``left_window``.
     """
     manifold = field.manifold
     d = manifold.dim
     us = np.array(us, dtype=float)
     ts = np.array(ts, dtype=float)
     frames = np.empty((len(us), d - 1, d))
+    sweeps = np.zeros(len(us), dtype=np.int64)
+    pinned = np.zeros(len(us), dtype=np.int64)
+    t_cap = horizon * _POLISH_TIME_CAP
 
     def linearize(idx):
         # the current and the finite-difference starts in one evaluation
         k = len(idx)
+        sweeps[idx] += 1
         frames[idx] = dirs = _tangent_frames(us[idx])
         eval_us = [us[idx]]
         for j in range(d - 1):
@@ -322,13 +335,15 @@ def _polish(field, endpoints, us, ts, lifts, horizon, time_floor, tol):
                                       + step[:, 1:2] * dirs[:, 1])
             us[i] = v / _row_norms(v)[:, None]
         ts[i] = np.minimum(np.maximum(ts[i] + a * step[:, -1], time_floor),
-                           horizon * 1.05)
+                           t_cap)
+        pinned[i] = np.where(ts[i] == t_cap, pinned[i] + 1, 0)
+        return pinned[i] >= _POLISH_PINNED_SWEEPS
 
     outcome = lockstep_newton(len(us), linearize, move, tol=tol,
                               max_sweeps=_POLISH_SWEEPS, blowup=_POLISH_BLOWUP)
     outside = (ts < time_floor) | (ts > horizon)
     outcome[(outcome == CONVERGED) & outside] = OUTSIDE_WINDOW
-    return us, ts, outcome
+    return us, ts, outcome, sweeps
 
 
 def _suppress(decks, seeds, times, dists, dirs, t_tol, angle):
@@ -491,8 +506,8 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
     def endpoints(us, ts, cand):
         return _endpoints(field, cfg, starts, counts, us, ts, owner[cand])
 
-    us, ts, outcome = _polish(field, endpoints, dirs[seeds], times, lifts,
-                              horizon, time_floor, newton_tol)
+    us, ts, outcome, sweeps = _polish(field, endpoints, dirs[seeds], times,
+                                      lifts, horizon, time_floor, newton_tol)
     # fresh re-integration of every accepted root, batched, with or without
     # a flow; a root counts only if it arrives again within newton_tol of
     # the lift it was polished toward
@@ -533,6 +548,7 @@ def chord_census(field: HamiltonianField, pairs, horizon: float,
                          "sample_dt": sample_dts[i],
                          "resolution": resolution,
                          "newton_outcomes": outcomes,
+                         "newton_sweeps": int(sweeps[cand].max(initial=0)),
                          "integrator": counts[i]}))
     return censuses
 

@@ -445,14 +445,18 @@ def test_solve_stacked_retires_only_the_singular_row(rng):
     assert np.array_equal(step_all, step[regular])
 
 
-def _claimed_slope_system(slopes, tol):
+def _claimed_slope_system(slopes, tol, leaves=(), live=None):
     # residual r(x) = x with its Jacobian claimed to be `slope`, from x = 1:
     # a damped step moves x to x (1 - alpha / slope), so slope 1 solves in
     # one step, 100 creeps toward the root, negative slopes push away from
-    # it and 0 is singular
+    # it and 0 is singular; the rows of `leaves` are marked by their first
+    # move, and `live` collects the rows of each linearization
     x = np.ones(len(slopes))
 
     def linearize(idx):
+        if live is not None:
+            live.append(idx.tolist())
+
         def jacobian(rows):
             # asked only for rows no outcome has retired yet
             assert np.all(np.abs(x[idx[rows]]) > tol)
@@ -461,25 +465,35 @@ def _claimed_slope_system(slopes, tol):
 
     def move(i, step, alpha):
         x[i] += alpha * step[:, 0]
+        return np.isin(i, leaves) if len(leaves) else None
 
     return linearize, move
 
 
 def test_lockstep_newton_reaches_every_outcome():
-    slopes = np.array([1.0, -0.1, -1.0, 0.0, 100.0])
+    slopes = np.array([1.0, -0.1, -1.0, 0.0, 100.0, 100.0])
+    live = []
     outcome = dyn.lockstep_newton(len(slopes),
-                                  *_claimed_slope_system(slopes, 1e-12),
+                                  *_claimed_slope_system(slopes, 1e-12,
+                                                         leaves=[5],
+                                                         live=live),
                                   tol=1e-12, max_sweeps=30, blowup=6.0)
     assert [dyn.NEWTON_OUTCOMES[o] for o in outcome] == [
-        "converged", "blowup", "damping_floor", "singular", "sweep_cap"]
+        "converged", "blowup", "damping_floor", "singular", "sweep_cap",
+        "left_window"]
+    # the marked row was linearized once, before its first move, and never
+    # again, while its twin ran to the sweep cap
+    assert [5 in idx for idx in live] == [True] + [False] * 29
+    assert all(4 in idx for idx in live)
     # without the guard the residual that grows tenfold is let run until
-    # its damping gives out; no row is ever marked as a blow-up
+    # its damping gives out; no row is ever marked as a blow-up, and a move
+    # that marks none retires none
     outcome = dyn.lockstep_newton(len(slopes),
                                   *_claimed_slope_system(slopes, 1e-12),
                                   tol=1e-12, max_sweeps=30)
     assert [dyn.NEWTON_OUTCOMES[o] for o in outcome] == [
         "converged", "damping_floor", "damping_floor", "singular",
-        "sweep_cap"]
+        "sweep_cap", "sweep_cap"]
 
 
 def test_exclusion_level_picks_gap_midpoint(torus):

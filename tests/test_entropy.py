@@ -449,6 +449,29 @@ def test_sol_census_finds_verified_chords(sol):
     assert miss <= 1e-6
 
 
+def test_polish_retires_a_time_clamped_for_consecutive_sweeps(torus,
+                                                             monkeypatch):
+    # a driver that moves every candidate by scripted time steps, horizon 1:
+    # candidate 0 runs into the upper clamp and stays, candidate 1 leaves
+    # it for a sweep in between and candidate 2 sits at the time floor
+    steps = [[1.0, 1.0, -1.0], [1.0, -0.2, -1.0], [1.0, 1.0, -1.0]]
+    marks = []
+
+    def scripted(n, linearize, move, **kwargs):
+        for dt in steps:
+            step = np.stack([np.zeros(n), dt], axis=-1)
+            marks.append(move(np.arange(n), step, np.ones(n)).tolist())
+        return np.full(n, dyn.SWEEP_CAP)
+
+    monkeypatch.setattr(entropy, "lockstep_newton", scripted)
+    _, ts, _, _ = entropy._polish(dyn.geodesic_field(torus), None,
+                                  circle_directions(3), np.full(3, 0.5),
+                                  None, 1.0, 1e-6, 1e-8)
+    assert marks == [[False, False, False], [True, False, False],
+                     [True, False, False]]
+    assert ts.tolist() == [1.05, 1.05, 1e-6]
+
+
 def _tangent_frame_loop(u):
     a = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(u, a)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherization_lab import dynamics as dyn
-from spherization_lab import experiments
+from spherization_lab import entropy, experiments
 from spherization_lab import sol as sol_mod
 from spherization_lab.config import SCHEMA, load_config
 from spherization_lab.errors import InvariantFailureError
@@ -349,10 +349,7 @@ max_step = 0.01
     assert manifest["results"]["energy_drift_max"] <= 1e-12
 
 
-def test_sol_census_pinned_counts(tmp_path):
-    # the exact nu series of a small sol census at a fixed seed; the field
-    # kernels are bit-stable, so any change here is a change of behaviour
-    manifest, _ = _run(tmp_path, """
+PINNED_SOL_CENSUS = """
 [experiment]
 name = chord-census
 seed = 2
@@ -368,23 +365,69 @@ horizon = 3.0
 resolution = 192
 coarse_threshold = 0.35
 pairs = 2
-""")
+"""
+
+
+def test_sol_census_pinned_counts(tmp_path):
+    # the exact nu series of a small sol census at a fixed seed; the field
+    # kernels are bit-stable, so any change here is a change of behaviour
+    manifest, _ = _run(tmp_path, PINNED_SOL_CENSUS)
     assert [p["nu"] for p in manifest["results"]["pairs"]] == [
         [13, 84, 166], [13, 91, 161]]
     # every representative ends in exactly one Newton outcome, and the
     # failures are the outcomes other than a root inside the window
     causes = ("converged", "blowup", "damping_floor", "singular",
-              "outside_window", "sweep_cap")
+              "outside_window", "sweep_cap", "left_window")
     assert [p["diagnostics"]["newton_outcomes"]
             for p in manifest["results"]["pairs"]] == [
-        dict(zip(causes, (192, 2, 3, 0, 7, 0))),
-        dict(zip(causes, (181, 1, 3, 0, 14, 0)))]
+        dict(zip(causes, (192, 2, 0, 0, 7, 0, 3))),
+        dict(zip(causes, (181, 1, 0, 0, 13, 0, 4)))]
     for pair in manifest["results"]["pairs"]:
         diag = pair["diagnostics"]
         outcomes = diag["newton_outcomes"]
         failed = sum(n for cause, n in outcomes.items() if cause != "converged")
         assert failed + outcomes["converged"] == diag["representatives"]
         assert failed == diag["newton_failures"] > 0
+
+
+def test_sol_census_retires_only_chords_it_could_never_count(tmp_path,
+                                                             monkeypatch):
+    # candidates whose time stays pinned past the horizon leave the polish;
+    # the same census with every one of them kept to its end counts the
+    # same chords, and none it retired converges inside the window there
+    polish, newton = entropy._polish, entropy.lockstep_newton
+    outcomes = []
+
+    def recorded(*args):
+        result = polish(*args)
+        outcomes.append(result[2])
+        return result
+
+    def keeping(n, linearize, move, **kwargs):
+        def unmarked(i, step, alpha):
+            move(i, step, alpha)
+        return newton(n, linearize, unmarked, **kwargs)
+
+    monkeypatch.setattr(entropy, "_polish", recorded)
+    (tmp_path / "retiring").mkdir()
+    retiring, _ = _run(tmp_path / "retiring", PINNED_SOL_CENSUS)
+    monkeypatch.setattr(entropy, "lockstep_newton", keeping)
+    (tmp_path / "keeping").mkdir()
+    keeping_all, _ = _run(tmp_path / "keeping", PINNED_SOL_CENSUS)
+
+    left, kept = outcomes
+    assert np.count_nonzero(left == dyn.LEFT_WINDOW) > 0
+    assert np.count_nonzero(kept == dyn.LEFT_WINDOW) == 0
+    assert not np.any(kept[left == dyn.LEFT_WINDOW] == dyn.CONVERGED)
+    for a, b in zip(retiring["results"]["pairs"],
+                    keeping_all["results"]["pairs"]):
+        assert a["nu"] == b["nu"]
+        assert (a["diagnostics"]["newton_outcomes"]["converged"]
+                == b["diagnostics"]["newton_outcomes"]["converged"])
+    assert (sum(p["diagnostics"]["integrator"]["nfev"]
+                for p in retiring["results"]["pairs"])
+            < sum(p["diagnostics"]["integrator"]["nfev"]
+                  for p in keeping_all["results"]["pairs"]))
 
 
 def test_census_counts_only_reverified_chords(tmp_path):
